@@ -3,7 +3,7 @@ over simulated GPS (NMEA 0183) and GSM (AT command SMS) links, plus the
 rain-sensing wiper and the SMS remote-query loop.
 """
 
-from .config import Config, dump_config, load_config, load_config_file
+from .config import Config, load_config, load_config_file
 from .controller import SafetyController, WiperCommand, WiperMode
 from .types import (
     AlertKind,
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Config",
-    "dump_config",
     "load_config",
     "load_config_file",
     "SafetyController",

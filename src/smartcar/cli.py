@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import Config, load_config_file
+from .config import load_config_file
 from .sim.runner import run
 from .sim.scenario import load_scenario_file
 from .types import ConfigError, ScenarioError
@@ -53,7 +53,7 @@ def _cmd_run(args) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
     try:
-        config = load_config_file(args.config) if args.config else Config()
+        config = load_config_file(args.config)
     except (ConfigError, OSError) as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 1

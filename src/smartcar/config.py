@@ -8,9 +8,8 @@ All thresholds are raw 10-bit ADC counts; all times are milliseconds.
 
 from dataclasses import dataclass, fields
 
-from .types import ADC_MAX, ConfigError
-
-_BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
+from .modem import check_number
+from .types import ADC_MAX, ConfigError, ModemError
 
 
 @dataclass(frozen=True)
@@ -31,26 +30,24 @@ class Config:
     wiper_intermittent_max: int = 300
     wiper_low_max: int = 700
     tick_ms: int = 10
-    # Interlock policy: False = inhibit starting only, True = also cut a
-    # running engine. The simulation has no running-engine model, so both
-    # settings drive the same enable line; the flag is carried for
-    # deployments that do distinguish.
-    alcohol_cutoff_while_running: bool = False
 
     def __post_init__(self):
         validate(self)
 
 
-_DURATION_KEYS = (
-    "impact_window_ms",
-    "impact_refractory_ms",
-    "panic_refractory_ms",
-    "gps_stale_ms",
-    "gps_wait_ms",
-    "sms_retry_backoff_ms",
-    "sms_ok_timeout_ms",
-    "tick_ms",
-)
+# smallest accepted value of each duration and count key
+_MINIMUMS = {
+    "impact_window_ms": 1,
+    "impact_min_high": 1,
+    "impact_refractory_ms": 1,
+    "panic_refractory_ms": 1,
+    "gps_stale_ms": 1,
+    "gps_wait_ms": 1,
+    "sms_retry_max": 0,
+    "sms_retry_backoff_ms": 1,
+    "sms_ok_timeout_ms": 1,
+    "tick_ms": 1,
+}
 
 
 def validate(cfg: Config) -> None:
@@ -65,9 +62,14 @@ def validate(cfg: Config) -> None:
             "require wiper_intermittent_max < wiper_low_max < 1024 "
             f"(got {cfg.wiper_intermittent_max}, {cfg.wiper_low_max})"
         )
-    for key in _DURATION_KEYS:
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be > 0 (got {getattr(cfg, key)})")
+    for key, low in _MINIMUMS.items():
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be >= {low} (got {getattr(cfg, key)})")
+    for key in ("alert_primary_number", "alert_safety_number"):
+        try:
+            check_number(getattr(cfg, key))
+        except ModemError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
 
 def load_config(source: str) -> Config:
@@ -90,14 +92,8 @@ def load_config(source: str) -> Config:
         value = value.strip()
         if key not in field_types:
             continue  # unknown keys permitted
-        kind = field_types[key]
         try:
-            if kind in (int, "int"):
-                overrides[key] = int(value)
-            elif kind in (bool, "bool"):
-                overrides[key] = _parse_bool(value)
-            else:
-                overrides[key] = value
+            overrides[key] = int(value) if field_types[key] in (int, "int") else value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return Config(**overrides)
@@ -106,21 +102,3 @@ def load_config(source: str) -> Config:
 def load_config_file(path: str) -> Config:
     with open(path, encoding="utf-8") as fh:
         return load_config(fh.read())
-
-
-def dump_config(cfg: Config) -> str:
-    """Render a Config back to key/value text; load_config round-trips it."""
-    lines = []
-    for f in fields(Config):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None

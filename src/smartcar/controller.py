@@ -161,19 +161,15 @@ class AlcoholInterlock:
         self.release = release
         self.ema: float | None = None
         self.engine_enabled = True
-        self.alert_sent_this_engagement = False
 
     def update(self, raw: int) -> tuple[bool, bool]:
         """Feed one sample; returns (engine_line_changed, alert_due)."""
         self.ema = raw if self.ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * self.ema
         if self.engine_enabled and self.ema >= self.threshold:
             self.engine_enabled = False
-            alert_due = not self.alert_sent_this_engagement
-            self.alert_sent_this_engagement = True
-            return True, alert_due
+            return True, True
         if not self.engine_enabled and self.ema < self.release:
             self.engine_enabled = True
-            self.alert_sent_this_engagement = False
             return True, False
         return False, False
 
@@ -204,10 +200,6 @@ class SafetyController:
     @property
     def engine_enabled(self) -> bool:
         return self.interlock.engine_enabled
-
-    @property
-    def alcohol_ema(self) -> float | None:
-        return self.interlock.ema
 
     def step(self, event, now_ms: int) -> list[Action]:
         """Route one input; returns the actions it caused, in fixed order."""

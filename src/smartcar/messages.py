@@ -8,7 +8,6 @@ maps URL embeds exactly the same coordinate text as the visible field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .config import Config
@@ -37,26 +36,9 @@ class QueryKind(Enum):
 _KNOWN_QUERIES = {k.value: k for k in QueryKind if k is not QueryKind.UNKNOWN}
 
 
-@dataclass(frozen=True)
-class Query:
-    kind: QueryKind
-    original: str = ""
-
-
-def parse_query(body: str) -> Query:
+def parse_query(body: str) -> QueryKind:
     """Map an inbound text to a query: case-insensitive, whitespace-trimmed."""
-    trimmed = body.strip()
-    kind = _KNOWN_QUERIES.get(trimmed.upper())
-    if kind is None:
-        return Query(QueryKind.UNKNOWN, original=trimmed)
-    return Query(kind)
-
-
-def canonical_query_text(kind: QueryKind) -> str:
-    """The keyword that parses back to ``kind`` (identity round-trip)."""
-    if kind is QueryKind.UNKNOWN:
-        raise ValueError("UNKNOWN has no canonical keyword")
-    return kind.value
+    return _KNOWN_QUERIES.get(body.strip().upper(), QueryKind.UNKNOWN)
 
 
 def coordinate_text(lat: float, lon: float) -> str:
@@ -71,7 +53,7 @@ def _location_text(gps: GpsState, now_ms: int, config: Config) -> str:
 
 
 def format_reply(
-    q: Query,
+    kind: QueryKind,
     frame: SensorFrame,
     gps: GpsState,
     config: Config,
@@ -82,20 +64,20 @@ def format_reply(
     GPS staleness is judged at frame.t_ms, the sampling instant of the
     data being reported. Always <= 160 chars.
     """
-    if q.kind is QueryKind.TEMP:
+    if kind is QueryKind.TEMP:
         return f"TEMP={frame.temp_c:.1f}C"
-    if q.kind is QueryKind.HUM:
+    if kind is QueryKind.HUM:
         return f"HUM={round(frame.humidity_pct)}%"
-    if q.kind is QueryKind.LOC:
+    if kind is QueryKind.LOC:
         return f"LOC={_location_text(gps, frame.t_ms, config)}"
-    if q.kind is QueryKind.STATUS:
+    if kind is QueryKind.STATUS:
         rain = "WET" if frame.rain_wet else "DRY"
         engine = "ENABLED" if engine_enabled else "DISABLED"
         return (
             f"TEMP={frame.temp_c:.1f}C HUM={round(frame.humidity_pct)}% "
             f"ALC={frame.alcohol_raw} RAIN={rain} ENGINE={engine}"
         )
-    if q.kind is QueryKind.HELP:
+    if kind is QueryKind.HELP:
         return "CMDS: STATUS TEMP HUM LOC HELP"
     return "UNKNOWN CMD. SEND HELP"
 

@@ -15,14 +15,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .config import Config
 from .types import SMS_MAX_LEN, InboundSms, ModemError
+
+if TYPE_CHECKING:
+    from .config import Config
 
 CTRL_Z = b"\x1a"
 
 _CMTI_RE = re.compile(r'^\+CMTI:\s*"[^"]*"\s*,\s*(\d+)\s*$')
 _CMGR_SENDER_RE = re.compile(r'^\+CMGR:\s*"[^"]*"\s*,\s*"([^"]*)"')
+# <da> of AT+CMGS="<da>" (3GPP TS 27.005), at most the 15 digits of E.164
+_NUMBER_RE = re.compile(r"\+?[0-9]{1,15}")
 
 
 class CommandKind(Enum):
@@ -103,6 +108,12 @@ def check_body(body: str) -> None:
             raise ModemError(f"SMS body contains non-printable character {ch!r}")
 
 
+def check_number(number: str) -> None:
+    """Reject phone numbers other than an optional '+' and 1-15 digits."""
+    if _NUMBER_RE.fullmatch(number) is None:
+        raise ModemError(f"bad phone number {number!r}: need an optional '+' and 1-15 digits")
+
+
 def encode_command(cmd: ModemCommand) -> bytes:
     if cmd.kind is CommandKind.ATTENTION:
         return b"AT\r"
@@ -111,6 +122,7 @@ def encode_command(cmd: ModemCommand) -> bytes:
     if cmd.kind is CommandKind.SET_BAUD:
         return f"AT+IPR={cmd.text}\r".encode("ascii")
     if cmd.kind is CommandKind.SEND_SMS_HEADER:
+        check_number(cmd.text)
         return f'AT+CMGS="{cmd.text}"\r'.encode("ascii")
     if cmd.kind is CommandKind.SMS_BODY:
         check_body(cmd.text)
@@ -182,7 +194,7 @@ class ModemSession:
     ``unsolicited`` for the controller to drain later.
     """
 
-    transport: object  # needs write(bytes), read() -> bytes, closed: bool
+    transport: object  # needs write(bytes), read() -> bytes
     clock: object  # needs now_ms: int, advance(ms)
     ok_timeout_ms: int = 5000
     _buf: bytes = b""
@@ -229,7 +241,7 @@ class ModemSession:
             self.clock.advance(deadline - self.clock.now_ms)
 
 
-def send_sms(session: ModemSession, dest: str, body: str, config: Config, clock=None) -> SendOutcome:
+def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> SendOutcome:
     """Run the text-mode send sequence with retry/backoff.
 
     CMGF=1 (await OK), CMGS (await prompt), body+CTRL-Z (await OK), each
@@ -238,9 +250,6 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config, clock=
     sms_retry_max retries.
     """
     check_body(body)
-    clock = clock if clock is not None else session.clock
-    if getattr(session.transport, "closed", False):
-        return SendOutcome(delivered=False, attempts=1, failure_reason="transport closed")
     max_attempts = config.sms_retry_max + 1
     reason = "unknown"
     for attempt in range(1, max_attempts + 1):
@@ -248,7 +257,7 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config, clock=
         if reason == "":
             return SendOutcome(delivered=True, attempts=attempt)
         if attempt < max_attempts:
-            clock.advance(config.sms_retry_backoff_ms)
+            session.clock.advance(config.sms_retry_backoff_ms)
     return SendOutcome(delivered=False, attempts=max_attempts, failure_reason=reason)
 
 

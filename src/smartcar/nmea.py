@@ -152,11 +152,8 @@ def update_fix(state: GpsState, sentence: NmeaSentence, now_ms: int) -> GpsState
             satellites = state.last_fix.satellites if state.last_fix else 0
         else:
             return state
+        fix = GeoFix(latitude=lat, longitude=lon, satellites=satellites)  # ValueError if out of range
     except ValueError as exc:
         log.debug("ignoring undecodable sentence %s: %s", f[:1], exc)
         return state
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        log.debug("ignoring out-of-range position %.6f,%.6f", lat, lon)
-        return state
-    fix = GeoFix(latitude=lat, longitude=lon, timestamp_ms=now_ms, valid=True, satellites=satellites)
     return GpsState(last_fix=fix, last_update_ms=now_ms)

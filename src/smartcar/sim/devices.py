@@ -31,9 +31,8 @@ class VirtualModem:
     window closes (a dead serial link, so no state changes either).
     """
 
-    def __init__(self, clock: SimClock | None = None):
+    def __init__(self, clock: SimClock):
         self.clock = clock
-        self.closed = False
         self._rx = b""
         self._out = bytearray()
         self._awaiting_body = False
@@ -53,8 +52,6 @@ class VirtualModem:
         self.pending_errors += 1
 
     def silence_for(self, duration_ms: int) -> None:
-        if self.clock is None:
-            raise ValueError("silence window needs a clock")
         self.silent_until_ms = max(self.silent_until_ms, self.clock.now_ms + duration_ms)
 
     def inject_sms(self, sender: str, body: str) -> int:
@@ -68,7 +65,7 @@ class VirtualModem:
     # -- byte transport --------------------------------------------------
 
     def write(self, data: bytes) -> int:
-        if self.clock is not None and self.clock.now_ms < self.silent_until_ms:
+        if self.clock.now_ms < self.silent_until_ms:
             self.swallowed_bytes += len(data)
             return len(data)
         self._rx += data

@@ -69,11 +69,15 @@ class SimReport:
     tick_ms: int
     until_ms: int
     records: list[LogRecord] = field(default_factory=list)
-    outbound_sms: list[tuple[int, str, str]] = field(default_factory=list)
     sends: list[SendRecord] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
     final_state: list[tuple[str, str]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def outbound_sms(self) -> list[tuple[int, str, str]]:
+        """(t_ms, destination, body) of each delivered send, in order."""
+        return [(s.t_ms, s.destination, s.body) for s in self.sends if s.delivered]
 
     def serialize(self) -> str:
         lines = [REPORT_HEADER, f"tick_ms={self.tick_ms}", f"until_ms={self.until_ms}"]
@@ -122,7 +126,6 @@ class _Executor:
         self.report.counters.sms_retries += attempts - 1
         if delivered:
             self.report.counters.sms_sent += 1
-            self.report.outbound_sms.append((t, dest, body))
             self.report.records.append(LogRecord("M", t, f"dest={dest} body={body}"))
         else:
             self.report.counters.sms_failed += 1

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..types import ScenarioError
+from ..modem import check_body, check_number
+from ..types import ModemError, ScenarioError
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,11 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
         sender, _, body = args.partition(" ")
         if not sender or not body:
             raise ScenarioError(f"line {lineno}: sms needs <sender> <body>")
+        try:
+            check_number(sender)
+            check_body(body)
+        except ModemError as exc:
+            raise ScenarioError(f"line {lineno}: {exc}") from None
         return SmsIn(t_ms, sender, body)
     if word == "modem_fault":
         mode, _, extra = args.partition(" ")

@@ -23,23 +23,20 @@ class AlertKind(Enum):
 class GeoFix:
     """Latest decoded GPS position.
 
-    latitude/longitude are decimal degrees; timestamp_ms is the simulation
-    time at decode; satellites is 0 when the accepted sentence carried no
-    count and none is known from an earlier fix.
+    latitude/longitude are decimal degrees; satellites is 0 when the
+    accepted sentence carried no count and none is known from an earlier
+    fix.
     """
 
     latitude: float
     longitude: float
-    timestamp_ms: int
-    valid: bool
     satellites: int = 0
 
     def __post_init__(self):
-        if self.valid:
-            if not -90.0 <= self.latitude <= 90.0:
-                raise ValueError(f"latitude out of range: {self.latitude}")
-            if not -180.0 <= self.longitude <= 180.0:
-                raise ValueError(f"longitude out of range: {self.longitude}")
+        if not -90.0 <= self.latitude <= 90.0:
+            raise ValueError(f"latitude out of range: {self.latitude}")
+        if not -180.0 <= self.longitude <= 180.0:
+            raise ValueError(f"longitude out of range: {self.longitude}")
         if self.satellites < 0:
             raise ValueError(f"satellites must be >= 0, got {self.satellites}")
 
@@ -99,4 +96,4 @@ class ScenarioError(ValueError):
 
 
 class ModemError(RuntimeError):
-    """Raised for modem protocol misuse (oversize body, dead transport, failed fetch)."""
+    """Raised for modem protocol misuse (bad number or body, failed fetch)."""

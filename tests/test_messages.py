@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from smartcar.config import Config
 from smartcar.messages import (
     NO_FIX_TEXT,
-    Query,
     QueryKind,
-    canonical_query_text,
     coordinate_text,
     format_alert,
     format_reply,
@@ -37,26 +35,21 @@ class TestParseQuery:
         ("HELP", QueryKind.HELP),
     ])
     def test_canonical_keywords(self, body, kind):
-        assert parse_query(body).kind is kind
+        assert parse_query(body) is kind
 
     def test_case_and_whitespace_insensitive(self):
-        assert parse_query("  status \r\n").kind is QueryKind.STATUS
-        assert parse_query("loc").kind is QueryKind.LOC
+        assert parse_query("  status \r\n") is QueryKind.STATUS
+        assert parse_query("loc") is QueryKind.LOC
 
     def test_unknown_keeps_original_text(self):
-        q = parse_query("  Where Are You ")
-        assert q.kind is QueryKind.UNKNOWN
-        assert q.original == "Where Are You"
+        assert parse_query("  Where Are You ") is QueryKind.UNKNOWN
+        assert parse_query("UNKNOWN") is QueryKind.UNKNOWN  # not a keyword
 
     def test_keyword_round_trip(self):
         for kind in QueryKind:
             if kind is QueryKind.UNKNOWN:
                 continue
-            assert parse_query(canonical_query_text(kind)).kind is kind
-
-    def test_unknown_has_no_keyword(self):
-        with pytest.raises(ValueError):
-            canonical_query_text(QueryKind.UNKNOWN)
+            assert parse_query(kind.value) is kind
 
 
 class TestFormatReply:
@@ -119,7 +112,7 @@ class TestFormatReply:
     def test_every_reply_fits_one_sms(self, kind, temp, hum, alc, wet):
         frame = SensorFrame(t_ms=2000, temp_c=temp, humidity_pct=hum,
                             alcohol_raw=alc, rain_wet=wet)
-        text = format_reply(Query(kind), frame, fresh_gps(1000), CFG)
+        text = format_reply(kind, frame, fresh_gps(1000), CFG)
         assert len(text) <= 160
         check_body(text)  # printable GSM-text payload
 
@@ -164,7 +157,7 @@ class TestFormatAlert:
     def test_every_alert_fits_one_sms(self, lat, lon, kind):
         from smartcar.types import GeoFix
         gps = GpsState(
-            last_fix=GeoFix(latitude=lat, longitude=lon, timestamp_ms=0, valid=True),
+            last_fix=GeoFix(latitude=lat, longitude=lon),
             last_update_ms=0,
         )
         msg = format_alert(kind, gps, CFG, now_ms=0)

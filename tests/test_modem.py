@@ -79,6 +79,16 @@ class TestEncode:
         with pytest.raises(ModemError):
             check_body("caf\xe9")
 
+    @pytest.mark.parametrize("number", ["1", "+1", "15550100", "+123456789012345"])
+    def test_dialable_numbers_encode(self, number):
+        assert encode_command(ModemCommand.send_sms_header(number)) == f'AT+CMGS="{number}"\r'.encode()
+
+    @pytest.mark.parametrize("number", ["", "+", "++1", "+1555\xe9", "+1555\u20ac", '+1"55',
+                                        "+1555 0100", "1555-0100", "+1234567890123456", "\u0661"])
+    def test_undialable_numbers_rejected_before_wire(self, number):
+        with pytest.raises(ModemError, match="phone number"):
+            encode_command(ModemCommand.send_sms_header(number))
+
 
 class TestGoldenTranscript:
     """Walk the frozen exchange three ways."""
@@ -250,19 +260,17 @@ class TestSendSms:
             assert outcome.delivered == (armed <= cfg.sms_retry_max)
             assert outcome.attempts == min(armed + 1, cfg.sms_retry_max + 1)
 
-    def test_closed_transport_short_circuits(self):
-        modem, session = fresh_session()
-        modem.closed = True
-        outcome = send_sms(session, "+1", "X", Config())
-        assert (outcome.delivered, outcome.attempts) == (False, 1)
-        assert outcome.failure_reason == "transport closed"
-        assert modem.transcript == []
-
     def test_oversize_body_rejected_before_wire(self):
         modem, session = fresh_session()
         with pytest.raises(ModemError):
             send_sms(session, "+1", "y" * 161, Config())
         assert modem.transcript == []
+
+    def test_undialable_destination_never_delivered(self):
+        modem, session = fresh_session()
+        with pytest.raises(ModemError, match="phone number"):
+            send_sms(session, '+1"55', "X", Config())
+        assert modem.deliveries == []
 
     def test_exact_160_goes_through(self):
         modem, session = fresh_session()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from smartcar.cli import main
-from smartcar.config import Config, dump_config
+from smartcar.config import Config
 from smartcar.nmea import GpsState, SentenceKind, parse_sentence, update_fix, validate_checksum
 from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import SensorBoard, VirtualGps, VirtualModem
@@ -85,6 +85,12 @@ class TestScenarioGrammar:
         "cabin warm 50",
         "gps",
         "sms +1555",
+        "sms +1555\xe9 STATUS",
+        "sms +1555\u20ac STATUS",
+        'sms +1"55 STATUS',
+        "sms +1234567890123456 STATUS",
+        "sms +15550100 ST\u20acTUS",
+        "sms +15550100 " + "x" * 161,
         "modem_fault",
         "modem_fault error_once 5",
         "modem_fault silent_for 0",
@@ -94,6 +100,10 @@ class TestScenarioGrammar:
     def test_malformed_arguments(self, bad):
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(f"t=100 {bad}")
+
+    def test_sms_limits_accepted(self):
+        events = load_scenario("t=0 sms 1 x\nt=0 sms +123456789012345 " + "~" * 160)
+        assert events == [SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160)]
 
     @pytest.mark.parametrize("prefix", ["1000 impact 1", "t= impact 1", "t=-5 impact 1", "t=1.5 impact 1"])
     def test_bad_timestamps(self, prefix):
@@ -171,17 +181,17 @@ class TestVirtualGps:
 
 class TestVirtualModemFaults:
     def test_garbage_command_errors(self):
-        modem = VirtualModem()
+        modem = VirtualModem(SimClock())
         modem.write(b"GARBAGE\r")
         assert modem.read() == b"\r\nERROR\r\n"
 
     def test_reading_missing_slot_errors(self):
-        modem = VirtualModem()
+        modem = VirtualModem(SimClock())
         modem.write(b"AT+CMGR=7\r")
         assert modem.read() == b"\r\nERROR\r\n"
 
     def test_slot_consumed_after_read(self):
-        modem = VirtualModem()
+        modem = VirtualModem(SimClock())
         slot = modem.inject_sms("+1", "HI")
         modem.read()  # discard the CMTI notification
         modem.write(f"AT+CMGR={slot}\r".encode())
@@ -201,12 +211,8 @@ class TestVirtualModemFaults:
         modem.write(b"AT\r")
         assert modem.read() == b"\r\nOK\r\n"
 
-    def test_silence_requires_clock(self):
-        with pytest.raises(ValueError):
-            VirtualModem().silence_for(50)
-
     def test_error_once_is_one_shot(self):
-        modem = VirtualModem()
+        modem = VirtualModem(SimClock())
         modem.arm_error_once()
         modem.write(b"AT\r")
         assert modem.read() == b"\r\nERROR\r\n"
@@ -290,7 +296,7 @@ def workdir(tmp_path):
     scenario = tmp_path / "crash.txt"
     scenario.write_text(CRASH)
     config = tmp_path / "default.cfg"
-    config.write_text(dump_config(Config()))
+    config.write_text("")  # every key at its default
     return tmp_path, scenario, config
 
 
@@ -348,3 +354,38 @@ class TestCli:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_run_empty_config_path(self, workdir, capsys):
+        _, scenario, _ = workdir
+        assert main(["run", "--scenario", str(scenario), "--config", ""]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "t=1000 sms +1555\xe9 STATUS",
+        "t=1000 sms +1555€ STATUS",
+        "t=1000 sms +15550100 ST€TUS",
+        't=1000 sms +1"55 STATUS',
+    ])
+    def test_run_rejects_sms_the_modem_cannot_carry(self, workdir, capsys, line):
+        tmp, _, config = workdir
+        scenario = tmp / "sms.txt"
+        scenario.write_text(line + "\n", encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario), "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {scenario}: line 1: ")
+
+    @pytest.mark.parametrize("setting,key", [
+        ("alert_primary_number = +1555\xe9", "alert_primary_number"),
+        ("alert_safety_number = +1\"55", "alert_safety_number"),
+        ("sms_retry_max = -3", "sms_retry_max"),
+        ("impact_min_high = 0", "impact_min_high"),
+    ])
+    def test_run_rejects_bad_config_values(self, workdir, capsys, setting, key):
+        tmp, scenario, _ = workdir
+        cfg = tmp / "bad.cfg"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: {key}")
