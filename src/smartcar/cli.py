@@ -3,8 +3,8 @@
     smartcar run --scenario crash.txt --config default.cfg [--until-ms N] [--report out.txt]
     smartcar check --scenario crash.txt
 
-Exit codes: 0 clean, 1 scenario or config error, 2 invariant violation
-detected during the run (the violations are also in the report).
+Exit codes: 0 clean, 1 bad scenario, config or report path, 2 invariant
+violation detected during the run (the violations are also in the report).
 """
 
 from __future__ import annotations
@@ -69,8 +69,12 @@ def _cmd_run(args) -> int:
 
     text = report.serialize()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {args.report}: {exc}", file=sys.stderr)
+            return 1
     else:
         try:
             sys.stdout.write(text)

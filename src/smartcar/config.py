@@ -9,7 +9,7 @@ All thresholds are raw 10-bit ADC counts; all times are milliseconds.
 from dataclasses import dataclass, fields
 
 from .modem import check_number
-from .types import ADC_MAX, ConfigError, ModemError
+from .types import ADC_MAX, ConfigError, ModemError, read_utf8
 
 
 @dataclass(frozen=True)
@@ -100,5 +100,4 @@ def load_config(source: str) -> Config:
 
 
 def load_config_file(path: str) -> Config:
-    with open(path, encoding="utf-8") as fh:
-        return load_config(fh.read())
+    return load_config(read_utf8(path, ConfigError))

@@ -30,45 +30,6 @@ _CMGR_SENDER_RE = re.compile(r'^\+CMGR:\s*"[^"]*"\s*,\s*"([^"]*)"')
 _NUMBER_RE = re.compile(r"\+?[0-9]{1,15}")
 
 
-class CommandKind(Enum):
-    ATTENTION = "attention"
-    SET_TEXT_MODE = "set_text_mode"
-    SET_BAUD = "set_baud"
-    SEND_SMS_HEADER = "send_sms_header"
-    SMS_BODY = "sms_body"
-    READ_SMS = "read_sms"
-
-
-@dataclass(frozen=True)
-class ModemCommand:
-    kind: CommandKind
-    text: str = ""  # destination, body, index or rate depending on kind
-
-    @classmethod
-    def attention(cls):
-        return cls(CommandKind.ATTENTION)
-
-    @classmethod
-    def set_text_mode(cls):
-        return cls(CommandKind.SET_TEXT_MODE)
-
-    @classmethod
-    def set_baud(cls, rate: int):
-        return cls(CommandKind.SET_BAUD, str(rate))
-
-    @classmethod
-    def send_sms_header(cls, dest: str):
-        return cls(CommandKind.SEND_SMS_HEADER, dest)
-
-    @classmethod
-    def sms_body(cls, body: str):
-        return cls(CommandKind.SMS_BODY, body)
-
-    @classmethod
-    def read_sms(cls, index: int):
-        return cls(CommandKind.READ_SMS, str(index))
-
-
 class EventKind(Enum):
     OK = "ok"
     ERROR = "error"
@@ -114,22 +75,16 @@ def check_number(number: str) -> None:
         raise ModemError(f"bad phone number {number!r}: need an optional '+' and 1-15 digits")
 
 
-def encode_command(cmd: ModemCommand) -> bytes:
-    if cmd.kind is CommandKind.ATTENTION:
-        return b"AT\r"
-    if cmd.kind is CommandKind.SET_TEXT_MODE:
-        return b"AT+CMGF=1\r"
-    if cmd.kind is CommandKind.SET_BAUD:
-        return f"AT+IPR={cmd.text}\r".encode("ascii")
-    if cmd.kind is CommandKind.SEND_SMS_HEADER:
-        check_number(cmd.text)
-        return f'AT+CMGS="{cmd.text}"\r'.encode("ascii")
-    if cmd.kind is CommandKind.SMS_BODY:
-        check_body(cmd.text)
-        return cmd.text.encode("ascii") + CTRL_Z
-    if cmd.kind is CommandKind.READ_SMS:
-        return f"AT+CMGR={cmd.text}\r".encode("ascii")
-    raise ModemError(f"unencodable command: {cmd}")
+def header_command(dest: str) -> bytes:
+    """AT+CMGS="<dest>", for a number check_number accepts."""
+    check_number(dest)
+    return f'AT+CMGS="{dest}"\r'.encode("ascii")
+
+
+def body_command(body: str) -> bytes:
+    """The body and its CTRL-Z terminator, for a body check_body accepts."""
+    check_body(body)
+    return body.encode("ascii") + CTRL_Z
 
 
 def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
@@ -196,7 +151,6 @@ class ModemSession:
 
     transport: object  # needs write(bytes), read() -> bytes
     clock: object  # needs now_ms: int, advance(ms)
-    ok_timeout_ms: int = 5000
     _buf: bytes = b""
     unsolicited: list[AtEvent] = field(default_factory=list)
 
@@ -213,9 +167,6 @@ class ModemSession:
         out = self.unsolicited
         self.unsolicited = []
         return out
-
-    def send(self, cmd: ModemCommand) -> None:
-        self.transport.write(encode_command(cmd))
 
     def await_event(self, kinds: set[EventKind], timeout_ms: int) -> AtEvent | None:
         """Wait for one of ``kinds``, leaving other events parked.
@@ -247,13 +198,18 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> Sen
     CMGF=1 (await OK), CMGS (await prompt), body+CTRL-Z (await OK), each
     stage bounded by sms_ok_timeout_ms. ERROR or a timeout at any stage
     restarts the whole sequence after sms_retry_backoff_ms, at most
-    sms_retry_max retries.
+    sms_retry_max retries. A number or body the modem cannot carry
+    raises before the first byte is written.
     """
-    check_body(body)
+    stages = (
+        (b"AT+CMGF=1\r", EventKind.OK),
+        (header_command(dest), EventKind.PROMPT),
+        (body_command(body), EventKind.OK),
+    )
     max_attempts = config.sms_retry_max + 1
     reason = "unknown"
     for attempt in range(1, max_attempts + 1):
-        reason = _attempt_send(session, dest, body, config.sms_ok_timeout_ms)
+        reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
         if reason == "":
             return SendOutcome(delivered=True, attempts=attempt)
         if attempt < max_attempts:
@@ -261,15 +217,10 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> Sen
     return SendOutcome(delivered=False, attempts=max_attempts, failure_reason=reason)
 
 
-def _attempt_send(session: ModemSession, dest: str, body: str, timeout_ms: int) -> str:
+def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
     """One pass of the send sequence; empty string on success, else reason."""
-    stages = (
-        (ModemCommand.set_text_mode(), EventKind.OK),
-        (ModemCommand.send_sms_header(dest), EventKind.PROMPT),
-        (ModemCommand.sms_body(body), EventKind.OK),
-    )
-    for cmd, want in stages:
-        session.send(cmd)
+    for command, want in stages:
+        session.transport.write(command)
         ev = session.await_event({want, EventKind.ERROR}, timeout_ms)
         if ev is None:
             return "timeout"
@@ -278,14 +229,14 @@ def _attempt_send(session: ModemSession, dest: str, body: str, timeout_ms: int) 
     return ""
 
 
-def fetch_inbound(session: ModemSession, event: AtEvent) -> InboundSms:
+def fetch_inbound(session: ModemSession, event: AtEvent, config: Config) -> InboundSms:
     """Read and consume the stored message a +CMTI notification points at."""
     if event.kind is not EventKind.SMS_ARRIVED:
         raise ModemError(f"fetch_inbound needs an SMS_ARRIVED event, got {event.kind}")
-    session.send(ModemCommand.read_sms(event.index))
-    ev = session.await_event({EventKind.INBOUND_SMS, EventKind.ERROR}, session.ok_timeout_ms)
+    session.transport.write(f"AT+CMGR={event.index}\r".encode("ascii"))
+    ev = session.await_event({EventKind.INBOUND_SMS, EventKind.ERROR}, config.sms_ok_timeout_ms)
     if ev is None or ev.kind is EventKind.ERROR:
         raise ModemError(f"failed to fetch stored SMS at index {event.index}")
     # drain the trailing OK of the +CMGR response
-    session.await_event({EventKind.OK, EventKind.ERROR}, session.ok_timeout_ms)
+    session.await_event({EventKind.OK, EventKind.ERROR}, config.sms_ok_timeout_ms)
     return InboundSms(sender=ev.sender, body=ev.body)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from collections import deque
 
-from .. import nmea
 from ..modem import CTRL_Z
 from ..types import SensorFrame
 from .clock import SimClock
@@ -141,69 +140,20 @@ class VirtualModem:
         self._emit(f'\r\n+CMGR: "REC UNREAD","{sender}","","00/01/01,00:00:00+00"\r\n{body}\r\n\r\nOK\r\n')
 
 
-def _ddmm(value: float, deg_digits: int) -> str:
-    """Render |degrees| as NMEA ddmm.mmmm, carrying when the four-decimal
-    minutes round up to 60."""
-    deg = int(value)
-    minutes = round((value - deg) * 60.0, 4)
-    if minutes >= 60.0:
-        deg += 1
-        minutes = 0.0
-    return f"{deg:0{deg_digits}d}{minutes:07.4f}"
-
-
-def _clock_field(t_ms: int) -> str:
-    s = t_ms // 1000
-    return f"{s // 3600 % 24:02d}{s // 60 % 60:02d}{s % 60:02d}.00"
-
-
 class VirtualGps:
-    """NMEA text source with two feeds.
+    """NMEA text source: push_raw() lines come out byte-exact at their time."""
 
-    Raw passthrough: push_raw() lines come out byte-exact at their time.
-    Cadence mode: one sentence burst per second, void RMC until the
-    first scheduled fix time passes, then a GGA+RMC pair of the latest
-    scheduled position (receiver time-to-first-fix behavior).
-    """
-
-    def __init__(self, cadence: bool = False):
-        self.cadence = cadence
+    def __init__(self):
         self._raw: deque[tuple[int, str]] = deque()
-        self._schedule: deque[tuple[int, float, float]] = deque()
-        self._position: tuple[float, float] | None = None
-        self._next_beat_ms = 1000
 
     def push_raw(self, t_ms: int, line: str) -> None:
         self._raw.append((t_ms, line))
-
-    def add_fix(self, t_ms: int, lat: float, lon: float) -> None:
-        self.cadence = True
-        self._schedule.append((t_ms, lat, lon))
 
     def poll(self, now_ms: int) -> list[str]:
         out = []
         while self._raw and self._raw[0][0] <= now_ms:
             out.append(self._raw.popleft()[1])
-        while self.cadence and self._next_beat_ms <= now_ms:
-            beat = self._next_beat_ms
-            self._next_beat_ms += 1000
-            while self._schedule and self._schedule[0][0] <= beat:
-                _, lat, lon = self._schedule.popleft()
-                self._position = (lat, lon)
-            out.extend(self._beat_lines(beat))
         return out
-
-    def _beat_lines(self, beat_ms: int) -> list[str]:
-        t = _clock_field(beat_ms)
-        if self._position is None:
-            return [nmea.frame_sentence(f"GPRMC,{t},V,,,,,,,,,")]
-        lat, lon = self._position
-        lat_f = f"{_ddmm(abs(lat), 2)},{'S' if lat < 0 else 'N'}"
-        lon_f = f"{_ddmm(abs(lon), 3)},{'W' if lon < 0 else 'E'}"
-        return [
-            nmea.frame_sentence(f"GPGGA,{t},{lat_f},{lon_f},1,06,0.9,100.0,M,0.0,M,,"),
-            nmea.frame_sentence(f"GPRMC,{t},A,{lat_f},{lon_f},0.0,0.0,010100,,"),
-        ]
 
 
 class SensorBoard:

@@ -40,18 +40,6 @@ class LogRecord:
 class Counters:
     sentences_parsed: int = 0
     checksum_failures: int = 0
-    sms_sent: int = 0
-    sms_failed: int = 0
-    sms_retries: int = 0
-
-    def lines(self) -> list[str]:
-        return [
-            f"C sentences_parsed={self.sentences_parsed}",
-            f"C checksum_failures={self.checksum_failures}",
-            f"C sms_sent={self.sms_sent}",
-            f"C sms_failed={self.sms_failed}",
-            f"C sms_retries={self.sms_retries}",
-        ]
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,13 @@ class SimReport:
     def serialize(self) -> str:
         lines = [REPORT_HEADER, f"tick_ms={self.tick_ms}", f"until_ms={self.until_ms}"]
         lines.extend(f"{r.tag} t={r.t_ms} {r.text}" for r in self.records)
-        lines.extend(self.counters.lines())
+        lines += [
+            f"C sentences_parsed={self.counters.sentences_parsed}",
+            f"C checksum_failures={self.counters.checksum_failures}",
+            f"C sms_sent={sum(s.delivered for s in self.sends)}",
+            f"C sms_failed={sum(not s.delivered for s in self.sends)}",
+            f"C sms_retries={sum(s.attempts - 1 for s in self.sends)}",
+        ]
         lines.extend(f"F {key}={value}" for key, value in self.final_state)
         lines.extend(f"V {text}" for text in self.violations)
         return "\n".join(lines) + "\n"
@@ -100,9 +94,7 @@ class _Executor:
         self.modem = VirtualModem(self.clock)
         self.gps_feed = VirtualGps()
         self.board = SensorBoard()
-        self.session = ModemSession(
-            transport=self.modem, clock=self.clock, ok_timeout_ms=config.sms_ok_timeout_ms
-        )
+        self.session = ModemSession(transport=self.modem, clock=self.clock)
         self.controller = SafetyController(config)
         self.report = SimReport(tick_ms=config.tick_ms, until_ms=until_ms)
         self.send_action_count = 0
@@ -123,12 +115,8 @@ class _Executor:
                 f"reason={reason or '-'} dest={dest} body={body}",
             )
         )
-        self.report.counters.sms_retries += attempts - 1
         if delivered:
-            self.report.counters.sms_sent += 1
             self.report.records.append(LogRecord("M", t, f"dest={dest} body={body}"))
-        else:
-            self.report.counters.sms_failed += 1
 
     # -- per-tick stages ---------------------------------------------------
 
@@ -209,7 +197,7 @@ class _Executor:
                 log.debug("ignoring unsolicited modem event: %r", event)
                 continue
             try:
-                sms = fetch_inbound(self.session, event)
+                sms = fetch_inbound(self.session, event, self.config)
             except ModemError as exc:
                 self._record_action(self.clock.now_ms, f"note inbound-read-failed: {exc}")
                 continue

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..modem import check_body, check_number
-from ..types import ModemError, ScenarioError
+from ..types import ADC_MAX, ModemError, ScenarioError, read_utf8
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
     if word == "panic":
         return Panic(t_ms, _int_arg(args, lineno, "panic level", 0, 1))
     if word == "alcohol":
-        return Alcohol(t_ms, _int_arg(args, lineno, "alcohol counts", 0, 1023))
+        return Alcohol(t_ms, _int_arg(args, lineno, "alcohol counts", 0, ADC_MAX))
     if word == "rain":
         parts = args.split()
         if len(parts) != 2:
@@ -123,7 +123,7 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
         return Rain(
             t_ms,
             _int_arg(parts[0], lineno, "rain wet level", 0, 1),
-            _int_arg(parts[1], lineno, "rain intensity", 0, 1023),
+            _int_arg(parts[1], lineno, "rain intensity", 0, ADC_MAX),
         )
     if word == "cabin":
         parts = args.split()
@@ -171,5 +171,4 @@ def load_scenario(source: str) -> list[ScenarioEvent]:
 
 
 def load_scenario_file(path: str) -> list[ScenarioEvent]:
-    with open(path, encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    return load_scenario(read_utf8(path, ScenarioError))

@@ -97,3 +97,12 @@ class ScenarioError(ValueError):
 
 class ModemError(RuntimeError):
     """Raised for modem protocol misuse (bad number or body, failed fetch)."""
+
+
+def read_utf8(path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text; an undecodable byte raises ``error`` with its offset."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None

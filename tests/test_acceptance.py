@@ -16,7 +16,6 @@ from smartcar.config import Config, load_config_file
 from smartcar.controller import ImpactDebouncer, WiperMode, servo_angle, wiper_mode
 from smartcar.modem import decode_stream
 from smartcar.nmea import GpsState, frame_sentence, parse_sentence, update_fix
-from smartcar.sim.devices import VirtualGps
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
@@ -140,6 +139,23 @@ def test_c05_parser_totality_million_lines():
     assert mutated_accepts > 0
 
 
+def _ddmm(value: float, deg_digits: int) -> str:
+    """|degrees| as NMEA ddmm.mmmm, carrying when the four-decimal minutes
+    round up to 60."""
+    deg = int(value)
+    minutes = round((value - deg) * 60.0, 4)
+    if minutes >= 60.0:
+        deg += 1
+        minutes = 0.0
+    return f"{deg:0{deg_digits}d}{minutes:07.4f}"
+
+
+def _gga(lat: float, lon: float) -> str:
+    lat_f = f"{_ddmm(abs(lat), 2)},{'S' if lat < 0 else 'N'}"
+    lon_f = f"{_ddmm(abs(lon), 3)},{'W' if lon < 0 else 'E'}"
+    return frame_sentence(f"GPGGA,000001.00,{lat_f},{lon_f},1,06,0.9,100.0,M,0.0,M,,")
+
+
 def test_c06_coordinate_round_trip():
     started = time.perf_counter()
     rng = random.Random(0xC6)
@@ -153,9 +169,7 @@ def test_c06_coordinate_round_trip():
         (89.99999999, 179.99999999),
     ]
     for lat, lon in pairs:
-        gps = VirtualGps()
-        gps.add_fix(0, lat, lon)
-        gga = gps.poll(1000)[0]
+        gga = _gga(lat, lon)
         fix = update_fix(GpsState(), parse_sentence(gga), now_ms=0).last_fix
         assert fix is not None, gga
         assert abs(fix.latitude - lat) <= 1e-6, (lat, gga)
@@ -224,7 +238,7 @@ def test_c09_modem_fault_retry_paths():
     assert len(report.sends) == 1
     send = report.sends[0]
     assert send.delivered and send.attempts == 3
-    assert report.counters.sms_retries == 2
+    assert "C sms_retries=2\n" in report.serialize()
     assert len(report.outbound_sms) == 1
 
     dead = f"t=1000 gps {RMC_FIX}\nt=4000 modem_fault silent_for 60000\n" + burst(5000)
@@ -236,7 +250,7 @@ def test_c09_modem_fault_retry_paths():
     assert send.attempts == CFG.sms_retry_max + 1
     assert send.reason == "timeout"
     assert report.outbound_sms == []
-    assert report.counters.sms_failed == 1
+    assert "C sms_sent=0\nC sms_failed=1\n" in report.serialize()
     assert any(r.tag == "S" and "delivered=no attempts=4" in r.text for r in report.records)
 
 

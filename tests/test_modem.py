@@ -17,13 +17,13 @@ from smartcar.modem import (
     CTRL_Z,
     AtEvent,
     EventKind,
-    ModemCommand,
     ModemError,
     ModemSession,
+    body_command,
     check_body,
     decode_stream,
-    encode_command,
     fetch_inbound,
+    header_command,
     send_sms,
 )
 from smartcar.sim.clock import SimClock
@@ -50,6 +50,21 @@ def load_transcript():
     return entries
 
 
+class Tap:
+    """A transport that records every write on its way to the modem."""
+
+    def __init__(self, modem):
+        self.modem = modem
+        self.written: list[bytes] = []
+
+    def write(self, data: bytes) -> int:
+        self.written.append(data)
+        return self.modem.write(data)
+
+    def read(self) -> bytes:
+        return self.modem.read()
+
+
 def fresh_session(clock=None):
     clock = clock or SimClock()
     modem = VirtualModem(clock)
@@ -58,12 +73,8 @@ def fresh_session(clock=None):
 
 class TestEncode:
     def test_frozen_wire_forms(self):
-        assert encode_command(ModemCommand.attention()) == b"AT\r"
-        assert encode_command(ModemCommand.set_text_mode()) == b"AT+CMGF=1\r"
-        assert encode_command(ModemCommand.set_baud(9600)) == b"AT+IPR=9600\r"
-        assert encode_command(ModemCommand.send_sms_header("+15550001")) == b'AT+CMGS="+15550001"\r'
-        assert encode_command(ModemCommand.sms_body("HI")) == b"HI" + CTRL_Z
-        assert encode_command(ModemCommand.read_sms(3)) == b"AT+CMGR=3\r"
+        assert header_command("+15550001") == b'AT+CMGS="+15550001"\r'
+        assert body_command("HI") == b"HI" + CTRL_Z
 
     def test_ctrl_z_is_sub(self):
         assert CTRL_Z == b"\x1a"
@@ -81,13 +92,13 @@ class TestEncode:
 
     @pytest.mark.parametrize("number", ["1", "+1", "15550100", "+123456789012345"])
     def test_dialable_numbers_encode(self, number):
-        assert encode_command(ModemCommand.send_sms_header(number)) == f'AT+CMGS="{number}"\r'.encode()
+        assert header_command(number) == f'AT+CMGS="{number}"\r'.encode()
 
     @pytest.mark.parametrize("number", ["", "+", "++1", "+1555\xe9", "+1555\u20ac", '+1"55',
                                         "+1555 0100", "1555-0100", "+1234567890123456", "\u0661"])
     def test_undialable_numbers_rejected_before_wire(self, number):
         with pytest.raises(ModemError, match="phone number"):
-            encode_command(ModemCommand.send_sms_header(number))
+            header_command(number)
 
 
 class TestGoldenTranscript:
@@ -107,16 +118,17 @@ class TestGoldenTranscript:
         AtEvent(EventKind.ERROR),
     ]
 
-    # the TX lines, as the command objects that must produce them
+    # the TX lines one send_sms and one fetch_inbound write; None marks the
+    # lines the program never sends (AT, AT+IPR, GARBAGE, a second read)
     TX_COMMANDS = [
-        ModemCommand.attention(),
-        ModemCommand.set_baud(9600),
-        ModemCommand.set_text_mode(),
-        ModemCommand.send_sms_header("+15550001"),
-        ModemCommand.sms_body(ALERT_BODY),
-        ModemCommand.read_sms(1),
-        None,  # GARBAGE: intentionally not encodable
-        ModemCommand.read_sms(1),
+        None,
+        None,
+        b"AT+CMGF=1\r",
+        header_command("+15550001"),
+        body_command(ALERT_BODY),
+        b"AT+CMGR=1\r",
+        None,
+        None,
     ]
 
     def test_encoder_produces_tx_bytes(self):
@@ -124,7 +136,15 @@ class TestGoldenTranscript:
         assert len(tx_bytes) == len(self.TX_COMMANDS)
         for raw, cmd in zip(tx_bytes, self.TX_COMMANDS):
             if cmd is not None:
-                assert encode_command(cmd) == raw
+                assert cmd == raw
+        modem = VirtualModem(SimClock())
+        tap = Tap(modem)
+        session = ModemSession(transport=tap, clock=modem.clock)
+        assert send_sms(session, "+15550001", ALERT_BODY, Config()).delivered
+        modem.inject_sms("+15550100", "STATUS")
+        (event,) = [e for e in session.poll() if e.kind is EventKind.SMS_ARRIVED]
+        fetch_inbound(session, event, Config())
+        assert tap.written == [cmd for cmd in self.TX_COMMANDS if cmd is not None]
 
     def test_virtual_modem_answers_rx_bytes(self):
         modem = VirtualModem(SimClock())
@@ -285,29 +305,39 @@ class TestInbound:
         modem.inject_sms("+15550100", "STATUS")
         events = session.poll()
         assert [e.kind for e in events] == [EventKind.SMS_ARRIVED]
-        sms = fetch_inbound(session, events[0])
+        sms = fetch_inbound(session, events[0], Config())
         assert (sms.sender, sms.body) == ("+15550100", "STATUS")
 
     def test_fetch_requires_arrival_event(self):
         _, session = fresh_session()
         with pytest.raises(ModemError):
-            fetch_inbound(session, AtEvent(EventKind.OK))
+            fetch_inbound(session, AtEvent(EventKind.OK), Config())
 
     def test_slot_consumed_after_read(self):
         modem, session = fresh_session()
         modem.inject_sms("+1", "PING")
         (event,) = session.poll()
-        fetch_inbound(session, event)
+        fetch_inbound(session, event, Config())
         with pytest.raises(ModemError):
-            fetch_inbound(session, event)  # same slot again: modem says ERROR
+            fetch_inbound(session, event, Config())  # same slot again: modem says ERROR
 
     def test_read_does_not_stall_the_clock(self):
         clock = SimClock()
         modem, session = fresh_session(clock)
         modem.inject_sms("+1", "PING")
         (event,) = session.poll()
-        fetch_inbound(session, event)
+        fetch_inbound(session, event, Config())
         assert clock.now_ms == 0  # trailing OK consumed without a timeout jump
+
+    def test_read_times_out_after_the_configured_wait(self):
+        clock = SimClock()
+        modem, session = fresh_session(clock)
+        modem.inject_sms("+1", "PING")
+        (event,) = session.poll()
+        modem.silence_for(10**6)
+        with pytest.raises(ModemError):
+            fetch_inbound(session, event, Config(sms_ok_timeout_ms=1234))
+        assert clock.now_ms == 1234
 
     def test_notification_parks_during_send(self):
         modem, session = fresh_session()

@@ -1,12 +1,9 @@
 """Simulation layer: scenario grammar, virtual devices, executor, CLI."""
 
-import math
-
 import pytest
 
 from smartcar.cli import main
 from smartcar.config import Config
-from smartcar.nmea import GpsState, SentenceKind, parse_sentence, update_fix, validate_checksum
 from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import SensorBoard, VirtualGps, VirtualModem
 from smartcar.sim.runner import REPORT_HEADER, run
@@ -128,53 +125,6 @@ class TestVirtualGps:
         assert gps.poll(500) == [line]
         assert gps.poll(501) == []
 
-    def test_void_cadence_before_any_fix(self):
-        gps = VirtualGps(cadence=True)
-        lines = gps.poll(2500)
-        assert len(lines) == 2  # beats at 1000 and 2000
-        for line in lines:
-            assert validate_checksum(line)
-            sentence = parse_sentence(line)
-            assert sentence.kind is SentenceKind.RMC
-            assert update_fix(GpsState(), sentence, now_ms=0).last_fix is None
-
-    def decode(self, line):
-        return update_fix(GpsState(), parse_sentence(line), now_ms=0).last_fix
-
-    def test_fix_schedule_round_trips_within_tolerance(self):
-        gps = VirtualGps()
-        gps.add_fix(1500, 48.1173, 11.516667)
-        assert parse_sentence(gps.poll(1000)[0]).kind is SentenceKind.RMC  # still void
-        pair = gps.poll(2000)
-        assert [parse_sentence(l).kind for l in pair] == [SentenceKind.GGA, SentenceKind.RMC]
-        fix = self.decode(pair[0])
-        assert math.isclose(fix.latitude, 48.1173, abs_tol=1e-6)
-        assert math.isclose(fix.longitude, 11.516667, abs_tol=1e-6)
-
-    def test_southern_western_hemispheres(self):
-        gps = VirtualGps()
-        gps.add_fix(0, -33.868, -151.207)
-        gga = gps.poll(1000)[0]
-        assert ",S," in gga and ",W," in gga
-        fix = self.decode(gga)
-        assert math.isclose(fix.latitude, -33.868, abs_tol=1e-6)
-        assert math.isclose(fix.longitude, -151.207, abs_tol=1e-6)
-
-    def test_catchup_emits_missed_beats_in_order(self):
-        gps = VirtualGps()
-        gps.add_fix(0, 10.0, 20.0)
-        lines = gps.poll(3000)
-        assert len(lines) == 6  # three beats, GGA+RMC each
-        stamps = [line.split(",")[1] for line in lines]
-        assert stamps == sorted(stamps)
-
-    def test_latest_scheduled_position_wins(self):
-        gps = VirtualGps()
-        gps.add_fix(0, 10.0, 20.0)
-        gps.add_fix(500, 30.0, 40.0)
-        fix = self.decode(gps.poll(1000)[0])
-        assert math.isclose(fix.latitude, 30.0, abs_tol=1e-6)
-
 
 # -- virtual modem extras ------------------------------------------------------
 
@@ -257,8 +207,7 @@ class TestRunner:
     def test_crash_scenario_delivers_one_alert(self):
         report = run(load_scenario(CRASH), CFG, 20000)
         assert report.violations == []
-        assert report.counters.sms_sent == 1
-        assert report.counters.sms_failed == 0
+        assert "C sms_sent=1\nC sms_failed=0\n" in report.serialize()
         assert len(report.outbound_sms) == 1
         t, dest, body = report.outbound_sms[0]
         assert dest == CFG.alert_primary_number
@@ -389,3 +338,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {cfg}: {key}")
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_non_utf8_scenario_names_the_byte(self, workdir, capsys, command):
+        tmp, _, config = workdir
+        scenario = tmp / "latin1.txt"
+        scenario.write_bytes(b"t=1000 impact 1\n# caf\xe9\n")
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {scenario}: not UTF-8: byte 0xe9 at offset 21\n"
+
+    def test_run_non_utf8_config_names_the_byte(self, workdir, capsys):
+        tmp, scenario, _ = workdir
+        cfg = tmp / "binary.cfg"
+        cfg.write_bytes(b"tick_ms = 10\n\xff\n")
+        assert main(["run", "--scenario", str(scenario), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: not UTF-8: byte 0xff at offset 13\n"
+
+    def test_run_unwritable_report_path(self, workdir, capsys):
+        tmp, scenario, config = workdir
+        out = tmp / "absent" / "report.txt"
+        code = main(["run", "--scenario", str(scenario), "--config", str(config),
+                     "--report", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out}: ")
+        assert not out.exists()
