@@ -133,14 +133,14 @@ class ImpactDebouncer:
         self.min_high = min_high
         self.refractory_ms = refractory_ms
         self.latch_until_ms = 0
-        self._highs: deque[int] = deque()  # timestamps of recent high samples
+        self.highs: deque[int] = deque()  # timestamps of recent high samples
 
     def update(self, now_ms: int, level: int) -> bool:
         if level:
-            self._highs.append(now_ms)
-        while self._highs and now_ms - self._highs[0] >= self.window_ms:
-            self._highs.popleft()
-        if len(self._highs) >= self.min_high and now_ms >= self.latch_until_ms:
+            self.highs.append(now_ms)
+        while self.highs and now_ms - self.highs[0] >= self.window_ms:
+            self.highs.popleft()
+        if len(self.highs) >= self.min_high and now_ms >= self.latch_until_ms:
             self.latch_until_ms = now_ms + self.refractory_ms
             return True
         return False
@@ -162,9 +162,13 @@ class AlcoholInterlock:
         self.ema: float | None = None
         self.engine_enabled = True
 
+    def smoothed(self, raw: int) -> float:
+        """The EMA that update(raw) would store."""
+        return raw if self.ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * self.ema
+
     def update(self, raw: int) -> tuple[bool, bool]:
         """Feed one sample; returns (engine_line_changed, alert_due)."""
-        self.ema = raw if self.ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * self.ema
+        self.ema = self.smoothed(raw)
         if self.engine_enabled and self.ema >= self.threshold:
             self.engine_enabled = False
             return True, True
@@ -181,7 +185,12 @@ class _PendingAlert:
 
 
 class SafetyController:
-    """Owns the controller state; step() is the only way time moves."""
+    """Owns the controller state; step() is the only way it changes.
+
+    next_deadline_ms() tells the executor how long the state would stay
+    put if the sensor levels held, so ticks that could change nothing
+    need not be sampled.
+    """
 
     def __init__(self, config: Config):
         self.config = config
@@ -218,6 +227,36 @@ class SafetyController:
             actions.append(log_action(f"unhandled input: {event!r}"))
         self._drain_pending(now_ms, actions)
         return actions
+
+    def next_deadline_ms(self, now_ms: int) -> int | None:
+        """Earliest time at which a frame repeating the last frame's levels
+        could change state or emit an action: now_ms while a channel is
+        still moving, None if no such time exists. Inputs other than the
+        sensor levels (NMEA lines, texts, level changes) are the caller's
+        to schedule; panic acts only on an edge, so it sets no deadline."""
+        frame = self.last_frame
+        # a high level is itself a sample in the window, and a latch that
+        # runs out while highs remain can still trigger
+        if frame is None or self.impact.highs:
+            return now_ms
+        if self.interlock.smoothed(frame.alcohol_raw) != self.interlock.ema:
+            return now_ms
+        deadline = self._wiper_deadline_ms(now_ms)
+        if self.pending_alerts:
+            head = self.pending_alerts[0].deadline_ms
+            deadline = head if deadline is None else min(deadline, head)
+        return deadline
+
+    def _wiper_deadline_ms(self, now_ms: int) -> int | None:
+        mode = self.wiper.mode
+        if mode is WiperMode.OFF:
+            return None
+        if mode is WiperMode.INTERMITTENT and self.wiper.servo_angle_deg == 0.0:
+            # resting at 0 until the next cycle starts
+            phase = (now_ms - self._wiper_mode_since_ms) % WIPER_PERIOD_MS[mode]
+            if phase >= WIPER_ACTIVE_MS[mode]:
+                return now_ms + WIPER_PERIOD_MS[mode] - phase
+        return now_ms
 
     # -- sub-operations -------------------------------------------------
 

@@ -226,6 +226,12 @@ def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
             return "timeout"
         if ev.kind is EventKind.ERROR:
             return "error"
+    # the final OK follows "+CMGS: <mr>" (3GPP TS 27.005); nothing reads
+    # the message reference, so consume it rather than leave it parked
+    session.unsolicited = [
+        ev for ev in session.unsolicited
+        if not (ev.kind is EventKind.LINE and ev.text.startswith("+CMGS:"))
+    ]
     return ""
 
 

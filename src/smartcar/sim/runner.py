@@ -1,11 +1,19 @@
-"""Discrete-time executor: advances a fixed tick, feeds scripted inputs
-through the virtual devices into the controller, interprets the actions
-it emits, and accumulates the run report.
+"""Next-event executor: feeds scripted inputs through the virtual
+devices into the controller, interprets the actions it emits, and
+accumulates the run report.
+
+Time moves in whole ticks of `tick_ms`, as the firmware's polled loop
+does, but the executor visits only the ticks on which something can
+change: the tick of each scripted event, and the ticks the controller
+asks for through next_deadline_ms(). Every other tick would sample the
+same levels, step the controller to the same state and emit nothing, so
+skipping it leaves the report byte-identical to sampling every tick.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
 firmware busy-waiting on the modem; events falling due during the block
-are delivered at the next tick.
+are delivered at the next tick. Ticks are counted from wherever the
+clock stands, so after a block they are off the tick_ms grid.
 """
 
 from __future__ import annotations
@@ -247,6 +255,18 @@ class _Executor:
             ("pending_alerts", str(len(self.controller.pending_alerts))),
         ]
 
+    def _ticks_to_next_visit(self) -> int:
+        """Whole ticks from now to the first tick at or after the next
+        scripted event or controller deadline, whichever is sooner; with
+        neither, to the first tick past until_ms. At least one."""
+        now = self.clock.now_ms
+        target = self.controller.next_deadline_ms(now)
+        if self.events and (target is None or self.events[0].t_ms < target):
+            target = self.events[0].t_ms
+        if target is None:
+            target = self.report.until_ms + 1
+        return max(1, -((now - target) // self.config.tick_ms))
+
     def run(self) -> SimReport:
         while self.clock.now_ms <= self.report.until_ms:
             while self.events and self.events[0].t_ms <= self.clock.now_ms:
@@ -255,7 +275,7 @@ class _Executor:
             self._step_frame()
             self._step_inbound()
             self._check_interlock()
-            self.clock.advance(self.config.tick_ms)
+            self.clock.advance(self._ticks_to_next_visit() * self.config.tick_ms)
         self._check_conservation()
         self._check_clock_order()
         self._final_state()

@@ -353,6 +353,83 @@ class TestWiperFlow:
         assert not ctl.step(frame(1020, rain_wet=0), 1020)
 
 
+class TestNextDeadline:
+    """next_deadline_ms: when a frame repeating the last levels could next
+    change anything; None when it never could."""
+
+    def test_all_quiet_has_no_deadline(self):
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0), 0)
+        assert ctl.next_deadline_ms(0) is None
+        assert ctl.next_deadline_ms(12345) is None
+
+    def test_impact_high_is_now(self):
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0, impact=1), 0)
+        assert ctl.next_deadline_ms(0) == 0
+
+    def test_highs_in_window_are_now_until_they_leave_it(self):
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0, impact=1), 0)
+        ctl.step(frame(10), 10)
+        assert ctl.next_deadline_ms(10) == 10
+        ctl.step(frame(CFG.impact_window_ms), CFG.impact_window_ms)
+        assert ctl.next_deadline_ms(CFG.impact_window_ms) is None
+
+    def test_moving_ema_is_now_until_it_settles(self):
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0), 0)
+        t = 10
+        ctl.step(frame(t, alcohol_raw=500), t)
+        assert ctl.next_deadline_ms(t) == t
+        while ctl.next_deadline_ms(t) is not None:
+            t += 10
+            ctl.step(frame(t, alcohol_raw=500), t)
+        assert ctl.interlock.ema == 500.0
+        assert not ctl.engine_enabled
+
+    def test_low_and_high_wipers_are_now(self):
+        for intensity in (500, 900):
+            ctl = SafetyController(CFG)
+            ctl.step(frame(0, rain_wet=1, rain_intensity=intensity), 0)
+            assert ctl.next_deadline_ms(0) == 0
+
+    def test_intermittent_sweep_is_now(self):
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
+        assert ctl.wiper.mode is WiperMode.INTERMITTENT
+        assert ctl.next_deadline_ms(0) == 0  # angle 0.0, but the sweep starts
+        ctl.step(frame(10, rain_wet=1, rain_intensity=100), 10)
+        assert ctl.next_deadline_ms(10) == 10
+
+    def test_intermittent_first_rest_tick_is_now_while_servo_is_up(self):
+        # a blocking send moved the clock into the rest phase after the
+        # last frame left the servo mid-sweep: the step down to 0 is due
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
+        ctl.step(frame(1990, rain_wet=1, rain_intensity=100), 1990)
+        assert ctl.wiper.servo_angle_deg > 0.0
+        assert ctl.next_deadline_ms(2000) == 2000
+        assert ctl.next_deadline_ms(2500) == 2500
+
+    def test_intermittent_rest_with_servo_at_zero_is_rest_end(self):
+        ctl = SafetyController(CFG)
+        ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
+        ctl.step(frame(2000, rain_wet=1, rain_intensity=100), 2000)
+        assert ctl.wiper.servo_angle_deg == 0.0
+        assert ctl.next_deadline_ms(2000) == 4000
+        assert ctl.next_deadline_ms(3990) == 4000
+        assert ctl.next_deadline_ms(6000) == 8000
+
+    def test_pending_alert_is_its_deadline(self):
+        ctl = SafetyController(CFG)
+        for t in range(5000, 5060, 10):
+            ctl.step(frame(t, impact=1), t)
+        (pending,) = ctl.pending_alerts
+        ctl.step(frame(5200), 5200)
+        assert ctl.next_deadline_ms(5200) == pending.deadline_ms == 5040 + CFG.gps_wait_ms
+
+
 class TestQueryDispatch:
     def test_reply_goes_to_sender(self):
         ctl = SafetyController(CFG)

@@ -1,5 +1,5 @@
 """Golden reports: the byte-exact `smartcar-report v1` of each bundled
-scenario, pinned by SHA-256.
+scenario and of each benchmark drive at seed 201, pinned by SHA-256.
 
 The report is the contract of the simulator, so any change to the
 program that alters one of these digests changes behaviour. A change
@@ -7,13 +7,19 @@ that means to alter a report updates its digest here and says why.
 """
 
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from smartcar.cli import main
+from smartcar.config import load_config
+from smartcar.sim.runner import run
+from smartcar.sim.scenario import load_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 GOLDEN_SHA256 = {
     "crash_demo": "a7d00fc85780bb0a5969e509d7de201c035ff45ede7c00c23da2612887938c26",
@@ -37,3 +43,34 @@ def test_report_matches_golden_digest(name, tmp_path):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+# the long generated drives of bench/workloads.py, seed 201
+WORKLOAD_SHA256 = {
+    "comms_storm": "e81b4b127efd9365648f98e99d1d0d3041e170aea43137ff74cf2b444f215583",
+    "idle_park": "c509c4d64bd8280c307e447e40346e712ce33427fb0c0cf8ddd6efb340505f6f",
+    "rain_drive": "ae1de44457e2a31dbe31be84233a2e6a831e375a208b2889d3404426950ecab1",
+}
+
+
+def load_workloads():
+    """bench/workloads.py, imported by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+GENERATORS = load_workloads().GENERATORS
+
+
+def test_every_workload_has_a_digest():
+    assert sorted(GENERATORS) == sorted(WORKLOAD_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHA256))
+def test_workload_report_matches_golden_digest(name):
+    w = GENERATORS[name](201)
+    text = run(load_scenario(w.scenario), load_config(w.config), w.until_ms).serialize()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WORKLOAD_SHA256[name]

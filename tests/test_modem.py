@@ -142,7 +142,9 @@ class TestGoldenTranscript:
         session = ModemSession(transport=tap, clock=modem.clock)
         assert send_sms(session, "+15550001", ALERT_BODY, Config()).delivered
         modem.inject_sms("+15550100", "STATUS")
-        (event,) = [e for e in session.poll() if e.kind is EventKind.SMS_ARRIVED]
+        # the "+CMGS: 1" line before the final OK was consumed by the send
+        (event,) = session.poll()
+        assert event == AtEvent(EventKind.SMS_ARRIVED, index=1)
         fetch_inbound(session, event, Config())
         assert tap.written == [cmd for cmd in self.TX_COMMANDS if cmd is not None]
 

@@ -1,0 +1,131 @@
+"""Next-event time advance against a visit-every-tick reference.
+
+The executor skips the ticks on which SafetyController.next_deadline_ms
+says nothing can change. Patching that method to return `now_ms` makes
+the executor visit every tick, as a plain polled loop does; the two
+runs of one generated scenario must give byte-identical reports.
+
+Scenarios mix off-grid event times, odd tick lengths, modem faults that
+move the clock off the tick grid during a send, impact held high past
+the refractory period, alcohol levels at the interlock thresholds, all
+rain bands and alerts that wait out gps_wait_ms without a fix. Timing
+keys are shrunk so a scenario stays short.
+
+The default hypothesis profile runs here; `--hypothesis-profile=
+next-event-long` (tests/conftest.py) runs many more examples.
+"""
+
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from smartcar.config import Config
+from smartcar.controller import WIPER_PERIOD_MS, SafetyController, WiperMode
+from smartcar.sim.runner import run
+from smartcar.sim.scenario import load_scenario
+
+GPS_LINES = (
+    "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
+    "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47",
+    "$GPRMC,123519,V,,,,,,,230394,,*00",  # bad checksum
+)
+ALCOHOL_LEVELS = (0, 50, 399, 400, 401, 449, 450, 451, 1023)
+RAIN_LEVELS = (0, 1, 300, 301, 700, 701, 1023)
+BODIES = ("STATUS", "TEMP", "HUM", "LOC", "HELP", "PING")
+HORIZON_MS = 6000
+
+times = st.integers(0, HORIZON_MS)
+
+
+def pulse(word):
+    """A level raised at t and dropped after a hold of 1 ms to 3 s."""
+    return st.tuples(times, st.integers(1, 3000)).map(
+        lambda p: [(p[0], f"{word} 1"), (p[0] + p[1], f"{word} 0")]
+    )
+
+
+def single(line):
+    return st.tuples(times, line).map(lambda p: [p])
+
+
+# a fault armed just before a query or a panic press, so the send that
+# answers it moves the clock off the tick grid
+faults = st.one_of(
+    st.just("modem_fault error_once"),
+    st.integers(1, 3000).map(lambda ms: f"modem_fault silent_for {ms}"),
+)
+triggers = st.one_of(
+    st.sampled_from(BODIES).map(lambda body: [(0, f"sms +15550100 {body}")]),
+    st.just([(0, "panic 1"), (100, "panic 0")]),
+)
+
+
+def faulty_send(at):
+    return st.tuples(at, faults, triggers).map(
+        lambda p: [(p[0], p[1])] + [(p[0] + dt, text) for dt, text in p[2]]
+    )
+
+
+events = st.one_of(
+    pulse("impact"),
+    pulse("panic"),
+    single(st.one_of(st.sampled_from(ALCOHOL_LEVELS), st.integers(0, 1023)).map(
+        lambda v: f"alcohol {v}"
+    )),
+    single(st.tuples(st.integers(0, 1), st.one_of(st.sampled_from(RAIN_LEVELS), st.integers(0, 1023))).map(
+        lambda r: f"rain {r[0]} {r[1]}"
+    )),
+    single(st.sampled_from(GPS_LINES).map(lambda line: f"gps {line}")),
+    single(st.sampled_from(BODIES).map(lambda body: f"sms +15550100 {body}")),
+    single(faults),
+    faulty_send(times),
+)
+
+configs = st.builds(
+    Config,
+    tick_ms=st.sampled_from((1, 7, 10, 25)),
+    impact_window_ms=st.integers(1, 200),
+    impact_min_high=st.integers(1, 6),
+    impact_refractory_ms=st.integers(1, 2000),
+    panic_refractory_ms=st.integers(1, 2000),
+    gps_stale_ms=st.integers(1, 3000),
+    gps_wait_ms=st.integers(1, 3000),
+    sms_retry_max=st.integers(0, 2),
+    sms_retry_backoff_ms=st.integers(1, 2500),
+    sms_ok_timeout_ms=st.integers(1, 2000),
+)
+
+
+def assert_skipping_matches_every_tick(groups, config, tail_ms):
+    scenario = "\n".join(f"t={t} {text}" for group in groups for t, text in group)
+    until_ms = max((t for group in groups for t, _ in group), default=0) + tail_ms
+    skipping = run(load_scenario(scenario), config, until_ms).serialize()
+    with mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms):
+        every_tick = run(load_scenario(scenario), config, until_ms).serialize()
+    assert skipping == every_tick
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    groups=st.lists(events, max_size=12),
+    config=configs,
+    tail_ms=st.integers(0, 4000),
+)
+def test_skipping_ticks_matches_visiting_every_tick(groups, config, tail_ms):
+    assert_skipping_matches_every_tick(groups, config, tail_ms)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rain_ms=times,
+    level=st.integers(0, 300),
+    sends=st.lists(faulty_send(st.integers(0, WIPER_PERIOD_MS[WiperMode.INTERMITTENT])), min_size=1, max_size=3),
+    config=configs,
+    tail_ms=st.integers(0, 4000),
+)
+def test_intermittent_wiper_across_off_grid_sends(rain_ms, level, sends, config, tail_ms):
+    # a send that blocks from the sweep into the rest phase leaves the
+    # servo up: the first rest tick must still bring it down to 0. The
+    # sends are timed from the start of the first intermittent cycle.
+    shifted = [[(rain_ms + t, text) for t, text in group] for group in sends]
+    assert_skipping_matches_every_tick([[(rain_ms, f"rain 1 {level}")], *shifted], config, tail_ms)
