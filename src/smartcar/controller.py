@@ -67,30 +67,6 @@ class Action:
     engine_enabled: bool = False
 
 
-def assert_airbag_line() -> Action:
-    return Action(ActionKind.ASSERT_AIRBAG_LINE)
-
-
-def send_alert(alert: AlertMessage) -> Action:
-    return Action(ActionKind.SEND_ALERT, alert=alert)
-
-
-def send_reply(dest: str, text: str) -> Action:
-    return Action(ActionKind.SEND_REPLY, dest=dest, text=text)
-
-
-def set_wiper(cmd: WiperCommand) -> Action:
-    return Action(ActionKind.SET_WIPER, wiper=cmd)
-
-
-def set_engine(enabled: bool) -> Action:
-    return Action(ActionKind.SET_ENGINE, engine_enabled=enabled)
-
-
-def log_action(text: str) -> Action:
-    return Action(ActionKind.LOG, text=text)
-
-
 def wiper_mode(rain_wet: int, rain_intensity: int, config: Config) -> WiperMode:
     """Digital line gates wiping entirely; the analog level picks the speed."""
     if not rain_wet:
@@ -224,7 +200,7 @@ class SafetyController:
         elif isinstance(event, InboundSms):
             self._step_sms(event, now_ms, actions)
         else:
-            actions.append(log_action(f"unhandled input: {event!r}"))
+            actions.append(Action(ActionKind.LOG, text=f"unhandled input: {event!r}"))
         self._drain_pending(now_ms, actions)
         return actions
 
@@ -266,7 +242,7 @@ class SafetyController:
 
     def _on_accident(self, now_ms: int, actions: list[Action]) -> None:
         # safety-critical line first; the SMS can wait for a fix
-        actions.append(assert_airbag_line())
+        actions.append(Action(ActionKind.ASSERT_AIRBAG_LINE))
         self._request_alert(AlertKind.ACCIDENT, now_ms, actions)
 
     def _step_panic(self, level: int, now_ms: int, actions: list[Action]) -> None:
@@ -279,7 +255,8 @@ class SafetyController:
     def _step_alcohol(self, raw: int, now_ms: int, actions: list[Action]) -> None:
         changed, alert_due = self.interlock.update(raw)
         if changed:
-            actions.append(set_engine(self.interlock.engine_enabled))
+            enabled = self.interlock.engine_enabled
+            actions.append(Action(ActionKind.SET_ENGINE, engine_enabled=enabled))
         if alert_due:
             self._request_alert(AlertKind.ALCOHOL, now_ms, actions)
 
@@ -290,14 +267,14 @@ class SafetyController:
         command = WiperCommand(mode, servo_angle(mode, now_ms - self._wiper_mode_since_ms))
         if command != self.wiper:
             self.wiper = command
-            actions.append(set_wiper(command))
+            actions.append(Action(ActionKind.SET_WIPER, wiper=command))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:
         frame = self.last_frame if self.last_frame is not None else SensorFrame(t_ms=now_ms)
         reply = format_reply(
             parse_query(sms.body), frame, self.gps, self.config, self.engine_enabled
         )
-        actions.append(send_reply(sms.sender, reply))
+        actions.append(Action(ActionKind.SEND_REPLY, dest=sms.sender, text=reply))
 
     # -- alert release --------------------------------------------------
 
@@ -305,7 +282,8 @@ class SafetyController:
         """Emit now if a fresh fix exists, else park until one arrives
         or gps_wait_ms runs out."""
         if self.gps.fresh(now_ms, self.config.gps_stale_ms):
-            actions.append(send_alert(format_alert(kind, self.gps, self.config, now_ms)))
+            alert = format_alert(kind, self.gps, self.config, now_ms)
+            actions.append(Action(ActionKind.SEND_ALERT, alert=alert))
         else:
             self.pending_alerts.append(_PendingAlert(kind, now_ms + self.config.gps_wait_ms))
 
@@ -314,6 +292,7 @@ class SafetyController:
             head = self.pending_alerts[0]
             if self.gps.fresh(now_ms, self.config.gps_stale_ms) or now_ms >= head.deadline_ms:
                 self.pending_alerts.popleft()
-                actions.append(send_alert(format_alert(head.kind, self.gps, self.config, now_ms)))
+                alert = format_alert(head.kind, self.gps, self.config, now_ms)
+                actions.append(Action(ActionKind.SEND_ALERT, alert=alert))
             else:
                 break

@@ -1,36 +1,1 @@
-from .clock import SimClock
-from .devices import SensorBoard, VirtualGps, VirtualModem
-from .runner import SimReport, run
-from .scenario import (
-    Alcohol,
-    Cabin,
-    GpsLine,
-    Impact,
-    ModemFault,
-    Panic,
-    Rain,
-    ScenarioEvent,
-    SmsIn,
-    load_scenario,
-    load_scenario_file,
-)
-
-__all__ = [
-    "SimClock",
-    "SensorBoard",
-    "VirtualGps",
-    "VirtualModem",
-    "SimReport",
-    "run",
-    "Alcohol",
-    "Cabin",
-    "GpsLine",
-    "Impact",
-    "ModemFault",
-    "Panic",
-    "Rain",
-    "ScenarioEvent",
-    "SmsIn",
-    "load_scenario",
-    "load_scenario_file",
-]
+"""Simulation layer: virtual clock and devices, scenario scripts, executor."""

@@ -157,26 +157,12 @@ class VirtualGps:
 
 
 class SensorBoard:
-    """Input levels as the controller samples them; every channel holds
-    its last scripted value."""
+    """Input levels as the controller samples them: ``levels`` maps
+    SensorFrame field names to their last scripted value; a field never
+    set keeps SensorFrame's default."""
 
     def __init__(self):
-        self.impact = 0
-        self.panic = 0
-        self.alcohol_raw = 0
-        self.rain_wet = 0
-        self.rain_intensity = 0
-        self.temp_c = 20.0
-        self.humidity_pct = 50.0
+        self.levels: dict[str, int | float] = {}
 
     def sample(self, t_ms: int) -> SensorFrame:
-        return SensorFrame(
-            t_ms=t_ms,
-            impact=self.impact,
-            panic=self.panic,
-            alcohol_raw=self.alcohol_raw,
-            rain_wet=self.rain_wet,
-            rain_intensity=self.rain_intensity,
-            temp_c=self.temp_c,
-            humidity_pct=self.humidity_pct,
-        )
+        return SensorFrame(t_ms, **self.levels)

@@ -129,18 +129,8 @@ class _Executor:
     # -- per-tick stages ---------------------------------------------------
 
     def _apply_event(self, ev: sc.ScenarioEvent) -> None:
-        if isinstance(ev, sc.Impact):
-            self.board.impact = ev.level
-        elif isinstance(ev, sc.Panic):
-            self.board.panic = ev.level
-        elif isinstance(ev, sc.Alcohol):
-            self.board.alcohol_raw = ev.counts
-        elif isinstance(ev, sc.Rain):
-            self.board.rain_wet = ev.wet
-            self.board.rain_intensity = ev.intensity
-        elif isinstance(ev, sc.Cabin):
-            self.board.temp_c = ev.temp_c
-            self.board.humidity_pct = ev.humidity_pct
+        if isinstance(ev, sc.Levels):
+            self.board.levels.update(ev.values)
         elif isinstance(ev, sc.GpsLine):
             self.gps_feed.push_raw(ev.t_ms, ev.text)
         elif isinstance(ev, sc.SmsIn):

@@ -1,10 +1,10 @@
 """Line-oriented scenario scripts: `t=<ms> <event> <args...>`.
 
-Events set virtual-device state at their timestamp: sensor channels are
-levels that hold until the next event on the same channel, gps/sms lines
-inject traffic, modem_fault arms a fault. `#` starts a comment; blank
-lines are skipped. Events are sorted stably by time, so same-tick events
-apply in file order.
+Level words (impact, panic, alcohol, rain, cabin) set SensorFrame fields,
+which hold until they are set again; SensorFrame holds each field's range
+and its value before the first set. gps/sms lines inject traffic,
+modem_fault arms a fault. `#` starts a comment; blank lines are skipped.
+Events are sorted stably by time, so same-tick events apply in file order.
 
     t=1000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A
     t=5000 impact 1
@@ -15,43 +15,29 @@ apply in file order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from ..modem import check_body, check_number
-from ..types import ADC_MAX, ModemError, ScenarioError, read_utf8
+from ..types import ModemError, ScenarioError, SensorFrame, read_utf8
+
+# the SensorFrame fields each level word sets, in argument order
+_LEVEL_FIELDS = {
+    "impact": ("impact",),
+    "panic": ("panic",),
+    "alcohol": ("alcohol_raw",),
+    "rain": ("rain_wet", "rain_intensity"),
+    "cabin": ("temp_c", "humidity_pct"),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(SensorFrame)}
 
 
 @dataclass(frozen=True)
-class Impact:
+class Levels:
+    """(SensorFrame field name, value) pairs that hold from t_ms on."""
+
     t_ms: int
-    level: int
-
-
-@dataclass(frozen=True)
-class Panic:
-    t_ms: int
-    level: int
-
-
-@dataclass(frozen=True)
-class Alcohol:
-    t_ms: int
-    counts: int
-
-
-@dataclass(frozen=True)
-class Rain:
-    t_ms: int
-    wet: int
-    intensity: int
-
-
-@dataclass(frozen=True)
-class Cabin:
-    t_ms: int
-    temp_c: float
-    humidity_pct: float
+    values: tuple[tuple[str, int | float], ...]
 
 
 @dataclass(frozen=True)
@@ -78,7 +64,7 @@ class ModemFault:
     duration_ms: int = 0
 
 
-ScenarioEvent = Union[Impact, Panic, Alcohol, Rain, Cabin, GpsLine, SmsIn, ModemFault]
+ScenarioEvent = Union[Levels, GpsLine, SmsIn, ModemFault]
 
 
 def _int_arg(text: str, lineno: int, what: str, lo: int, hi: int) -> int:
@@ -91,11 +77,24 @@ def _int_arg(text: str, lineno: int, what: str, lo: int, hi: int) -> int:
     return value
 
 
-def _float_arg(text: str, lineno: int, what: str) -> float:
+def _levels(t_ms: int, word: str, args: str, lineno: int) -> Levels:
+    names = _LEVEL_FIELDS[word]
+    parts = args.split()
+    if len(parts) != len(names):
+        raise ScenarioError(f"line {lineno}: {word} needs " + " ".join(f"<{n}>" for n in names))
+    values = {}
+    for name, text in zip(names, parts):
+        kind = _FIELD_TYPES[name]
+        try:
+            values[name] = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ScenarioError(f"line {lineno}: {name} must be {what}, got {text!r}") from None
     try:
-        return float(text)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: {what} must be a number, got {text!r}") from None
+        SensorFrame(t_ms, **values)  # the ranges live there
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None
+    return Levels(t_ms, tuple(values.items()))
 
 
 def _parse_line(s: str, lineno: int) -> ScenarioEvent:
@@ -110,29 +109,8 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
         raise ScenarioError(f"line {lineno}: negative timestamp {t_ms}")
 
     word, _, args = rest.strip().partition(" ")
-    if word == "impact":
-        return Impact(t_ms, _int_arg(args, lineno, "impact level", 0, 1))
-    if word == "panic":
-        return Panic(t_ms, _int_arg(args, lineno, "panic level", 0, 1))
-    if word == "alcohol":
-        return Alcohol(t_ms, _int_arg(args, lineno, "alcohol counts", 0, ADC_MAX))
-    if word == "rain":
-        parts = args.split()
-        if len(parts) != 2:
-            raise ScenarioError(f"line {lineno}: rain needs <wet> <intensity>")
-        return Rain(
-            t_ms,
-            _int_arg(parts[0], lineno, "rain wet level", 0, 1),
-            _int_arg(parts[1], lineno, "rain intensity", 0, ADC_MAX),
-        )
-    if word == "cabin":
-        parts = args.split()
-        if len(parts) != 2:
-            raise ScenarioError(f"line {lineno}: cabin needs <temp_c> <humidity_pct>")
-        hum = _float_arg(parts[1], lineno, "humidity")
-        if not 0.0 <= hum <= 100.0:
-            raise ScenarioError(f"line {lineno}: humidity out of range 0..100: {hum}")
-        return Cabin(t_ms, _float_arg(parts[0], lineno, "temperature"), hum)
+    if word in _LEVEL_FIELDS:
+        return _levels(t_ms, word, args, lineno)
     if word == "gps":
         if not args:
             raise ScenarioError(f"line {lineno}: gps needs the sentence text")

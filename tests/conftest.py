@@ -2,13 +2,13 @@
 
 Collects acceptance-test outcomes and prints one PASS/FAIL line per
 criterion in the terminal summary, so the gate is readable at a glance.
-Registers the `next-event-long` hypothesis profile for a long run of
-tests/test_next_event.py (`--hypothesis-profile=next-event-long`).
+Registers the `long` hypothesis profile for a long run of the property
+tests (`--hypothesis-profile=long`).
 """
 
 from hypothesis import settings
 
-settings.register_profile("next-event-long", max_examples=2000)
+settings.register_profile("long", max_examples=2000)
 
 _acceptance: dict[str, str] = {}
 

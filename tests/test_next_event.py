@@ -11,8 +11,8 @@ the refractory period, alcohol levels at the interlock thresholds, all
 rain bands and alerts that wait out gps_wait_ms without a fix. Timing
 keys are shrunk so a scenario stays short.
 
-The default hypothesis profile runs here; `--hypothesis-profile=
-next-event-long` (tests/conftest.py) runs many more examples.
+The default hypothesis profile runs here; `--hypothesis-profile=long`
+(tests/conftest.py) runs many more examples.
 """
 
 from unittest import mock

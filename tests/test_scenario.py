@@ -8,13 +8,9 @@ from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import SensorBoard, VirtualGps, VirtualModem
 from smartcar.sim.runner import REPORT_HEADER, run
 from smartcar.sim.scenario import (
-    Alcohol,
-    Cabin,
     GpsLine,
-    Impact,
+    Levels,
     ModemFault,
-    Panic,
-    Rain,
     SmsIn,
     load_scenario,
     load_scenario_file,
@@ -22,6 +18,10 @@ from smartcar.sim.scenario import (
 from smartcar.types import ScenarioError
 
 CFG = Config()
+
+
+def impact(t_ms, level):
+    return Levels(t_ms, (("impact", level),))
 
 
 # -- grammar ----------------------------------------------------------------
@@ -43,23 +43,23 @@ class TestScenarioGrammar:
         ])
         events = load_scenario(text)
         assert events[0] == GpsLine(1000, "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47")
-        assert events[1] == Impact(2000, 1)
-        assert events[2] == Impact(2060, 0)
-        assert events[3] == Panic(3000, 1)
-        assert events[4] == Alcohol(4000, 612)
-        assert events[5] == Rain(5000, 1, 520)
-        assert events[6] == Cabin(6000, 24.5, 51.0)
+        assert events[1] == impact(2000, 1)
+        assert events[2] == impact(2060, 0)
+        assert events[3] == Levels(3000, (("panic", 1),))
+        assert events[4] == Levels(4000, (("alcohol_raw", 612),))
+        assert events[5] == Levels(5000, (("rain_wet", 1), ("rain_intensity", 520)))
+        assert events[6] == Levels(6000, (("temp_c", 24.5), ("humidity_pct", 51.0)))
         assert events[7] == SmsIn(7000, "+15550100", "STATUS NOW")  # body keeps spaces
         assert events[8] == ModemFault(8000, "error_once")
         assert events[9] == ModemFault(9000, "silent_for", 12000)
 
     def test_comments_and_blanks_skipped(self):
         events = load_scenario("# header\n\n   \nt=10 impact 1\n  # trailing\n")
-        assert events == [Impact(10, 1)]
+        assert events == [impact(10, 1)]
 
     def test_sorted_by_time_stable(self):
         events = load_scenario("t=500 panic 1\nt=100 impact 1\nt=500 impact 0\n")
-        assert events == [Impact(100, 1), Panic(500, 1), Impact(500, 0)]
+        assert events == [impact(100, 1), Levels(500, (("panic", 1),)), impact(500, 0)]
 
     def test_unknown_event_names_line(self):
         with pytest.raises(ScenarioError, match="line 1: unknown event 'bogus'"):
@@ -80,6 +80,10 @@ class TestScenarioGrammar:
         "cabin 21.0",
         "cabin 21.0 101",
         "cabin warm 50",
+        "cabin 21 -0.5",
+        "cabin 21 nan",
+        "impact 1 1",
+        "impact 1.0",
         "gps",
         "sms +1555",
         "sms +1555\xe9 STATUS",
@@ -98,6 +102,28 @@ class TestScenarioGrammar:
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(f"t=100 {bad}")
 
+    @pytest.mark.parametrize("line", [
+        "impact 0", "impact 1",
+        "panic 0", "panic 1",
+        "alcohol 0", "alcohol 1023",
+        "rain 0 0", "rain 1 1023",
+        "cabin -40 0", "cabin 85 100",
+        "cabin nan 50", "cabin inf 50",  # temperature has no range
+    ])
+    def test_level_edges_accepted(self, line):
+        assert len(load_scenario(f"t=100 {line}")) == 1
+
+    @pytest.mark.parametrize("bad,kind", [
+        ("impact x", "integer"),
+        ("alcohol 1.5", "integer"),
+        ("rain 1 x", "integer"),
+        ("cabin warm 50", "number"),
+        ("cabin 21 dry", "number"),
+    ])
+    def test_level_parse_errors_name_the_type(self, bad, kind):
+        with pytest.raises(ScenarioError, match=f"^line 1: .* must be an? {kind}, got "):
+            load_scenario(f"t=100 {bad}")
+
     def test_sms_limits_accepted(self):
         events = load_scenario("t=0 sms 1 x\nt=0 sms +123456789012345 " + "~" * 160)
         assert events == [SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160)]
@@ -110,7 +136,7 @@ class TestScenarioGrammar:
     def test_file_loader(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("t=0 impact 1\n")
-        assert load_scenario_file(p) == [Impact(0, 1)]
+        assert load_scenario_file(p) == [impact(0, 1)]
 
 
 # -- virtual gps --------------------------------------------------------------
@@ -175,7 +201,7 @@ class TestSensorBoard:
         board = SensorBoard()
         frame = board.sample(0)
         assert (frame.impact, frame.temp_c, frame.humidity_pct) == (0, 20.0, 50.0)
-        board.impact = 1
+        board.levels["impact"] = 1
         assert board.sample(10).impact == 1
         assert board.sample(20).impact == 1
 
