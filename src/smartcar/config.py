@@ -9,7 +9,7 @@ All thresholds are raw 10-bit ADC counts; all times are milliseconds.
 from dataclasses import dataclass, fields
 
 from .modem import check_number
-from .types import ADC_MAX, ConfigError, ModemError, read_utf8
+from .types import ADC_MAX, ConfigError, ModemError, parse_int, read_utf8
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def load_config(source: str) -> Config:
         if key not in field_types:
             continue  # unknown keys permitted
         try:
-            overrides[key] = int(value) if field_types[key] in (int, "int") else value
+            overrides[key] = parse_int(value) if field_types[key] is int else value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return Config(**overrides)

@@ -62,34 +62,6 @@ def xor_checksum(body: str) -> int:
     return total
 
 
-def frame_sentence(body: str) -> str:
-    """Wrap a sentence body in the $...*hh frame with a correct checksum."""
-    return f"${body}*{xor_checksum(body):02X}"
-
-
-def _as_text(line: str | bytes) -> str:
-    if isinstance(line, (bytes, bytearray)):
-        return bytes(line).decode("latin-1")
-    return line
-
-
-def validate_checksum(line: str | bytes) -> bool:
-    """True iff line is a $...*hh frame whose XOR-fold matches the hex pair.
-
-    Trailing CR/LF is ignored; anything malformed returns False.
-    """
-    text = _as_text(line).rstrip("\r\n")
-    if not text.startswith("$"):
-        return False
-    star = text.rfind("*")
-    if star < 0:
-        return False
-    suffix = text[star + 1 :]
-    if len(suffix) != 2 or not set(suffix) <= _HEX_DIGITS:
-        return False
-    return xor_checksum(text[1:star]) == int(suffix, 16)
-
-
 def to_decimal_degrees(raw: str, hemisphere: str) -> float:
     """Convert NMEA ddmm.mmmm / dddmm.mmmm text to signed decimal degrees.
 
@@ -113,14 +85,26 @@ def to_decimal_degrees(raw: str, hemisphere: str) -> float:
 
 
 def parse_sentence(line: str | bytes) -> NmeaSentence:
-    """Split a line into kind + fields. Total: garbage decodes to Unsupported."""
-    text = _as_text(line).rstrip("\r\n")
-    checksum_ok = validate_checksum(text)
+    """Split a line into kind + fields. Total: garbage decodes to Unsupported.
+
+    Trailing CR/LF is ignored. checksum_ok holds iff the line is a $...*hh
+    frame whose XOR-fold matches the two hex digits.
+    """
+    if isinstance(line, (bytes, bytearray)):
+        line = line.decode("latin-1")
+    text = line.rstrip("\r\n")
+    body, checksum_ok = text, False
     if text.startswith("$"):
-        star = text.rfind("*")
-        body = text[1:star] if star > 0 else text[1:]
-    else:
-        body = text
+        head, star, suffix = text[1:].rpartition("*")
+        if star:
+            body = head
+            checksum_ok = (
+                len(suffix) == 2
+                and set(suffix) <= _HEX_DIGITS
+                and xor_checksum(head) == int(suffix, 16)
+            )
+        else:
+            body = text[1:]
     fields = tuple(body.split(","))
     kind = _KIND_BY_TALKER.get(fields[0], SentenceKind.UNSUPPORTED)
     return NmeaSentence(kind=kind, raw_fields=fields, checksum_ok=checksum_ok)

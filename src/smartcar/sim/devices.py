@@ -10,7 +10,6 @@ scripted silence window.
 from __future__ import annotations
 
 import re
-from collections import deque
 
 from ..modem import CTRL_Z
 from ..types import SensorFrame
@@ -141,18 +140,17 @@ class VirtualModem:
 
 
 class VirtualGps:
-    """NMEA text source: push_raw() lines come out byte-exact at their time."""
+    """NMEA text source: push_raw() lines come out of poll() byte-exact, in
+    push order. The executor pushes each line on the tick it is due."""
 
     def __init__(self):
-        self._raw: deque[tuple[int, str]] = deque()
+        self._raw: list[str] = []
 
-    def push_raw(self, t_ms: int, line: str) -> None:
-        self._raw.append((t_ms, line))
+    def push_raw(self, line: str) -> None:
+        self._raw.append(line)
 
-    def poll(self, now_ms: int) -> list[str]:
-        out = []
-        while self._raw and self._raw[0][0] <= now_ms:
-            out.append(self._raw.popleft()[1])
+    def poll(self) -> list[str]:
+        out, self._raw = self._raw, []
         return out
 
 

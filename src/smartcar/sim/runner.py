@@ -132,7 +132,7 @@ class _Executor:
         if isinstance(ev, sc.Levels):
             self.board.levels.update(ev.values)
         elif isinstance(ev, sc.GpsLine):
-            self.gps_feed.push_raw(ev.t_ms, ev.text)
+            self.gps_feed.push_raw(ev.text)
         elif isinstance(ev, sc.SmsIn):
             self.modem.inject_sms(ev.sender, ev.body)
         elif isinstance(ev, sc.ModemFault):
@@ -177,7 +177,7 @@ class _Executor:
         self._record_send(dest, body, outcome.delivered, outcome.attempts, outcome.failure_reason)
 
     def _step_gps(self) -> None:
-        for line in self.gps_feed.poll(self.clock.now_ms):
+        for line in self.gps_feed.poll():
             sentence = parse_sentence(line)
             if sentence.checksum_ok:
                 self.report.counters.sentences_parsed += 1

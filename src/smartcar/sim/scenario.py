@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 from ..modem import check_body, check_number
-from ..types import ModemError, ScenarioError, SensorFrame, read_utf8
+from ..types import ModemError, ScenarioError, SensorFrame, parse_int, read_utf8
 
 # the SensorFrame fields each level word sets, in argument order
 _LEVEL_FIELDS = {
@@ -29,7 +29,11 @@ _LEVEL_FIELDS = {
     "rain": ("rain_wet", "rain_intensity"),
     "cabin": ("temp_c", "humidity_pct"),
 }
-_FIELD_TYPES = {f.name: f.type for f in fields(SensorFrame)}
+# each SensorFrame field's parser, and what its error calls the value
+_FIELD_PARSERS = {
+    f.name: (parse_int, "an integer") if f.type is int else (float, "a number")
+    for f in fields(SensorFrame)
+}
 
 
 @dataclass(frozen=True)
@@ -67,16 +71,6 @@ class ModemFault:
 ScenarioEvent = Union[Levels, GpsLine, SmsIn, ModemFault]
 
 
-def _int_arg(text: str, lineno: int, what: str, lo: int, hi: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: {what} must be an integer, got {text!r}") from None
-    if not lo <= value <= hi:
-        raise ScenarioError(f"line {lineno}: {what} out of range {lo}..{hi}: {value}")
-    return value
-
-
 def _levels(t_ms: int, word: str, args: str, lineno: int) -> Levels:
     names = _LEVEL_FIELDS[word]
     parts = args.split()
@@ -84,11 +78,10 @@ def _levels(t_ms: int, word: str, args: str, lineno: int) -> Levels:
         raise ScenarioError(f"line {lineno}: {word} needs " + " ".join(f"<{n}>" for n in names))
     values = {}
     for name, text in zip(names, parts):
-        kind = _FIELD_TYPES[name]
+        parse, what = _FIELD_PARSERS[name]
         try:
-            values[name] = kind(text)
+            values[name] = parse(text)
         except ValueError:
-            what = "an integer" if kind is int else "a number"
             raise ScenarioError(f"line {lineno}: {name} must be {what}, got {text!r}") from None
     try:
         SensorFrame(t_ms, **values)  # the ranges live there
@@ -102,7 +95,7 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
     if not head.startswith("t="):
         raise ScenarioError(f"line {lineno}: expected t=<ms> prefix, got {head!r}")
     try:
-        t_ms = int(head[2:])
+        t_ms = parse_int(head[2:])
     except ValueError:
         raise ScenarioError(f"line {lineno}: bad timestamp {head!r}") from None
     if t_ms < 0:
@@ -132,7 +125,14 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
                 raise ScenarioError(f"line {lineno}: error_once takes no argument")
             return ModemFault(t_ms, ERROR_ONCE)
         if mode == SILENT_FOR:
-            ms = _int_arg(extra, lineno, "silence duration", 1, 10**9)
+            try:
+                ms = parse_int(extra.strip())
+            except ValueError:
+                raise ScenarioError(
+                    f"line {lineno}: silence duration must be an integer, got {extra!r}"
+                ) from None
+            if not 1 <= ms <= 10**9:
+                raise ScenarioError(f"line {lineno}: silence duration out of range 1..{10**9}: {ms}")
             return ModemFault(t_ms, SILENT_FOR, ms)
         raise ScenarioError(f"line {lineno}: unknown modem fault {mode!r}")
     raise ScenarioError(f"line {lineno}: unknown event {word!r}")

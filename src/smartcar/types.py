@@ -41,6 +41,16 @@ class GeoFix:
             raise ValueError(f"satellites must be >= 0, got {self.satellites}")
 
 
+# (field, low, high) of SensorFrame's analog channels; temp_c is the
+# DHT22's span. NaN fails every range.
+_RANGES = (
+    ("alcohol_raw", 0, ADC_MAX),
+    ("rain_intensity", 0, ADC_MAX),
+    ("temp_c", -40, 85),
+    ("humidity_pct", 0, 100),
+)
+
+
 @dataclass(frozen=True)
 class SensorFrame:
     """One sampling instant of every virtual sensor channel."""
@@ -58,12 +68,10 @@ class SensorFrame:
         for name in ("impact", "panic", "rain_wet"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be logic 0/1, got {getattr(self, name)}")
-        for name in ("alcohol_raw", "rain_intensity"):
+        for name, lo, hi in _RANGES:
             value = getattr(self, name)
-            if not 0 <= value <= ADC_MAX:
-                raise ValueError(f"{name} must be within 0..{ADC_MAX}, got {value}")
-        if not 0.0 <= self.humidity_pct <= 100.0:
-            raise ValueError(f"humidity_pct must be within 0..100, got {self.humidity_pct}")
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must be within {lo}..{hi}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +81,6 @@ class AlertMessage:
     kind: AlertKind
     destination: str
     body: str
-
-    def __post_init__(self):
-        if len(self.body) > SMS_MAX_LEN:
-            raise ValueError(f"alert body exceeds {SMS_MAX_LEN} chars ({len(self.body)})")
 
 
 @dataclass(frozen=True)
@@ -106,3 +110,13 @@ def read_utf8(path, error: type[ValueError]) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
+
+
+def parse_int(text: str) -> int:
+    """The integer that ``text`` spells in ASCII digits with an optional
+    leading '-'; any other text (a '+', '_', spaces, non-ASCII digits)
+    raises ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)

@@ -15,7 +15,7 @@ from pathlib import Path
 from smartcar.config import Config, load_config_file
 from smartcar.controller import ImpactDebouncer, WiperMode, servo_angle, wiper_mode
 from smartcar.modem import decode_stream
-from smartcar.nmea import GpsState, frame_sentence, parse_sentence, update_fix
+from smartcar.nmea import GpsState, parse_sentence, update_fix
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
@@ -93,6 +93,11 @@ def test_c04_alcohol_interlock_cycle():
     assert dest == CFG.alert_safety_number
     assert "ALCOHOL" in body
     assert engine[0].t_ms < report.outbound_sms[0][0] <= engine[1].t_ms
+
+
+def frame_sentence(body: str) -> str:
+    """body in the $...*hh frame with its XOR-fold checksum."""
+    return f"${body}*{reduce(xor, map(ord, body), 0):02X}"
 
 
 def _frame_checks_out(raw: bytes) -> bool:

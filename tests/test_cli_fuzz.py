@@ -20,8 +20,11 @@ from smartcar.config import Config
 
 RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
 WORDS = ("impact", "panic", "alcohol", "rain", "cabin", "gps", "sms", "modem_fault")
+# integers off the grammar (a '+', '_' or non-ASCII digits) sit next to the edges
+INT_FORMS = ("+1", "+3", "1_0", "+1_0", "1_000", "١", "٣")
 ODD_TEXT = ("", "x", "-1", "0", "1", "2", "1.0", "1023", "1024", "nan", "inf", "-0.5", "1e999",
-            "+15550100", "STATUS", "error_once", "silent_for", "١", "\xe9", "€", RMC)
+            "1e300", "85.1", "-40.1", "+15550100", "STATUS", "error_once", "silent_for", "\xe9",
+            "€", RMC) + INT_FORMS
 
 raw = st.text(max_size=30)
 times = st.integers(0, 10_000)
@@ -42,7 +45,8 @@ LEVEL_ARITY = {"impact": 1, "panic": 1, "alcohol": 1, "rain": 2, "cabin": 2}
 edge = st.one_of(
     st.integers(-2, 2).map(str),
     st.integers(1021, 1025).map(str),
-    st.sampled_from(("nan", "inf", "-0.5", "99.5", "100.5", "1.0")),
+    st.sampled_from(("nan", "inf", "-0.5", "99.5", "100.5", "1.0", "-40.1", "85.1", "1e300")),
+    st.sampled_from(INT_FORMS),
 )
 edge_line = st.sampled_from(sorted(LEVEL_ARITY)).flatmap(
     lambda w: st.tuples(times, st.lists(edge, min_size=LEVEL_ARITY[w], max_size=LEVEL_ARITY[w]))
@@ -50,7 +54,7 @@ edge_line = st.sampled_from(sorted(LEVEL_ARITY)).flatmap(
 )
 arg = st.one_of(st.sampled_from(ODD_TEXT), st.integers(-5, 2000).map(str), raw)
 grammar_line = st.tuples(
-    st.one_of(st.integers(0, 10_000).map(str), st.sampled_from(("", "-5", "1.5", "x"))),
+    st.one_of(st.integers(0, 10_000).map(str), st.sampled_from(("", "-5", "1.5", "x") + INT_FORMS)),
     st.sampled_from(WORDS + ("bogus",)),
     st.lists(arg, max_size=3),
 ).map(lambda p: " ".join([f"t={p[0]}", p[1], *p[2]]))
@@ -62,8 +66,8 @@ scenario_text = st.tuples(
 KEYS = tuple(f.name for f in fields(Config)) + ("bogus_key", "TICK_MS", "")
 value = st.one_of(
     st.integers(-3, 60).map(str),
-    st.sampled_from(("100", "450", "1023", "5000", "30000", "", "x", "1e3", " 7 ", "١",
-                     "+15550100", "+1555\xe9", "9" * 5000)),
+    st.sampled_from(("100", "450", "1023", "5000", "30000", "", "x", "1e3", " 7 ",
+                     "+15550100", "+1555\xe9", "9" * 5000) + INT_FORMS),
     raw,
 )
 config_line = st.one_of(

@@ -97,6 +97,14 @@ class TestLoad:
         with pytest.raises(ConfigError, match="line 1"):
             load_config("tick_ms = fast\n")
 
+    @pytest.mark.parametrize("setting", [
+        "tick_ms = +1_0", "tick_ms = +10", "tick_ms = 1_0", "sms_retry_max = \u0663",
+        "gps_wait_ms = \uff11",
+    ])
+    def test_integers_are_ascii_digits(self, setting):
+        with pytest.raises(ConfigError, match="line 1: bad value for "):
+            load_config(setting + "\n")
+
     def test_cross_field_validation_applies_to_files(self):
         with pytest.raises(ConfigError):
             load_config("alcohol_threshold = 100\n")  # release default 400 above it

@@ -12,16 +12,23 @@ from hypothesis import given, strategies as st
 from smartcar.nmea import (
     GpsState,
     SentenceKind,
-    frame_sentence,
     parse_sentence,
     to_decimal_degrees,
     update_fix,
-    validate_checksum,
     xor_checksum,
 )
 
 GGA = "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47"
 RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
+
+
+def frame_sentence(body: str) -> str:
+    """body in the $...*hh frame with a correct checksum."""
+    return f"${body}*{xor_checksum(body):02X}"
+
+
+def checksum_ok(line) -> bool:
+    return parse_sentence(line).checksum_ok
 
 
 def fold(text: str) -> int:
@@ -40,28 +47,28 @@ class TestChecksum:
         assert xor_checksum(RMC[1:-3]) == 0x6A
 
     def test_validate_known_sentences(self):
-        assert validate_checksum(GGA)
-        assert validate_checksum(RMC)
-        assert validate_checksum(GGA.encode("ascii"))
-        assert validate_checksum(RMC + "\r\n")
+        assert checksum_ok(GGA)
+        assert checksum_ok(RMC)
+        assert checksum_ok(GGA.encode("ascii"))
+        assert checksum_ok(RMC + "\r\n")
 
     def test_validate_rejects_corruption(self):
-        assert not validate_checksum(GGA.replace("4807", "4808"))
-        assert not validate_checksum(GGA[:-1] + "8")
+        assert not checksum_ok(GGA.replace("4807", "4808"))
+        assert not checksum_ok(GGA[:-1] + "8")
 
     def test_validate_rejects_malformed_frames(self):
-        assert not validate_checksum("")
-        assert not validate_checksum("GPGGA,1,2*00")  # no $
-        assert not validate_checksum("$GPGGA,1,2")  # no *
-        assert not validate_checksum("$GPGGA,1,2*4")  # short hex
-        assert not validate_checksum("$GPGGA,1,2*4Z")  # bad hex
-        assert not validate_checksum("$GPGGA,1,2*471")  # long hex
+        assert not checksum_ok("")
+        assert not checksum_ok("GPGGA,1,2*00")  # no $
+        assert not checksum_ok("$GPGGA,1,2")  # no *
+        assert not checksum_ok("$GPGGA,1,2*4")  # short hex
+        assert not checksum_ok("$GPGGA,1,2*4Z")  # bad hex
+        assert not checksum_ok("$GPGGA,1,2*471")  # long hex
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126,
                                           exclude_characters="$*"), max_size=40))
     def test_frame_round_trips(self, body):
         framed = frame_sentence(body)
-        assert validate_checksum(framed)
+        assert checksum_ok(framed)
         assert xor_checksum(body) == fold(body)
 
 

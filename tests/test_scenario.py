@@ -82,6 +82,11 @@ class TestScenarioGrammar:
         "cabin warm 50",
         "cabin 21 -0.5",
         "cabin 21 nan",
+        "cabin nan 50",
+        "cabin inf 50",
+        "cabin 1e300 50",
+        "cabin 85.1 50",
+        "cabin -40.1 50",
         "impact 1 1",
         "impact 1.0",
         "gps",
@@ -97,6 +102,13 @@ class TestScenarioGrammar:
         "modem_fault silent_for 0",
         "modem_fault silent_for later",
         "modem_fault flaky",
+        # integers are ASCII digits with an optional leading '-'
+        "panic +1",
+        "alcohol 1_000",
+        "impact \u0661",
+        "modem_fault silent_for 1_0",
+        "modem_fault silent_for +10",
+        "modem_fault silent_for \u0661\u0660",
     ])
     def test_malformed_arguments(self, bad):
         with pytest.raises(ScenarioError, match="line 1"):
@@ -108,7 +120,6 @@ class TestScenarioGrammar:
         "alcohol 0", "alcohol 1023",
         "rain 0 0", "rain 1 1023",
         "cabin -40 0", "cabin 85 100",
-        "cabin nan 50", "cabin inf 50",  # temperature has no range
     ])
     def test_level_edges_accepted(self, line):
         assert len(load_scenario(f"t=100 {line}")) == 1
@@ -128,7 +139,8 @@ class TestScenarioGrammar:
         events = load_scenario("t=0 sms 1 x\nt=0 sms +123456789012345 " + "~" * 160)
         assert events == [SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160)]
 
-    @pytest.mark.parametrize("prefix", ["1000 impact 1", "t= impact 1", "t=-5 impact 1", "t=1.5 impact 1"])
+    @pytest.mark.parametrize("prefix", ["1000 impact 1", "t= impact 1", "t=-5 impact 1", "t=1.5 impact 1",
+                                        "t=+3 panic 1", "t=1_0 impact 1", "t=\u0663 impact 1"])
     def test_bad_timestamps(self, prefix):
         with pytest.raises(ScenarioError, match="line 1"):
             load_scenario(prefix)
@@ -146,10 +158,11 @@ class TestVirtualGps:
     def test_raw_passthrough_byte_exact(self):
         line = "$GPGGA,clearly,not,valid*00"
         gps = VirtualGps()
-        gps.push_raw(500, line)
-        assert gps.poll(499) == []
-        assert gps.poll(500) == [line]
-        assert gps.poll(501) == []
+        assert gps.poll() == []
+        gps.push_raw(line)
+        gps.push_raw("second")
+        assert gps.poll() == [line, "second"]
+        assert gps.poll() == []
 
 
 # -- virtual modem extras ------------------------------------------------------
@@ -349,6 +362,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {scenario}: line 1: ")
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("line", [
+        "t=+3 panic 1",
+        "t=1_0 impact 1",
+        "t=100 panic +1",
+        "t=100 alcohol 1_000",
+        "t=100 impact \u0661",
+        "t=100 modem_fault silent_for 1_0",
+        "t=100 cabin 1e300 50",
+    ])
+    def test_rejects_integers_and_levels_off_the_grammar(self, workdir, capsys, command, line):
+        tmp, _, config = workdir
+        scenario = tmp / "odd.txt"
+        scenario.write_text("t=0 impact 0\n" + line + "\nt=200 sms +15550100 TEMP\n", encoding="utf-8")
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {scenario}: line 2: ")
+
+    @pytest.mark.parametrize("setting", ["tick_ms = +1_0", "sms_retry_max = \u0663"])
+    def test_run_rejects_config_integers_off_the_grammar(self, workdir, capsys, setting):
+        tmp, scenario, _ = workdir
+        cfg = tmp / "odd.cfg"
+        cfg.write_text("# tuning\n" + setting + "\n", encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: line 2: bad value for ")
 
     @pytest.mark.parametrize("setting,key", [
         ("alert_primary_number = +1555\xe9", "alert_primary_number"),
