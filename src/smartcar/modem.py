@@ -144,15 +144,15 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
 class ModemSession:
     """One owner of one byte transport, with incremental decode state.
 
-    Blocking exchanges (send_sms, fetch_inbound) run on the session; any
-    event decoded that the exchange is not waiting for lands in
-    ``unsolicited`` for the controller to drain later.
+    The session alone decides what is unsolicited: only a +CMTI arrival
+    (SMS_ARRIVED) outlives the exchange it was decoded in. Every other
+    event is either the answer ask() waits for or dropped.
     """
 
     transport: object  # needs write(bytes), read() -> bytes
     clock: object  # needs now_ms: int, advance(ms)
     _buf: bytes = b""
-    unsolicited: list[AtEvent] = field(default_factory=list)
+    _queue: list[AtEvent] = field(default_factory=list)
 
     def _pump(self) -> list[AtEvent]:
         data = self.transport.read()
@@ -162,30 +162,37 @@ class ModemSession:
         return events
 
     def poll(self) -> list[AtEvent]:
-        """Drain everything pending outside an exchange."""
-        self.unsolicited.extend(self._pump())
-        out = self.unsolicited
-        self.unsolicited = []
-        return out
+        """The SMS_ARRIVED events pending outside an exchange; every other
+        event is dropped."""
+        events = self._pump()
+        if self._queue:
+            events, self._queue = self._queue + events, []
+        elif not events:
+            return events
+        return [ev for ev in events if ev.kind is EventKind.SMS_ARRIVED]
 
-    def await_event(self, kinds: set[EventKind], timeout_ms: int) -> AtEvent | None:
-        """Wait for one of ``kinds``, leaving other events parked.
+    def ask(self, command: bytes, want: EventKind, timeout_ms: int) -> AtEvent | None:
+        """Write ``command`` and return its answer: the first ``want`` or
+        ERROR decoded after the write, or None at the deadline.
 
-        Matches oldest-first from the parked queue so a response decoded
-        in the same pump as an earlier one is not lost. The virtual
-        transport answers synchronously or not at all, so an empty pump
-        means nothing more will arrive without time passing; the wait
-        jumps the simulation clock straight to the deadline.
+        Nothing decoded before the write can answer it, so every queued
+        event but SMS_ARRIVED is dropped first; events after the answer
+        stay queued. The virtual transport answers synchronously or not
+        at all, so an empty pump means nothing more will arrive without
+        time passing; the wait jumps the simulation clock straight to
+        the deadline.
         """
+        self._queue = [ev for ev in self._queue + self._pump() if ev.kind is EventKind.SMS_ARRIVED]
+        self.transport.write(command)
         deadline = self.clock.now_ms + timeout_ms
         while True:
-            for i, ev in enumerate(self.unsolicited):
-                if ev.kind in kinds:
-                    del self.unsolicited[i]
+            for i, ev in enumerate(self._queue):
+                if ev.kind is want or ev.kind is EventKind.ERROR:
+                    del self._queue[i]
                     return ev
             fresh = self._pump()
             if fresh:
-                self.unsolicited.extend(fresh)
+                self._queue += fresh
                 continue
             if self.clock.now_ms >= deadline:
                 return None
@@ -220,18 +227,11 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> Sen
 def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
     """One pass of the send sequence; empty string on success, else reason."""
     for command, want in stages:
-        session.transport.write(command)
-        ev = session.await_event({want, EventKind.ERROR}, timeout_ms)
+        ev = session.ask(command, want, timeout_ms)
         if ev is None:
             return "timeout"
         if ev.kind is EventKind.ERROR:
             return "error"
-    # the final OK follows "+CMGS: <mr>" (3GPP TS 27.005); nothing reads
-    # the message reference, so consume it rather than leave it parked
-    session.unsolicited = [
-        ev for ev in session.unsolicited
-        if not (ev.kind is EventKind.LINE and ev.text.startswith("+CMGS:"))
-    ]
     return ""
 
 
@@ -239,10 +239,8 @@ def fetch_inbound(session: ModemSession, event: AtEvent, config: Config) -> Inbo
     """Read and consume the stored message a +CMTI notification points at."""
     if event.kind is not EventKind.SMS_ARRIVED:
         raise ModemError(f"fetch_inbound needs an SMS_ARRIVED event, got {event.kind}")
-    session.transport.write(f"AT+CMGR={event.index}\r".encode("ascii"))
-    ev = session.await_event({EventKind.INBOUND_SMS, EventKind.ERROR}, config.sms_ok_timeout_ms)
+    command = f"AT+CMGR={event.index}\r".encode("ascii")
+    ev = session.ask(command, EventKind.INBOUND_SMS, config.sms_ok_timeout_ms)
     if ev is None or ev.kind is EventKind.ERROR:
         raise ModemError(f"failed to fetch stored SMS at index {event.index}")
-    # drain the trailing OK of the +CMGR response
-    session.await_event({EventKind.OK, EventKind.ERROR}, config.sms_ok_timeout_ms)
     return InboundSms(sender=ev.sender, body=ev.body)

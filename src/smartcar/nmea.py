@@ -1,9 +1,9 @@
 """NMEA 0183 sentence handling for the virtual GPS feed.
 
 Only GGA and RMC are decoded; they carry everything the controller needs
-(position, validity, satellite count). Every other sentence type parses
-to Unsupported and is ignored. The parser is total: any byte or character
-sequence yields an NmeaSentence, never an exception.
+(position and validity). Every other sentence type parses to Unsupported
+and is ignored. The parser is total: any byte or character sequence
+yields an NmeaSentence, never an exception.
 
 Lines arrive whole from the transport; partial-line reassembly is the
 transport's job, not this module's.
@@ -115,8 +115,7 @@ def update_fix(state: GpsState, sentence: NmeaSentence, now_ms: int) -> GpsState
 
     Accepts GGA with fix quality > 0 and RMC with status 'A'; everything
     else (bad checksum, void status, unsupported kind, malformed fields)
-    leaves the state unchanged. An accepted RMC carries no satellite
-    count, so the previous fix's count persists.
+    leaves the state unchanged.
     """
     if not sentence.checksum_ok:
         return state
@@ -127,16 +126,14 @@ def update_fix(state: GpsState, sentence: NmeaSentence, now_ms: int) -> GpsState
                 return state
             lat = to_decimal_degrees(f[2], f[3])
             lon = to_decimal_degrees(f[4], f[5])
-            satellites = int(f[7]) if f[7].isdigit() else 0
         elif sentence.kind is SentenceKind.RMC:
             if len(f) < 7 or f[2] != "A":
                 return state
             lat = to_decimal_degrees(f[3], f[4])
             lon = to_decimal_degrees(f[5], f[6])
-            satellites = state.last_fix.satellites if state.last_fix else 0
         else:
             return state
-        fix = GeoFix(latitude=lat, longitude=lon, satellites=satellites)  # ValueError if out of range
+        fix = GeoFix(latitude=lat, longitude=lon)  # ValueError if out of range
     except ValueError as exc:
         log.debug("ignoring undecodable sentence %s: %s", f[:1], exc)
         return state

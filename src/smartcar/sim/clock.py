@@ -6,14 +6,13 @@ from __future__ import annotations
 class SimClock:
     """Monotone millisecond counter shared by the executor and devices."""
 
-    def __init__(self, start_ms: int = 0):
-        self.now_ms = start_ms
+    def __init__(self):
+        self.now_ms = 0
 
-    def advance(self, ms: int) -> int:
+    def advance(self, ms: int) -> None:
         if ms < 0:
             raise ValueError(f"clock cannot move backwards: {ms}")
         self.now_ms += ms
-        return self.now_ms
 
     def __repr__(self):
         return f"SimClock(now_ms={self.now_ms})"

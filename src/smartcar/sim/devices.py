@@ -42,7 +42,6 @@ class VirtualModem:
         self.silent_until_ms = 0
         self.swallowed_bytes = 0
         self.deliveries: list[tuple[str, str]] = []  # (dest, body) in send order
-        self.transcript: list[tuple[str, str]] = []  # ("cmd"|"body", text) answered units
 
     # -- fault hooks -----------------------------------------------------
 
@@ -103,7 +102,6 @@ class VirtualModem:
         return False
 
     def _handle_command(self, cmd: str) -> None:
-        self.transcript.append(("cmd", cmd))
         if self._take_armed_error():
             return
         if cmd == "AT" or cmd == "AT+CMGF=1" or _IPR_RE.match(cmd):
@@ -123,7 +121,6 @@ class VirtualModem:
 
     def _finish_body(self, body: str) -> None:
         self._awaiting_body = False
-        self.transcript.append(("body", body))
         if self._take_armed_error():
             return
         self._send_counter += 1

@@ -18,21 +18,18 @@ clock stands, so after a block they are off the tick_ms grid.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..config import Config
 from ..controller import ActionKind, SafetyController
 from ..messages import coordinate_text
-from ..modem import EventKind, ModemError, ModemSession, send_sms, fetch_inbound
+from ..modem import ModemError, ModemSession, send_sms, fetch_inbound
 from ..nmea import parse_sentence
 from ..types import ScenarioError
 from . import scenario as sc
 from .clock import SimClock
 from .devices import SensorBoard, VirtualGps, VirtualModem
-
-log = logging.getLogger(__name__)
 
 REPORT_HEADER = "smartcar-report v1"
 
@@ -191,9 +188,6 @@ class _Executor:
 
     def _step_inbound(self) -> None:
         for event in self.session.poll():
-            if event.kind is not EventKind.SMS_ARRIVED:
-                log.debug("ignoring unsolicited modem event: %r", event)
-                continue
             try:
                 sms = fetch_inbound(self.session, event, self.config)
             except ModemError as exc:

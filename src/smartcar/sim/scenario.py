@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 from ..modem import check_body, check_number
-from ..types import ModemError, ScenarioError, SensorFrame, parse_int, read_utf8
+from ..types import ModemError, ScenarioError, SensorFrame, parse_decimal, parse_int, read_utf8
 
 # the SensorFrame fields each level word sets, in argument order
 _LEVEL_FIELDS = {
@@ -31,7 +31,7 @@ _LEVEL_FIELDS = {
 }
 # each SensorFrame field's parser, and what its error calls the value
 _FIELD_PARSERS = {
-    f.name: (parse_int, "an integer") if f.type is int else (float, "a number")
+    f.name: (parse_int, "an integer") if f.type is int else (parse_decimal, "a number")
     for f in fields(SensorFrame)
 }
 

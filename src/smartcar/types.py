@@ -21,24 +21,16 @@ class AlertKind(Enum):
 
 @dataclass(frozen=True)
 class GeoFix:
-    """Latest decoded GPS position.
-
-    latitude/longitude are decimal degrees; satellites is 0 when the
-    accepted sentence carried no count and none is known from an earlier
-    fix.
-    """
+    """Latest decoded GPS position, in decimal degrees."""
 
     latitude: float
     longitude: float
-    satellites: int = 0
 
     def __post_init__(self):
         if not -90.0 <= self.latitude <= 90.0:
             raise ValueError(f"latitude out of range: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude}")
-        if self.satellites < 0:
-            raise ValueError(f"satellites must be >= 0, got {self.satellites}")
 
 
 # (field, low, high) of SensorFrame's analog channels; temp_c is the
@@ -120,3 +112,14 @@ def parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def parse_decimal(text: str) -> float:
+    """The number that ``text`` spells in parse_int's grammar, optionally
+    followed by '.' and ASCII digits; any other text (an exponent, 'nan',
+    '21.', '.5') raises ValueError."""
+    whole, dot, frac = text.removeprefix("-").partition(".")
+    for digits in (whole, frac) if dot else (whole,):
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)

@@ -22,9 +22,11 @@ RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
 WORDS = ("impact", "panic", "alcohol", "rain", "cabin", "gps", "sms", "modem_fault")
 # integers off the grammar (a '+', '_' or non-ASCII digits) sit next to the edges
 INT_FORMS = ("+1", "+3", "1_0", "+1_0", "1_000", "١", "٣")
+# decimals off the grammar: the same forms, an exponent, and a bare '.' on either side
+DECIMAL_FORMS = ("2_1", "5_0", "٢١", "+50", "1e1", "21.", ".5")
 ODD_TEXT = ("", "x", "-1", "0", "1", "2", "1.0", "1023", "1024", "nan", "inf", "-0.5", "1e999",
             "1e300", "85.1", "-40.1", "+15550100", "STATUS", "error_once", "silent_for", "\xe9",
-            "€", RMC) + INT_FORMS
+            "€", RMC) + INT_FORMS + DECIMAL_FORMS
 
 raw = st.text(max_size=30)
 times = st.integers(0, 10_000)
@@ -32,7 +34,9 @@ valid_line = st.tuples(times, st.one_of(
     st.tuples(st.sampled_from(("impact", "panic")), st.sampled_from(("0", "1"))).map(" ".join),
     st.integers(0, 1023).map(lambda v: f"alcohol {v}"),
     st.tuples(st.integers(0, 1), st.integers(0, 1023)).map(lambda p: f"rain {p[0]} {p[1]}"),
-    st.tuples(st.floats(allow_nan=True), st.floats(0, 100)).map(lambda p: f"cabin {p[0]} {p[1]}"),
+    st.tuples(st.floats(allow_nan=True), st.floats(0, 100)).map(
+        lambda p: f"cabin {p[0]:.1f} {p[1]:.1f}"
+    ),
     st.just(f"gps {RMC}"),
     st.sampled_from(("STATUS", "TEMP", "HUM", "LOC", "HELP", "ping")).map(
         lambda body: f"sms +15550100 {body}"
@@ -46,7 +50,7 @@ edge = st.one_of(
     st.integers(-2, 2).map(str),
     st.integers(1021, 1025).map(str),
     st.sampled_from(("nan", "inf", "-0.5", "99.5", "100.5", "1.0", "-40.1", "85.1", "1e300")),
-    st.sampled_from(INT_FORMS),
+    st.sampled_from(INT_FORMS + DECIMAL_FORMS),
 )
 edge_line = st.sampled_from(sorted(LEVEL_ARITY)).flatmap(
     lambda w: st.tuples(times, st.lists(edge, min_size=LEVEL_ARITY[w], max_size=LEVEL_ARITY[w]))

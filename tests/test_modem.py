@@ -65,6 +65,27 @@ class Tap:
         return self.modem.read()
 
 
+class Scripted:
+    """A transport whose n-th write queues the n-th canned reply; writes
+    past the end of the script get no reply."""
+
+    def __init__(self, *replies: bytes):
+        self.replies = list(replies)
+        self.written: list[bytes] = []
+        self._out = b""
+
+    def write(self, data: bytes) -> int:
+        n = len(self.written)
+        self.written.append(data)
+        if n < len(self.replies):
+            self._out += self.replies[n]
+        return len(data)
+
+    def read(self) -> bytes:
+        out, self._out = self._out, b""
+        return out
+
+
 def fresh_session(clock=None):
     clock = clock or SimClock()
     modem = VirtualModem(clock)
@@ -232,13 +253,10 @@ class TestSendSms:
         assert clock.now_ms == 0  # synchronous peer, no waiting
 
     def test_protocol_order_mode_header_body(self):
-        modem, session = fresh_session()
-        send_sms(session, "+15550001", "HELLO", Config())
-        assert modem.transcript == [
-            ("cmd", "AT+CMGF=1"),
-            ("cmd", 'AT+CMGS="+15550001"'),
-            ("body", "HELLO"),
-        ]
+        modem = VirtualModem(SimClock())
+        tap = Tap(modem)
+        send_sms(ModemSession(transport=tap, clock=modem.clock), "+15550001", "HELLO", Config())
+        assert tap.written == [b"AT+CMGF=1\r", b'AT+CMGS="+15550001"\r', b"HELLO\x1a"]
 
     def test_error_twice_then_delivered(self):
         clock = SimClock()
@@ -283,10 +301,11 @@ class TestSendSms:
             assert outcome.attempts == min(armed + 1, cfg.sms_retry_max + 1)
 
     def test_oversize_body_rejected_before_wire(self):
-        modem, session = fresh_session()
+        modem = VirtualModem(SimClock())
+        tap = Tap(modem)
         with pytest.raises(ModemError):
-            send_sms(session, "+1", "y" * 161, Config())
-        assert modem.transcript == []
+            send_sms(ModemSession(transport=tap, clock=modem.clock), "+1", "y" * 161, Config())
+        assert tap.written == []
 
     def test_undialable_destination_never_delivered(self):
         modem, session = fresh_session()
@@ -348,3 +367,23 @@ class TestInbound:
         assert outcome.delivered
         kinds = [e.kind for e in session.poll()]
         assert EventKind.SMS_ARRIVED in kinds
+
+
+class TestUnsolicited:
+    """Only a +CMTI arrival outlives the exchange it was decoded in."""
+
+    def test_poll_returns_only_arrivals(self):
+        transport = Scripted(b'\r\n+CSQ: 18,0\r\n\r\nOK\r\n\r\n+CMTI: "SM",3\r\n')
+        transport.write(b"AT+CSQ\r")  # answered outside any exchange
+        session = ModemSession(transport=transport, clock=SimClock())
+        assert session.poll() == [AtEvent(EventKind.SMS_ARRIVED, index=3)]
+
+    def test_late_prompt_does_not_answer_a_later_header(self):
+        # the second CMGF gets the prompt the first header never got; it
+        # must not make the second header look answered
+        transport = Scripted(b"\r\nOK\r\n", b"", b"\r\n> \r\nOK\r\n", b"")
+        session = ModemSession(transport=transport, clock=SimClock())
+        outcome = send_sms(session, "+1", "X", Config(sms_retry_max=1))
+        assert not outcome.delivered
+        assert outcome.failure_reason == "timeout"
+        assert not any(CTRL_Z in data for data in transport.written)

@@ -145,18 +145,18 @@ class TestUpdateFix:
         assert state.last_fix is not None
         assert state.last_fix.latitude == pytest.approx(48.1173, abs=1e-9)
         assert state.last_fix.longitude == pytest.approx(11.516667, abs=1e-6)
-        assert state.last_fix.satellites == 8
         assert state.last_update_ms == 1000
 
-    def test_rmc_accepted_and_satellites_carry(self):
+    def test_rmc_accepted_after_gga(self):
         state = update_fix(GpsState(), parse_sentence(GGA), now_ms=1000)
         state = update_fix(state, parse_sentence(RMC), now_ms=2000)
         assert state.last_update_ms == 2000
-        assert state.last_fix.satellites == 8  # RMC has no count; keep last
+        assert state.last_fix.latitude == pytest.approx(48.1173, abs=1e-9)
 
-    def test_rmc_without_prior_fix_has_zero_satellites(self):
+    def test_rmc_accepted_without_prior_fix(self):
         state = update_fix(GpsState(), parse_sentence(RMC), now_ms=500)
-        assert state.last_fix.satellites == 0
+        assert state.last_fix is not None
+        assert state.last_update_ms == 500
 
     def test_void_rmc_ignored(self):
         void = frame_sentence("GPRMC,000001.00,V,,,,,,,,,")
