@@ -3,8 +3,9 @@
     smartcar run --scenario crash.txt --config default.cfg [--until-ms N] [--report out.txt]
     smartcar check --scenario crash.txt
 
-Exit codes: 0 clean, 1 bad scenario, config or report path, 2 invariant
-violation detected during the run (the violations are also in the report).
+Exit codes: 0 clean, 1 bad arguments, scenario, config or report path,
+2 invariant violation detected during the run (the violations are also in
+the report).
 """
 
 from __future__ import annotations
@@ -15,19 +16,32 @@ import sys
 from .config import load_config_file
 from .sim.runner import run
 from .sim.scenario import load_scenario_file
-from .types import ConfigError, ScenarioError
+from .types import ConfigError, ScenarioError, parse_int
 
 DEFAULT_TAIL_MS = 30000  # run-on after the last event so waits and retries flush
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's 2: here 2 means an invariant violation
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _ms(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="smartcar")
+    parser = _ArgumentParser(prog="smartcar")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute a scenario and emit the report")
     run_p.add_argument("--scenario", required=True, help="scenario script path")
     run_p.add_argument("--config", required=True, help="config file path")
-    run_p.add_argument("--until-ms", type=int, default=None,
+    run_p.add_argument("--until-ms", type=_ms, default=None,
                        help="simulation end time (default: last event + %d)" % DEFAULT_TAIL_MS)
     run_p.add_argument("--report", default=None, help="write the report here instead of stdout")
 
@@ -36,22 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
-    try:
-        events = load_scenario_file(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return 1
-    print(f"ok: {len(events)} events")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    try:
-        events = load_scenario_file(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return 1
+def _cmd_run(args, events) -> int:
     try:
         config = load_config_file(args.config)
     except (ConfigError, OSError) as exc:
@@ -90,9 +89,15 @@ def _cmd_run(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        events = load_scenario_file(args.scenario)
+    except (ScenarioError, OSError) as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return 1
     if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_run(args)
+        print(f"ok: {len(events)} events")
+        return 0
+    return _cmd_run(args, events)
 
 
 if __name__ == "__main__":

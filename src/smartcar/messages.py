@@ -64,19 +64,19 @@ def format_reply(
     GPS staleness is judged at frame.t_ms, the sampling instant of the
     data being reported. Always <= 160 chars.
     """
+    # a temperature that rounds to zero reads 0.0, never -0.0
+    temp = f"TEMP={frame.temp_c:.1f}C".replace("=-0.0C", "=0.0C")
+    hum = f"HUM={round(frame.humidity_pct)}%"
     if kind is QueryKind.TEMP:
-        return f"TEMP={frame.temp_c:.1f}C"
+        return temp
     if kind is QueryKind.HUM:
-        return f"HUM={round(frame.humidity_pct)}%"
+        return hum
     if kind is QueryKind.LOC:
         return f"LOC={_location_text(gps, frame.t_ms, config)}"
     if kind is QueryKind.STATUS:
         rain = "WET" if frame.rain_wet else "DRY"
         engine = "ENABLED" if engine_enabled else "DISABLED"
-        return (
-            f"TEMP={frame.temp_c:.1f}C HUM={round(frame.humidity_pct)}% "
-            f"ALC={frame.alcohol_raw} RAIN={rain} ENGINE={engine}"
-        )
+        return f"{temp} {hum} ALC={frame.alcohol_raw} RAIN={rain} ENGINE={engine}"
     if kind is QueryKind.HELP:
         return "CMDS: STATUS TEMP HUM LOC HELP"
     return "UNKNOWN CMD. SEND HELP"

@@ -54,10 +54,16 @@ _PROMPT = AtEvent(EventKind.PROMPT)
 
 
 @dataclass(frozen=True)
-class SendOutcome:
+class SendRecord:
+    """One send as the report lists it: the clock when it ended, what it
+    carried, how many attempts it took and why it failed ("" if it did not)."""
+
+    t_ms: int
+    destination: str
+    body: str
     delivered: bool
     attempts: int
-    failure_reason: str = ""
+    reason: str
 
 
 def check_body(body: str) -> None:
@@ -97,20 +103,13 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
     events: list[AtEvent] = []
     buf = buffer
     while True:
-        start = 0
-        while start < len(buf) and buf[start] in (0x0D, 0x0A):
-            start += 1
-        buf = buf[start:]
+        buf = buf.lstrip(b"\r\n")
         if not buf:
             return events, b""
-        if buf[:1] == b">":
-            if len(buf) < 2:
-                return events, buf  # may still become the prompt
-            if buf[1:2] == b" ":
-                events.append(_PROMPT)
-                buf = buf[2:]
-                continue
-            # a line that merely starts with '>': fall through to line scan
+        if buf[:2] == b"> ":
+            events.append(_PROMPT)
+            buf = buf[2:]
+            continue
         end = buf.find(b"\r\n")
         if end < 0:
             return events, buf
@@ -144,63 +143,60 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
 class ModemSession:
     """One owner of one byte transport, with incremental decode state.
 
-    The session alone decides what is unsolicited: only a +CMTI arrival
-    (SMS_ARRIVED) outlives the exchange it was decoded in. Every other
-    event is either the answer ask() waits for or dropped.
+    The session alone decides what is unsolicited: only the storage slot
+    of a +CMTI arrival (SMS_ARRIVED) outlives the exchange it was decoded
+    in, until poll() hands it out. Every other event is either the answer
+    ask() waits for or dropped.
     """
 
     transport: object  # needs write(bytes), read() -> bytes
     clock: object  # needs now_ms: int, advance(ms)
     _buf: bytes = b""
-    _queue: list[AtEvent] = field(default_factory=list)
+    _slots: list[int] = field(default_factory=list)
 
     def _pump(self) -> list[AtEvent]:
-        data = self.transport.read()
-        if data:
-            self._buf += data
-        events, self._buf = decode_stream(self._buf)
+        """Decode what the transport holds, keeping each arrival's slot."""
+        events, self._buf = decode_stream(self._buf + self.transport.read())
+        for ev in events:
+            if ev.kind is EventKind.SMS_ARRIVED:
+                self._slots.append(ev.index)
         return events
 
-    def poll(self) -> list[AtEvent]:
-        """The SMS_ARRIVED events pending outside an exchange; every other
-        event is dropped."""
-        events = self._pump()
-        if self._queue:
-            events, self._queue = self._queue + events, []
-        elif not events:
-            return events
-        return [ev for ev in events if ev.kind is EventKind.SMS_ARRIVED]
+    def poll(self) -> list[int]:
+        """The storage slots of the messages that arrived and were not yet
+        handed out, in arrival order; every other event is dropped."""
+        self._pump()
+        slots, self._slots = self._slots, []
+        return slots
 
     def ask(self, command: bytes, want: EventKind, timeout_ms: int) -> AtEvent | None:
         """Write ``command`` and return its answer: the first ``want`` or
         ERROR decoded after the write, or None at the deadline.
 
-        Nothing decoded before the write can answer it, so every queued
-        event but SMS_ARRIVED is dropped first; events after the answer
-        stay queued. The virtual transport answers synchronously or not
-        at all, so an empty pump means nothing more will arrive without
-        time passing; the wait jumps the simulation clock straight to
-        the deadline.
+        Nothing decoded before the write can answer it, so the transport
+        is drained first. Every event but the answer is dropped; an
+        arrival leaves its slot for poll(). The virtual transport answers synchronously or not at all, so an
+        empty pump means nothing more will arrive without time passing;
+        the wait jumps the simulation clock straight to the deadline.
         """
-        self._queue = [ev for ev in self._queue + self._pump() if ev.kind is EventKind.SMS_ARRIVED]
+        self._pump()
         self.transport.write(command)
         deadline = self.clock.now_ms + timeout_ms
         while True:
-            for i, ev in enumerate(self._queue):
+            events = self._pump()
+            for ev in events:
                 if ev.kind is want or ev.kind is EventKind.ERROR:
-                    del self._queue[i]
                     return ev
-            fresh = self._pump()
-            if fresh:
-                self._queue += fresh
+            if events:
                 continue
             if self.clock.now_ms >= deadline:
                 return None
             self.clock.advance(deadline - self.clock.now_ms)
 
 
-def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> SendOutcome:
-    """Run the text-mode send sequence with retry/backoff.
+def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> SendRecord:
+    """Run the text-mode send sequence with retry/backoff and return its
+    record, stamped with the clock when the sequence ends.
 
     CMGF=1 (await OK), CMGS (await prompt), body+CTRL-Z (await OK), each
     stage bounded by sms_ok_timeout_ms. ERROR or a timeout at any stage
@@ -213,15 +209,13 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> Sen
         (header_command(dest), EventKind.PROMPT),
         (body_command(body), EventKind.OK),
     )
-    max_attempts = config.sms_retry_max + 1
-    reason = "unknown"
-    for attempt in range(1, max_attempts + 1):
+    attempt = 1
+    reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
+    while reason and attempt <= config.sms_retry_max:
+        session.clock.advance(config.sms_retry_backoff_ms)
+        attempt += 1
         reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
-        if reason == "":
-            return SendOutcome(delivered=True, attempts=attempt)
-        if attempt < max_attempts:
-            session.clock.advance(config.sms_retry_backoff_ms)
-    return SendOutcome(delivered=False, attempts=max_attempts, failure_reason=reason)
+    return SendRecord(session.clock.now_ms, dest, body, not reason, attempt, reason)
 
 
 def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
@@ -235,12 +229,10 @@ def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
     return ""
 
 
-def fetch_inbound(session: ModemSession, event: AtEvent, config: Config) -> InboundSms:
-    """Read and consume the stored message a +CMTI notification points at."""
-    if event.kind is not EventKind.SMS_ARRIVED:
-        raise ModemError(f"fetch_inbound needs an SMS_ARRIVED event, got {event.kind}")
-    command = f"AT+CMGR={event.index}\r".encode("ascii")
+def fetch_inbound(session: ModemSession, slot: int, config: Config) -> InboundSms:
+    """Read and consume the stored message in ``slot``, as poll() gave it."""
+    command = f"AT+CMGR={slot}\r".encode("ascii")
     ev = session.ask(command, EventKind.INBOUND_SMS, config.sms_ok_timeout_ms)
     if ev is None or ev.kind is EventKind.ERROR:
-        raise ModemError(f"failed to fetch stored SMS at index {event.index}")
+        raise ModemError(f"failed to fetch stored SMS at index {slot}")
     return InboundSms(sender=ev.sender, body=ev.body)

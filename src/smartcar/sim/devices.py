@@ -33,11 +33,9 @@ class VirtualModem:
         self.clock = clock
         self._rx = b""
         self._out = bytearray()
-        self._awaiting_body = False
-        self._pending_dest = ""
+        self._pending_dest: str | None = None  # set from AT+CMGS until the body ends
         self._inbox: dict[int, tuple[str, str]] = {}
         self._next_slot = 1
-        self._send_counter = 0
         self.pending_errors = 0
         self.silent_until_ms = 0
         self.swallowed_bytes = 0
@@ -66,22 +64,14 @@ class VirtualModem:
             self.swallowed_bytes += len(data)
             return len(data)
         self._rx += data
-        while True:
-            if self._awaiting_body:
-                cut = self._rx.find(CTRL_Z)
-                if cut < 0:
-                    break
-                body = self._rx[:cut].decode("latin-1")
-                self._rx = self._rx[cut + 1:]
-                self._finish_body(body)
-            else:
-                cut = self._rx.find(b"\r")
-                if cut < 0:
-                    break
-                line = self._rx[:cut].decode("latin-1").strip()
-                self._rx = self._rx[cut + 1:]
-                if line:
-                    self._handle_command(line)
+        # a body runs to CTRL-Z, a command to CR
+        while (cut := self._rx.find(b"\r" if self._pending_dest is None else CTRL_Z)) >= 0:
+            text = self._rx[:cut].decode("latin-1")
+            self._rx = self._rx[cut + 1:]
+            if self._pending_dest is not None:
+                self._finish_body(text)
+            elif line := text.strip():
+                self._handle_command(line)
         return len(data)
 
     def read(self) -> bytes:
@@ -110,7 +100,6 @@ class VirtualModem:
         m = _CMGS_RE.match(cmd)
         if m:
             self._pending_dest = m.group(1)
-            self._awaiting_body = True
             self._emit("\r\n> ")
             return
         m = _CMGR_RE.match(cmd)
@@ -120,12 +109,11 @@ class VirtualModem:
         self._emit("\r\nERROR\r\n")
 
     def _finish_body(self, body: str) -> None:
-        self._awaiting_body = False
+        dest, self._pending_dest = self._pending_dest, None
         if self._take_armed_error():
             return
-        self._send_counter += 1
-        self.deliveries.append((self._pending_dest, body))
-        self._emit(f"\r\n+CMGS: {self._send_counter}\r\n\r\nOK\r\n")
+        self.deliveries.append((dest, body))
+        self._emit(f"\r\n+CMGS: {len(self.deliveries)}\r\n\r\nOK\r\n")
 
     def _answer_read(self, slot: int) -> None:
         stored = self._inbox.pop(slot, None)

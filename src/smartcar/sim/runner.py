@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..config import Config
 from ..controller import ActionKind, SafetyController
 from ..messages import coordinate_text
-from ..modem import ModemError, ModemSession, send_sms, fetch_inbound
+from ..modem import ModemError, ModemSession, SendRecord, fetch_inbound, send_sms
 from ..nmea import parse_sentence
 from ..types import ScenarioError
 from . import scenario as sc
@@ -45,16 +45,6 @@ class LogRecord:
 class Counters:
     sentences_parsed: int = 0
     checksum_failures: int = 0
-
-
-@dataclass(frozen=True)
-class SendRecord:
-    t_ms: int
-    destination: str
-    body: str
-    delivered: bool
-    attempts: int
-    reason: str
 
 
 @dataclass
@@ -109,20 +99,6 @@ class _Executor:
     def _record_action(self, t_ms: int, text: str) -> None:
         self.report.records.append(LogRecord("A", t_ms, text))
 
-    def _record_send(self, dest: str, body: str, delivered: bool, attempts: int, reason: str) -> None:
-        t = self.clock.now_ms
-        self.report.sends.append(SendRecord(t, dest, body, delivered, attempts, reason))
-        self.report.records.append(
-            LogRecord(
-                "S",
-                t,
-                f"delivered={'yes' if delivered else 'no'} attempts={attempts} "
-                f"reason={reason or '-'} dest={dest} body={body}",
-            )
-        )
-        if delivered:
-            self.report.records.append(LogRecord("M", t, f"dest={dest} body={body}"))
-
     # -- per-tick stages ---------------------------------------------------
 
     def _apply_event(self, ev: sc.ScenarioEvent) -> None:
@@ -167,11 +143,20 @@ class _Executor:
 
     def _dispatch(self, dest: str, body: str) -> None:
         try:
-            outcome = send_sms(self.session, dest, body, self.config)
+            send = send_sms(self.session, dest, body, self.config)
         except ModemError as exc:
-            self._record_send(dest, body, False, 1, f"rejected: {exc}")
-            return
-        self._record_send(dest, body, outcome.delivered, outcome.attempts, outcome.failure_reason)
+            send = SendRecord(self.clock.now_ms, dest, body, False, 1, f"rejected: {exc}")
+        self.report.sends.append(send)
+        self.report.records.append(
+            LogRecord(
+                "S",
+                send.t_ms,
+                f"delivered={'yes' if send.delivered else 'no'} attempts={send.attempts} "
+                f"reason={send.reason or '-'} dest={dest} body={body}",
+            )
+        )
+        if send.delivered:
+            self.report.records.append(LogRecord("M", send.t_ms, f"dest={dest} body={body}"))
 
     def _step_gps(self) -> None:
         for line in self.gps_feed.poll():
@@ -187,9 +172,9 @@ class _Executor:
         self._interpret(self.controller.step(frame, self.clock.now_ms))
 
     def _step_inbound(self) -> None:
-        for event in self.session.poll():
+        for slot in self.session.poll():
             try:
-                sms = fetch_inbound(self.session, event, self.config)
+                sms = fetch_inbound(self.session, slot, self.config)
             except ModemError as exc:
                 self._record_action(self.clock.now_ms, f"note inbound-read-failed: {exc}")
                 continue

@@ -1,5 +1,7 @@
-"""The whole CLI is total: any scenario and config text ends in a
-documented exit code (run: 0, 1 or 2; check: 0 or 1), never a traceback.
+"""The whole CLI is total: any scenario and config text, and any
+`--until-ms`, ends in a documented exit code (run: 0, 1 or 2; check: 0 or
+1), never a traceback. An `--until-ms` off the integer grammar is an
+argument error and exits 1.
 
 Scenario lines mix the grammar's words with odd arguments and raw text;
 the scenario file is written as UTF-8 with surrogates passed through, so
@@ -13,6 +15,7 @@ The default hypothesis profile runs here; `--hypothesis-profile=long`
 
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smartcar.cli import main
@@ -88,7 +91,7 @@ config_text = st.lists(config_line, max_size=8).map("\n".join)
 @given(
     scenario=scenario_text,
     config=config_text,
-    until_ms=st.one_of(st.none(), st.integers(-1000, 40_000)),
+    until_ms=st.one_of(st.none(), st.integers(-1000, 40_000).map(str), st.sampled_from(INT_FORMS)),
 )
 def test_cli_exits_with_a_documented_code(tmp_path, scenario, config, until_ms):
     scenario_path = tmp_path / "scenario.txt"
@@ -98,7 +101,12 @@ def test_cli_exits_with_a_documented_code(tmp_path, scenario, config, until_ms):
     config_path.write_bytes(config.encode("utf-8", "surrogatepass"))
     argv = ["run", "--scenario", str(scenario_path), "--config", str(config_path),
             "--report", str(report_path)]
-    if until_ms is not None:
-        argv += ["--until-ms", str(until_ms)]
-    assert main(argv) in (0, 1, 2)
+    if until_ms in INT_FORMS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--until-ms", until_ms])
+        assert exc.value.code == 1
+    else:
+        if until_ms is not None:
+            argv += ["--until-ms", until_ms]
+        assert main(argv) in (0, 1, 2)
     assert main(["check", "--scenario", str(scenario_path)]) in (0, 1)

@@ -61,6 +61,14 @@ class TestFormatReply:
         frame = SensorFrame(t_ms=0, temp_c=24.46)
         assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG) == "TEMP=24.5C"
 
+    @pytest.mark.parametrize("temp,text", [(-0.0, "TEMP=0.0C"), (-0.04, "TEMP=0.0C"),
+                                           (-0.05, "TEMP=-0.1C")])
+    def test_temp_never_reads_negative_zero(self, temp, text):
+        frame = SensorFrame(t_ms=0, temp_c=temp)
+        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG) == text
+        status = format_reply(parse_query("STATUS"), frame, GpsState(), CFG)
+        assert status.startswith(text + " ")
+
     def test_hum_integer(self):
         frame = SensorFrame(t_ms=0, humidity_pct=51.0)
         assert format_reply(parse_query("HUM"), frame, GpsState(), CFG) == "HUM=51%"

@@ -19,6 +19,7 @@ from smartcar.modem import (
     EventKind,
     ModemError,
     ModemSession,
+    SendRecord,
     body_command,
     check_body,
     decode_stream,
@@ -84,6 +85,20 @@ class Scripted:
     def read(self) -> bytes:
         out, self._out = self._out, b""
         return out
+
+
+class Released:
+    """A transport that ignores writes and gives out a fixed byte stream,
+    one piece per read."""
+
+    def __init__(self, pieces):
+        self.pieces = list(pieces)
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+    def read(self) -> bytes:
+        return self.pieces.pop(0) if self.pieces else b""
 
 
 def fresh_session(clock=None):
@@ -164,9 +179,8 @@ class TestGoldenTranscript:
         assert send_sms(session, "+15550001", ALERT_BODY, Config()).delivered
         modem.inject_sms("+15550100", "STATUS")
         # the "+CMGS: 1" line before the final OK was consumed by the send
-        (event,) = session.poll()
-        assert event == AtEvent(EventKind.SMS_ARRIVED, index=1)
-        fetch_inbound(session, event, Config())
+        assert session.poll() == [1]
+        fetch_inbound(session, 1, Config())
         assert tap.written == [cmd for cmd in self.TX_COMMANDS if cmd is not None]
 
     def test_virtual_modem_answers_rx_bytes(self):
@@ -246,9 +260,8 @@ class TestSendSms:
     def test_happy_path_single_attempt(self):
         clock = SimClock()
         modem, session = fresh_session(clock)
-        outcome = send_sms(session, "+15550001", "HELLO", Config())
-        assert outcome.delivered and outcome.attempts == 1
-        assert outcome.failure_reason == ""
+        record = send_sms(session, "+15550001", "HELLO", Config())
+        assert record == SendRecord(0, "+15550001", "HELLO", True, 1, "")
         assert modem.deliveries == [("+15550001", "HELLO")]
         assert clock.now_ms == 0  # synchronous peer, no waiting
 
@@ -276,11 +289,12 @@ class TestSendSms:
         outcome = send_sms(session, "+15550001", "HELLO", cfg)
         assert not outcome.delivered
         assert outcome.attempts == cfg.sms_retry_max + 1
-        assert outcome.failure_reason == "timeout"
+        assert outcome.reason == "timeout"
         assert modem.deliveries == []
         # 4 attempts time out on the first stage; 3 backoffs in between
         expected = 4 * cfg.sms_ok_timeout_ms + 3 * cfg.sms_retry_backoff_ms
         assert clock.now_ms == expected
+        assert outcome.t_ms == expected  # stamped when the sequence ends
 
     def test_silence_mid_run_recovers(self):
         clock = SimClock()
@@ -324,49 +338,43 @@ class TestInbound:
     def test_fetch_round_trip(self):
         modem, session = fresh_session()
         modem.inject_sms("+15550100", "STATUS")
-        events = session.poll()
-        assert [e.kind for e in events] == [EventKind.SMS_ARRIVED]
-        sms = fetch_inbound(session, events[0], Config())
+        slots = session.poll()
+        assert slots == [1]
+        sms = fetch_inbound(session, slots[0], Config())
         assert (sms.sender, sms.body) == ("+15550100", "STATUS")
-
-    def test_fetch_requires_arrival_event(self):
-        _, session = fresh_session()
-        with pytest.raises(ModemError):
-            fetch_inbound(session, AtEvent(EventKind.OK), Config())
 
     def test_slot_consumed_after_read(self):
         modem, session = fresh_session()
         modem.inject_sms("+1", "PING")
-        (event,) = session.poll()
-        fetch_inbound(session, event, Config())
+        (slot,) = session.poll()
+        fetch_inbound(session, slot, Config())
         with pytest.raises(ModemError):
-            fetch_inbound(session, event, Config())  # same slot again: modem says ERROR
+            fetch_inbound(session, slot, Config())  # same slot again: modem says ERROR
 
     def test_read_does_not_stall_the_clock(self):
         clock = SimClock()
         modem, session = fresh_session(clock)
         modem.inject_sms("+1", "PING")
-        (event,) = session.poll()
-        fetch_inbound(session, event, Config())
+        (slot,) = session.poll()
+        fetch_inbound(session, slot, Config())
         assert clock.now_ms == 0  # trailing OK consumed without a timeout jump
 
     def test_read_times_out_after_the_configured_wait(self):
         clock = SimClock()
         modem, session = fresh_session(clock)
         modem.inject_sms("+1", "PING")
-        (event,) = session.poll()
+        (slot,) = session.poll()
         modem.silence_for(10**6)
         with pytest.raises(ModemError):
-            fetch_inbound(session, event, Config(sms_ok_timeout_ms=1234))
+            fetch_inbound(session, slot, Config(sms_ok_timeout_ms=1234))
         assert clock.now_ms == 1234
 
     def test_notification_parks_during_send(self):
         modem, session = fresh_session()
-        modem.inject_sms("+15550100", "LOC")  # arrives before the send starts
+        slot = modem.inject_sms("+15550100", "LOC")  # arrives before the send starts
         outcome = send_sms(session, "+15550001", "HELLO", Config())
         assert outcome.delivered
-        kinds = [e.kind for e in session.poll()]
-        assert EventKind.SMS_ARRIVED in kinds
+        assert session.poll() == [slot]
 
 
 class TestUnsolicited:
@@ -376,7 +384,7 @@ class TestUnsolicited:
         transport = Scripted(b'\r\n+CSQ: 18,0\r\n\r\nOK\r\n\r\n+CMTI: "SM",3\r\n')
         transport.write(b"AT+CSQ\r")  # answered outside any exchange
         session = ModemSession(transport=transport, clock=SimClock())
-        assert session.poll() == [AtEvent(EventKind.SMS_ARRIVED, index=3)]
+        assert session.poll() == [3]
 
     def test_late_prompt_does_not_answer_a_later_header(self):
         # the second CMGF gets the prompt the first header never got; it
@@ -385,5 +393,37 @@ class TestUnsolicited:
         session = ModemSession(transport=transport, clock=SimClock())
         outcome = send_sms(session, "+1", "X", Config(sms_retry_max=1))
         assert not outcome.delivered
-        assert outcome.failure_reason == "timeout"
+        assert outcome.reason == "timeout"
         assert not any(CTRL_Z in data for data in transport.written)
+
+    @given(
+        lines=st.lists(st.one_of(
+            st.integers(0, 999),
+            st.sampled_from((b"\r\nOK\r\n", b"\r\nERROR\r\n", b"\r\n> ", b"\r\n+CSQ: 18,0\r\n",
+                             b"\r\nRING\r\n", b"\r\n+CMGS: 7\r\n", b"\r\n>x\r\n")),
+        ), max_size=40),
+        calls=st.lists(st.sampled_from(("poll", "send", "fetch")), max_size=12),
+        data=st.data(),
+    )
+    def test_each_arrival_is_polled_once_in_order(self, lines, calls, data):
+        arrivals = [line for line in lines if isinstance(line, int)]
+        stream = b"".join(
+            b'\r\n+CMTI: "SM",%d\r\n' % line if isinstance(line, int) else line for line in lines
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=20)))
+        transport = Released(stream[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(stream)]))
+        session = ModemSession(transport=transport, clock=SimClock())
+        cfg = Config(sms_retry_max=1)
+        polled = []
+        for call in calls:
+            if call == "poll":
+                polled += session.poll()
+            elif call == "send":
+                send_sms(session, "+1", "X", cfg)
+            else:
+                with pytest.raises(ModemError):  # the stream holds no +CMGR answer
+                    fetch_inbound(session, 1, cfg)
+        while transport.pieces:
+            polled += session.poll()
+        polled += session.poll()
+        assert polled == arrivals

@@ -356,6 +356,34 @@ class TestCli:
         assert main(["run", "--scenario", str(scenario), "--config", ""]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--until-ms", "1_0000"],
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--until-ms", "\u0661\u0660\u0660\u0660\u0660"],
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--until-ms", "+10000"],
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--until-ms", "ten"],
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--until-ms"],
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--bogus"],
+        ["run", "--scenario", "s.txt"],
+        ["check"],
+        [],
+        ["fly"],
+    ])
+    def test_argument_error_prints_usage_and_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: smartcar")
+        assert "error: " in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: smartcar")
+
     @pytest.mark.parametrize("line", [
         "t=1000 sms +1555\xe9 STATUS",
         "t=1000 sms +1555€ STATUS",
