@@ -29,9 +29,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _ms(text: str) -> int:
     try:
-        return parse_int(text)
+        ms = parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if ms < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {ms}")
+    return ms
 
 
 def _build_parser() -> argparse.ArgumentParser:

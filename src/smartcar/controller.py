@@ -161,11 +161,12 @@ class _PendingAlert:
 
 
 class SafetyController:
-    """Owns the controller state; step() is the only way it changes.
+    """Owns the controller state; step() and sweep() are the only ways it
+    changes.
 
-    next_deadline_ms() tells the executor how long the state would stay
-    put if the sensor levels held, so ticks that could change nothing
-    need not be sampled.
+    next_deadline_ms() tells the executor how long everything but the
+    wiper would stay put if the sensor levels held, so those ticks need
+    not be sampled; sweep() gives the wiper's steps on them.
     """
 
     def __init__(self, config: Config):
@@ -206,10 +207,12 @@ class SafetyController:
 
     def next_deadline_ms(self, now_ms: int) -> int | None:
         """Earliest time at which a frame repeating the last frame's levels
-        could change state or emit an action: now_ms while a channel is
-        still moving, None if no such time exists. Inputs other than the
-        sensor levels (NMEA lines, texts, level changes) are the caller's
-        to schedule; panic acts only on an edge, so it sets no deadline."""
+        could change state or emit an action other than a wiper step:
+        now_ms while a channel is still moving, None if no such time
+        exists. The wiper's steps until then come from sweep(). Inputs
+        other than the sensor levels (NMEA lines, texts, level changes)
+        are the caller's to schedule; panic acts only on an edge, so it
+        sets no deadline."""
         frame = self.last_frame
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger
@@ -217,22 +220,32 @@ class SafetyController:
             return now_ms
         if self.interlock.smoothed(frame.alcohol_raw) != self.interlock.ema:
             return now_ms
-        deadline = self._wiper_deadline_ms(now_ms)
-        if self.pending_alerts:
-            head = self.pending_alerts[0].deadline_ms
-            deadline = head if deadline is None else min(deadline, head)
-        return deadline
+        return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
 
-    def _wiper_deadline_ms(self, now_ms: int) -> int | None:
-        mode = self.wiper.mode
-        if mode is WiperMode.OFF:
-            return None
-        if mode is WiperMode.INTERMITTENT and self.wiper.servo_angle_deg == 0.0:
-            # resting at 0 until the next cycle starts
-            phase = (now_ms - self._wiper_mode_since_ms) % WIPER_PERIOD_MS[mode]
-            if phase >= WIPER_ACTIVE_MS[mode]:
-                return now_ms + WIPER_PERIOD_MS[mode] - phase
-        return now_ms
+    def sweep(self, now_ms: int, end_ms: int) -> list[tuple[int, float]]:
+        """The wiper's steps on the ticks strictly between now_ms and
+        end_ms, with the last frame's levels held: the (t_ms, angle) of
+        each tick on which step() would emit SET_WIPER. The mode stays
+        the current one, which must not be OFF; self.wiper ends at the
+        last command."""
+        mode, angle = self.wiper.mode, self.wiper.servo_angle_deg
+        period, active = WIPER_PERIOD_MS[mode], WIPER_ACTIVE_MS[mode]
+        since, tick = self._wiper_mode_since_ms, self.config.tick_ms
+        steps = []
+        t = now_ms + tick
+        while t < end_ms:
+            phase = (t - since) % period
+            if phase >= active and angle == 0.0:
+                # resting at 0: on to the first tick of the next cycle
+                t += -((phase - period) // tick) * tick
+                continue
+            step_angle = servo_angle(mode, t - since)
+            if step_angle != angle:
+                angle = step_angle
+                steps.append((t, angle))
+            t += tick
+        self.wiper = WiperCommand(mode, angle)
+        return steps
 
     # -- sub-operations -------------------------------------------------
 

@@ -3,11 +3,14 @@ devices into the controller, interprets the actions it emits, and
 accumulates the run report.
 
 Time moves in whole ticks of `tick_ms`, as the firmware's polled loop
-does, but the executor visits only the ticks on which something can
-change: the tick of each scripted event, and the ticks the controller
-asks for through next_deadline_ms(). Every other tick would sample the
-same levels, step the controller to the same state and emit nothing, so
-skipping it leaves the report byte-identical to sampling every tick.
+does, but the executor visits only the ticks on which something other
+than the wiper can change: the tick of each scripted event, and the
+ticks the controller asks for through next_deadline_ms(). On the ticks
+between two visits the levels repeat and only the wiper servo can step;
+the executor records those steps from SafetyController.sweep() without
+sampling, stepping or polling, so the report is byte-identical to
+sampling every tick. Visiting every tick leaves no tick between two
+visits, and the sweep then covers nothing.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -22,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..config import Config
-from ..controller import ActionKind, SafetyController
+from ..controller import ActionKind, SafetyController, WiperMode
 from ..messages import coordinate_text
 from ..modem import ModemError, ModemSession, SendRecord, fetch_inbound, send_sms
 from ..nmea import parse_sentence
@@ -34,11 +37,15 @@ from .devices import SensorBoard, VirtualGps, VirtualModem
 REPORT_HEADER = "smartcar-report v1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     tag: str  # "A" action, "S" send outcome, "M" delivered message
     t_ms: int
     text: str
+
+
+def _wiper_text(mode_name: str, angle: float) -> str:
+    return f"wiper mode={mode_name} angle={angle:.1f}"
 
 
 @dataclass
@@ -132,9 +139,7 @@ class _Executor:
                 self._dispatch(action.dest, action.text)
             elif action.kind is ActionKind.SET_WIPER:
                 cmd = action.wiper
-                self._record_action(
-                    t, f"wiper mode={cmd.mode.name} angle={cmd.servo_angle_deg:.1f}"
-                )
+                self._record_action(t, _wiper_text(cmd.mode.name, cmd.servo_angle_deg))
             elif action.kind is ActionKind.SET_ENGINE:
                 state = "yes" if action.engine_enabled else "no"
                 self._record_action(t, f"engine enabled={state}")
@@ -179,6 +184,13 @@ class _Executor:
                 self._record_action(self.clock.now_ms, f"note inbound-read-failed: {exc}")
                 continue
             self._interpret(self.controller.step(sms, self.clock.now_ms))
+
+    def _sweep_wiper(self, end_ms: int) -> None:
+        mode_name = self.controller.wiper.mode.name
+        self.report.records.extend(
+            LogRecord("A", t, _wiper_text(mode_name, angle))
+            for t, angle in self.controller.sweep(self.clock.now_ms, end_ms)
+        )
 
     def _check_interlock(self) -> None:
         ema = self.controller.interlock.ema
@@ -244,7 +256,10 @@ class _Executor:
             self._step_frame()
             self._step_inbound()
             self._check_interlock()
-            self.clock.advance(self._ticks_to_next_visit() * self.config.tick_ms)
+            skip_ms = self._ticks_to_next_visit() * self.config.tick_ms
+            if self.controller.wiper.mode is not WiperMode.OFF:
+                self._sweep_wiper(min(self.clock.now_ms + skip_ms, self.report.until_ms + 1))
+            self.clock.advance(skip_ms)
         self._check_conservation()
         self._check_clock_order()
         self._final_state()

@@ -1,7 +1,7 @@
 """The whole CLI is total: any scenario and config text, and any
 `--until-ms`, ends in a documented exit code (run: 0, 1 or 2; check: 0 or
-1), never a traceback. An `--until-ms` off the integer grammar is an
-argument error and exits 1.
+1), never a traceback. An `--until-ms` off the integer grammar or below 0
+is an argument error and exits 1.
 
 Scenario lines mix the grammar's words with odd arguments and raw text;
 the scenario file is written as UTF-8 with surrogates passed through, so
@@ -101,7 +101,7 @@ def test_cli_exits_with_a_documented_code(tmp_path, scenario, config, until_ms):
     config_path.write_bytes(config.encode("utf-8", "surrogatepass"))
     argv = ["run", "--scenario", str(scenario_path), "--config", str(config_path),
             "--report", str(report_path)]
-    if until_ms in INT_FORMS:
+    if until_ms in INT_FORMS or until_ms is not None and until_ms.startswith("-"):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--until-ms", until_ms])
         assert exc.value.code == 1

@@ -5,6 +5,9 @@ written independently in this file.
 """
 
 import random
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from smartcar.config import Config
 from smartcar.controller import (
@@ -13,6 +16,7 @@ from smartcar.controller import (
     AlcoholInterlock,
     ImpactDebouncer,
     SafetyController,
+    WiperCommand,
     WiperMode,
     servo_angle,
     wiper_mode,
@@ -388,38 +392,48 @@ class TestNextDeadline:
         assert ctl.interlock.ema == 500.0
         assert not ctl.engine_enabled
 
-    def test_low_and_high_wipers_are_now(self):
+    def test_low_and_high_wipers_set_no_deadline(self):
+        # a moving servo is sweep()'s to step, not a reason to visit
         for intensity in (500, 900):
             ctl = SafetyController(CFG)
             ctl.step(frame(0, rain_wet=1, rain_intensity=intensity), 0)
-            assert ctl.next_deadline_ms(0) == 0
+            assert ctl.wiper.mode in (WiperMode.LOW, WiperMode.HIGH)
+            assert ctl.next_deadline_ms(0) is None
 
-    def test_intermittent_sweep_is_now(self):
+    def test_intermittent_sweep_sets_no_deadline(self):
         ctl = SafetyController(CFG)
         ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
         assert ctl.wiper.mode is WiperMode.INTERMITTENT
-        assert ctl.next_deadline_ms(0) == 0  # angle 0.0, but the sweep starts
+        assert ctl.next_deadline_ms(0) is None
         ctl.step(frame(10, rain_wet=1, rain_intensity=100), 10)
-        assert ctl.next_deadline_ms(10) == 10
+        assert ctl.next_deadline_ms(10) is None
 
-    def test_intermittent_first_rest_tick_is_now_while_servo_is_up(self):
+    def test_intermittent_first_rest_tick_sweeps_the_servo_down(self):
         # a blocking send moved the clock into the rest phase after the
-        # last frame left the servo mid-sweep: the step down to 0 is due
+        # last frame left the servo mid-sweep: the sweep's first tick
+        # steps it down to 0, and the next one comes with the next cycle
         ctl = SafetyController(CFG)
         ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
         ctl.step(frame(1990, rain_wet=1, rain_intensity=100), 1990)
         assert ctl.wiper.servo_angle_deg > 0.0
-        assert ctl.next_deadline_ms(2000) == 2000
-        assert ctl.next_deadline_ms(2500) == 2500
+        assert ctl.next_deadline_ms(2005) is None
+        up = servo_angle(WiperMode.INTERMITTENT, 4015)
+        assert ctl.sweep(2005, 4020) == [
+            (2015, 0.0), (4005, servo_angle(WiperMode.INTERMITTENT, 4005)), (4015, up)
+        ]
+        assert ctl.wiper == WiperCommand(WiperMode.INTERMITTENT, up)
 
-    def test_intermittent_rest_with_servo_at_zero_is_rest_end(self):
+    def test_intermittent_rest_is_jumped_over(self):
         ctl = SafetyController(CFG)
         ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
         ctl.step(frame(2000, rain_wet=1, rain_intensity=100), 2000)
         assert ctl.wiper.servo_angle_deg == 0.0
-        assert ctl.next_deadline_ms(2000) == 4000
-        assert ctl.next_deadline_ms(3990) == 4000
-        assert ctl.next_deadline_ms(6000) == 8000
+        assert ctl.next_deadline_ms(2000) is None
+        with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
+            assert ctl.sweep(2000, 4000) == []
+            assert angle.call_count == 0
+            assert ctl.sweep(2000, 4020) == [(4010, servo_angle(WiperMode.INTERMITTENT, 10))]
+            assert angle.call_count == 2  # 4000 (still 0.0) and 4010
 
     def test_pending_alert_is_its_deadline(self):
         ctl = SafetyController(CFG)
@@ -428,6 +442,42 @@ class TestNextDeadline:
         (pending,) = ctl.pending_alerts
         ctl.step(frame(5200), 5200)
         assert ctl.next_deadline_ms(5200) == pending.deadline_ms == 5040 + CFG.gps_wait_ms
+
+
+class TestSweep:
+    """sweep() against stepping, on every tick it covers, a frame that
+    repeats the last visit's levels."""
+
+    INTENSITY = {WiperMode.INTERMITTENT: 100, WiperMode.LOW: 500, WiperMode.HIGH: 900}
+
+    @settings(deadline=None)
+    @given(
+        mode=st.sampled_from(sorted(INTENSITY)),
+        tick_ms=st.sampled_from((1, 7, 10, 25, 300, 1000, 1500)),
+        visit_ticks=st.integers(0, 500),
+        blocked_ms=st.one_of(st.just(0), st.integers(1, 5000)),
+        span_ms=st.integers(0, 9000),
+    )
+    def test_sweep_matches_stepping_every_tick(self, mode, tick_ms, visit_ticks, blocked_ms, span_ms):
+        # the mode starts at 0 and the last visit is on the tick grid; a
+        # send that blocked after it can leave the clock off the grid,
+        # possibly in a rest phase with the servo still up
+        levels = {"rain_wet": 1, "rain_intensity": self.INTENSITY[mode]}
+        visit = visit_ticks * tick_ms
+        now, end = visit + blocked_ms, visit + blocked_ms + span_ms
+        config = Config(tick_ms=tick_ms)
+        swept, stepped = SafetyController(config), SafetyController(config)
+        for ctl in (swept, stepped):
+            ctl.step(frame(0, **levels), 0)
+            ctl.step(frame(visit, **levels), visit)
+        expected = [
+            (t, action.wiper.servo_angle_deg)
+            for t in range(now + tick_ms, end, tick_ms)
+            for action in stepped.step(frame(t, **levels), t)
+            if action.kind is ActionKind.SET_WIPER
+        ]
+        assert swept.sweep(now, end) == expected
+        assert swept.wiper == stepped.wiper
 
 
 class TestQueryDispatch:

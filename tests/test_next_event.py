@@ -1,9 +1,15 @@
 """Next-event time advance against a visit-every-tick reference.
 
-The executor skips the ticks on which SafetyController.next_deadline_ms
-says nothing can change. Patching that method to return `now_ms` makes
-the executor visit every tick, as a plain polled loop does; the two
-runs of one generated scenario must give byte-identical reports.
+The executor visits only the ticks on which SafetyController.next_deadline_ms
+says something other than the wiper can change, and records the wiper's
+steps on the ticks between two visits from SafetyController.sweep().
+Patching next_deadline_ms to return `now_ms` makes the executor visit
+every tick, as a plain polled loop does: no tick then lies strictly
+between two visits, so the sweep covers nothing and every wiper step
+comes from stepping the full controller. The reference also patches
+sweep to return no steps, so a sweep that strays past its ends differs
+from it. The two runs of one generated scenario must give
+byte-identical reports.
 
 Scenarios mix off-grid event times, odd tick lengths, modem faults that
 move the clock off the tick grid during a send, impact held high past
@@ -21,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smartcar.config import Config
 from smartcar.controller import WIPER_PERIOD_MS, SafetyController, WiperMode
+from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import load_scenario
 
@@ -100,7 +107,10 @@ def assert_skipping_matches_every_tick(groups, config, tail_ms):
     scenario = "\n".join(f"t={t} {text}" for group in groups for t, text in group)
     until_ms = max((t for group in groups for t, _ in group), default=0) + tail_ms
     skipping = run(load_scenario(scenario), config, until_ms).serialize()
-    with mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms):
+    with (
+        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
+        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
+    ):
         every_tick = run(load_scenario(scenario), config, until_ms).serialize()
     assert skipping == every_tick
 
@@ -129,3 +139,16 @@ def test_intermittent_wiper_across_off_grid_sends(rain_ms, level, sends, config,
     # sends are timed from the start of the first intermittent cycle.
     shifted = [[(rain_ms + t, text) for t, text in group] for group in sends]
     assert_skipping_matches_every_tick([[(rain_ms, f"rain 1 {level}")], *shifted], config, tail_ms)
+
+
+def test_sweeping_wiper_is_not_sampled():
+    # the report cannot tell a swept tick from a visited one, so count
+    # the visits: a wiper moving alone must not make the executor sample
+    # the board on every tick
+    config = Config()
+    counted = mock.patch.object(SensorBoard, "sample", autospec=True, side_effect=SensorBoard.sample)
+    with counted as sample:
+        report = run(load_scenario("t=0 rain 1 900"), config, 60_000)
+    assert sample.call_count <= 3
+    wiper_lines = [r for r in report.records if r.text.startswith("wiper mode=HIGH ")]
+    assert len(wiper_lines) == 60_000 // config.tick_ms + 1  # one step on every tick 0..60,000

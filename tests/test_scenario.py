@@ -367,6 +367,7 @@ class TestCli:
         ["check"],
         [],
         ["fly"],
+        ["run", "--scenario", "s.txt", "--config", "c.cfg", "--until-ms", "-5"],
     ])
     def test_argument_error_prints_usage_and_exits_1(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
