@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum, Enum
+from functools import cache
 
 from .config import Config
 from .messages import format_alert, format_reply, parse_query
@@ -82,11 +83,18 @@ def servo_angle(mode: WiperMode, phase_ms: int) -> float:
     """Triangle sweep 0 -> 170 -> 0 over the mode's active window.
 
     phase_ms is time since the mode was entered; it wraps at the full
-    period. Intermittent cycles rest at 0 for their second half.
+    period. Intermittent cycles rest at 0 for their second half. Each
+    angle is worked out once per (mode, phase_ms modulo the period) and
+    cached, so the cache holds at most one entry per millisecond of the
+    three periods (7,000), however long the drive.
     """
     if mode is WiperMode.OFF:
         return 0.0
-    phase = phase_ms % WIPER_PERIOD_MS[mode]
+    return _cycle_angle(mode, phase_ms % WIPER_PERIOD_MS[mode])
+
+
+@cache
+def _cycle_angle(mode: WiperMode, phase: int) -> float:
     active = WIPER_ACTIVE_MS[mode]
     if phase >= active:
         return 0.0
@@ -227,7 +235,8 @@ class SafetyController:
         end_ms, with the last frame's levels held: the (t_ms, angle) of
         each tick on which step() would emit SET_WIPER. The mode stays
         the current one, which must not be OFF; self.wiper ends at the
-        last command."""
+        last command. Each angle comes from servo_angle's cache, so a
+        long sweep works out each of the cycle's angles only once."""
         mode, angle = self.wiper.mode, self.wiper.servo_angle_deg
         period, active = WIPER_PERIOD_MS[mode], WIPER_ACTIVE_MS[mode]
         since, tick = self._wiper_mode_since_ms, self.config.tick_ms

@@ -45,12 +45,12 @@ class AtEvent:
     index: int = 0  # SMS_ARRIVED storage slot
     sender: str = ""  # INBOUND_SMS
     body: str = ""  # INBOUND_SMS
-    text: str = ""  # LINE
 
 
 _OK = AtEvent(EventKind.OK)
 _ERROR = AtEvent(EventKind.ERROR)
 _PROMPT = AtEvent(EventKind.PROMPT)
+_LINE = AtEvent(EventKind.LINE)  # any other line, such as +CMGS: <mr>
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
             )
             rest = rest[body_end + 2 :]
         else:
-            events.append(AtEvent(EventKind.LINE, text=text))
+            events.append(_LINE)
         buf = rest
 
 

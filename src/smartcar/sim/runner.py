@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 from ..config import Config
 from ..controller import ActionKind, SafetyController, WiperMode
@@ -37,14 +39,15 @@ from .devices import SensorBoard, VirtualGps, VirtualModem
 REPORT_HEADER = "smartcar-report v1"
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     tag: str  # "A" action, "S" send outcome, "M" delivered message
     t_ms: int
     text: str
 
 
+@cache
 def _wiper_text(mode_name: str, angle: float) -> str:
+    # one text per (mode, angle), so bounded like servo_angle's cache
     return f"wiper mode={mode_name} angle={angle:.1f}"
 
 

@@ -12,6 +12,8 @@ from functools import reduce
 from operator import xor
 from pathlib import Path
 
+import pytest
+
 from smartcar.config import Config, load_config_file
 from smartcar.controller import ImpactDebouncer, WiperMode, servo_angle, wiper_mode
 from smartcar.modem import decode_stream
@@ -289,3 +291,18 @@ def test_c10_reports_and_decoder_deterministic():
             events.extend(got)
         assert events == reference_events
         assert buffer == reference_rest
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_panic_press_during_a_blocked_send_is_not_lost():
+    # the accident alert's send blocks on a silent modem from 5,040 ms
+    # until it gives up at 31,040 ms; the press at 7,000 ms falls inside
+    scenario = (
+        f"t=1000 gps {RMC_FIX}\n"
+        "t=4000 modem_fault silent_for 60000\n"
+        "t=5000 impact 1\nt=5100 impact 0\n"
+        "t=7000 panic 1\nt=7400 panic 0\n"
+    )
+    report = run_text(scenario, 120000)
+    alerts = [r.text for r in report.records if r.text.startswith("alert kind=")]
+    assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts

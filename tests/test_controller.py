@@ -1,12 +1,14 @@
 """Reactive core: debounce, interlock, wiper, panic, alert release.
 
-The debouncer and the EMA are checked against brute-force re-derivations
-written independently in this file.
+The debouncer, the EMA and the cached servo angle are checked against
+brute-force re-derivations written independently in this file.
 """
 
+import hashlib
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartcar.config import Config
@@ -16,13 +18,17 @@ from smartcar.controller import (
     AlcoholInterlock,
     ImpactDebouncer,
     SafetyController,
+    WIPER_PERIOD_MS,
     WiperCommand,
     WiperMode,
+    _cycle_angle,
     servo_angle,
     wiper_mode,
 )
 from smartcar.messages import NO_FIX_TEXT
 from smartcar.nmea import parse_sentence
+from smartcar.sim.runner import run
+from smartcar.sim.scenario import load_scenario
 from smartcar.types import AlertKind, InboundSms, SensorFrame
 
 CFG = Config()
@@ -221,6 +227,54 @@ class TestServoAngle:
                 assert 0.0 <= cur <= 170.0
                 assert abs(cur - prev) <= max_step + 1e-9
                 prev = cur
+
+
+# (period, active window) of each mode, written out here rather than read
+# from the module
+TRIANGLE_MS = {
+    WiperMode.HIGH: (1000, 1000),
+    WiperMode.LOW: (2000, 2000),
+    WiperMode.INTERMITTENT: (4000, 2000),
+}
+
+
+def oracle_angle(mode, phase_ms):
+    """The triangle wave as 170 degrees times the distance from the
+    nearer end of the active window, over half the window."""
+    if mode is WiperMode.OFF:
+        return 0.0
+    period, active = TRIANGLE_MS[mode]
+    phase = phase_ms % period
+    return 170.0 * min(phase, active - phase) / (active / 2) if phase < active else 0.0
+
+
+class TestServoAngleCache:
+    """servo_angle caches per (mode, phase modulo the period); a cache
+    keyed without the mode, or by the raw phase, shows here."""
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 10**9), st.permutations(list(WiperMode))), min_size=1, max_size=30
+    ))
+    def test_cached_angle_is_the_triangle_wave(self, asks):
+        # every phase is asked in every mode, in a drawn order, and then
+        # all of it again backwards, answered from the cache
+        _cycle_angle.cache_clear()
+        for phase, modes in asks + asks[::-1]:
+            for mode in modes:
+                assert servo_angle(mode, phase) == pytest.approx(oracle_angle(mode, phase), abs=1e-9)
+
+    # an hour of heavy rain, t=0 rain 1 900, at two tick lengths
+    HOUR_OF_RAIN_SHA256 = {
+        7: "e8b276a2039ef9c87954f0a69dc45e4fae9cba0e654e043554f19ffc03b08b12",
+        10: "810ddc48647282ceeab3c3de4f472b5c4b060ab43ca720c501e411260fbc2ee7",
+    }
+
+    def test_cache_stays_bounded_over_long_drives(self):
+        _cycle_angle.cache_clear()
+        for tick_ms, digest in self.HOUR_OF_RAIN_SHA256.items():
+            report = run(load_scenario("t=0 rain 1 900\n"), Config(tick_ms=tick_ms), 3_600_000)
+            assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest, tick_ms
+        assert _cycle_angle.cache_info().currsize <= sum(WIPER_PERIOD_MS.values())
 
 
 # -- controller ------------------------------------------------------------
