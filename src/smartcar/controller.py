@@ -189,6 +189,7 @@ class SafetyController:
         self.wiper = WiperCommand(WiperMode.OFF, 0.0)
         self._wiper_mode_since_ms = 0
         self.last_frame: SensorFrame | None = None
+        self.last_frame_ms = 0  # when last_frame was stepped
         self.pending_alerts: deque[_PendingAlert] = deque()
 
     @property
@@ -201,7 +202,7 @@ class SafetyController:
         if isinstance(event, NmeaSentence):
             self.gps = update_fix(self.gps, event, now_ms)
         elif isinstance(event, SensorFrame):
-            self.last_frame = event
+            self.last_frame, self.last_frame_ms = event, now_ms
             self._step_impact(event.impact, now_ms, actions)
             self._step_panic(event.panic, now_ms, actions)
             self._step_alcohol(event.alcohol_raw, now_ms, actions)
@@ -284,17 +285,20 @@ class SafetyController:
 
     def _step_wiper(self, wet: int, intensity: int, now_ms: int, actions: list[Action]) -> None:
         mode = wiper_mode(wet, intensity, self.config)
-        if mode is not self.wiper.mode:
+        mode_changed = mode is not self.wiper.mode
+        if mode_changed:
             self._wiper_mode_since_ms = now_ms
-        command = WiperCommand(mode, servo_angle(mode, now_ms - self._wiper_mode_since_ms))
-        if command != self.wiper:
-            self.wiper = command
-            actions.append(Action(ActionKind.SET_WIPER, wiper=command))
+        angle = servo_angle(mode, now_ms - self._wiper_mode_since_ms)
+        if mode_changed or angle != self.wiper.servo_angle_deg:
+            self.wiper = WiperCommand(mode, angle)
+            actions.append(Action(ActionKind.SET_WIPER, wiper=self.wiper))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:
-        frame = self.last_frame if self.last_frame is not None else SensorFrame(t_ms=now_ms)
+        frame, frame_ms = self.last_frame, self.last_frame_ms
+        if frame is None:
+            frame, frame_ms = SensorFrame(), now_ms
         reply = format_reply(
-            parse_query(sms.body), frame, self.gps, self.config, self.engine_enabled
+            parse_query(sms.body), frame, self.gps, self.config, frame_ms, self.engine_enabled
         )
         actions.append(Action(ActionKind.SEND_REPLY, dest=sms.sender, text=reply))
 

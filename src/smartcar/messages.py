@@ -57,12 +57,14 @@ def format_reply(
     frame: SensorFrame,
     gps: GpsState,
     config: Config,
+    frame_ms: int,
     engine_enabled: bool = True,
 ) -> str:
     """Render the reply for a query against the latest sensor frame.
 
-    GPS staleness is judged at frame.t_ms, the sampling instant of the
-    data being reported. Always <= 160 chars.
+    frame_ms is when that frame was sampled, and GPS staleness is judged
+    at it, so a LOC reply reports the position as of the data it goes
+    with, however long a send blocked since. Always <= 160 chars.
     """
     # a temperature that rounds to zero reads 0.0, never -0.0
     temp = f"TEMP={frame.temp_c:.1f}C".replace("=-0.0C", "=0.0C")
@@ -72,7 +74,7 @@ def format_reply(
     if kind is QueryKind.HUM:
         return hum
     if kind is QueryKind.LOC:
-        return f"LOC={_location_text(gps, frame.t_ms, config)}"
+        return f"LOC={_location_text(gps, frame_ms, config)}"
     if kind is QueryKind.STATUS:
         rain = "WET" if frame.rain_wet else "DRY"
         engine = "ENABLED" if engine_enabled else "DISABLED"

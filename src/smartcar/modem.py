@@ -70,9 +70,9 @@ def check_body(body: str) -> None:
     """Reject bodies the text-mode encoder cannot carry: no truncation here."""
     if len(body) > SMS_MAX_LEN:
         raise ModemError(f"SMS body exceeds {SMS_MAX_LEN} chars ({len(body)})")
-    for ch in body:
-        if not 0x20 <= ord(ch) <= 0x7E:
-            raise ModemError(f"SMS body contains non-printable character {ch!r}")
+    if not (body.isascii() and body.isprintable()):  # exactly 0x20..0x7E
+        bad = next(ch for ch in body if not " " <= ch <= "~")
+        raise ModemError(f"SMS body contains non-printable character {bad!r}")
 
 
 def check_number(number: str) -> None:
@@ -155,8 +155,14 @@ class ModemSession:
     _slots: list[int] = field(default_factory=list)
 
     def _pump(self) -> list[AtEvent]:
-        """Decode what the transport holds, keeping each arrival's slot."""
-        events, self._buf = decode_stream(self._buf + self.transport.read())
+        """Decode what the transport holds, keeping each arrival's slot.
+
+        The remainder decode_stream leaves decodes to no events and
+        itself, so with no new bytes there is nothing to decode."""
+        data = self.transport.read()
+        if not data:
+            return []
+        events, self._buf = decode_stream(self._buf + data)
         for ev in events:
             if ev.kind is EventKind.SMS_ARRIVED:
                 self._slots.append(ev.index)

@@ -12,14 +12,19 @@ transport's job, not this module's.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import xor
+from typing import NamedTuple
 
 from .types import GeoFix
 
 log = logging.getLogger(__name__)
 
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
+# each two-character checksum field over 0-9a-fA-F, and its value
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_CHECKSUM_VALUE = {a + b: int(a + b, 16) for a in _HEX_DIGITS for b in _HEX_DIGITS}
+_HEMISPHERE_SIGN = {"N": 1.0, "E": 1.0, "S": -1.0, "W": -1.0}
 
 
 class SentenceKind(Enum):
@@ -36,15 +41,13 @@ _KIND_BY_TALKER = {
 }
 
 
-@dataclass(frozen=True)
-class NmeaSentence:
+class NmeaSentence(NamedTuple):
     kind: SentenceKind
     raw_fields: tuple[str, ...]
     checksum_ok: bool
 
 
-@dataclass(frozen=True)
-class GpsState:
+class GpsState(NamedTuple):
     """Receiver-side fix state: absent until the first valid sentence."""
 
     last_fix: GeoFix | None = None
@@ -55,11 +58,9 @@ class GpsState:
 
 
 def xor_checksum(body: str) -> int:
-    """XOR-fold of the characters between '$' and '*' (exclusive)."""
-    total = 0
-    for ch in body:
-        total ^= ord(ch)
-    return total
+    """XOR-fold of the ASCII characters between '$' and '*' (exclusive);
+    other text raises UnicodeEncodeError."""
+    return reduce(xor, body.encode("ascii"), 0)
 
 
 def to_decimal_degrees(raw: str, hemisphere: str) -> float:
@@ -69,7 +70,8 @@ def to_decimal_degrees(raw: str, hemisphere: str) -> float:
     whatever precedes them (2 digits for latitude, 3 for longitude).
     S and W negate the result.
     """
-    if hemisphere not in ("N", "S", "E", "W"):
+    sign = _HEMISPHERE_SIGN.get(hemisphere)
+    if sign is None:
         raise ValueError(f"bad hemisphere: {hemisphere!r}")
     intpart, _, frac = raw.partition(".")
     if len(intpart) not in (4, 5) or not intpart.isdigit() or (frac and not frac.isdigit()):
@@ -78,17 +80,16 @@ def to_decimal_degrees(raw: str, hemisphere: str) -> float:
     minutes = float(intpart[-2:] + ("." + frac if frac else ""))
     if minutes >= 60.0:
         raise ValueError(f"minutes out of range in {raw!r}")
-    value = degrees + minutes / 60.0
-    if hemisphere in ("S", "W"):
-        value = -value
-    return value
+    return sign * (degrees + minutes / 60.0)
 
 
 def parse_sentence(line: str | bytes) -> NmeaSentence:
     """Split a line into kind + fields. Total: garbage decodes to Unsupported.
 
-    Trailing CR/LF is ignored. checksum_ok holds iff the line is a $...*hh
-    frame whose XOR-fold matches the two hex digits.
+    Trailing CR/LF is ignored. checksum_ok holds iff the line is an ASCII
+    $...*hh frame whose XOR-fold matches the two hex digits; NMEA 0183 is
+    ASCII, so any other character (a byte >= 0x80, a non-ASCII digit)
+    fails the checksum.
     """
     if isinstance(line, (bytes, bytearray)):
         line = line.decode("latin-1")
@@ -98,11 +99,7 @@ def parse_sentence(line: str | bytes) -> NmeaSentence:
         head, star, suffix = text[1:].rpartition("*")
         if star:
             body = head
-            checksum_ok = (
-                len(suffix) == 2
-                and set(suffix) <= _HEX_DIGITS
-                and xor_checksum(head) == int(suffix, 16)
-            )
+            checksum_ok = text.isascii() and _CHECKSUM_VALUE.get(suffix) == xor_checksum(head)
         else:
             body = text[1:]
     fields = tuple(body.split(","))

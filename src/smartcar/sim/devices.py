@@ -10,6 +10,7 @@ scripted silence window.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from ..modem import CTRL_Z
 from ..types import SensorFrame
@@ -75,6 +76,8 @@ class VirtualModem:
         return len(data)
 
     def read(self) -> bytes:
+        if not self._out:
+            return b""
         out = bytes(self._out)
         self._out.clear()
         return out
@@ -140,12 +143,17 @@ class VirtualGps:
 
 
 class SensorBoard:
-    """Input levels as the controller samples them: ``levels`` maps
-    SensorFrame field names to their last scripted value; a field never
-    set keeps SensorFrame's default."""
+    """Input levels as the controller samples them: one SensorFrame,
+    built and validated once per level change and handed out by every
+    sample() until the next. A field never set keeps SensorFrame's
+    default."""
 
     def __init__(self):
-        self.levels: dict[str, int | float] = {}
+        self._frame = SensorFrame()
 
-    def sample(self, t_ms: int) -> SensorFrame:
-        return SensorFrame(t_ms, **self.levels)
+    def set_levels(self, values) -> None:
+        """Apply (SensorFrame field name, value) pairs; the others hold."""
+        self._frame = replace(self._frame, **dict(values))
+
+    def sample(self) -> SensorFrame:
+        return self._frame

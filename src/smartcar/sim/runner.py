@@ -113,7 +113,7 @@ class _Executor:
 
     def _apply_event(self, ev: sc.ScenarioEvent) -> None:
         if isinstance(ev, sc.Levels):
-            self.board.levels.update(ev.values)
+            self.board.set_levels(ev.values)
         elif isinstance(ev, sc.GpsLine):
             self.gps_feed.push_raw(ev.text)
         elif isinstance(ev, sc.SmsIn):
@@ -176,8 +176,7 @@ class _Executor:
             self._interpret(self.controller.step(sentence, self.clock.now_ms))
 
     def _step_frame(self) -> None:
-        frame = self.board.sample(self.clock.now_ms)
-        self._interpret(self.controller.step(frame, self.clock.now_ms))
+        self._interpret(self.controller.step(self.board.sample(), self.clock.now_ms))
 
     def _step_inbound(self) -> None:
         for slot in self.session.poll():

@@ -84,7 +84,7 @@ def _levels(t_ms: int, word: str, args: str, lineno: int) -> Levels:
         except ValueError:
             raise ScenarioError(f"line {lineno}: {name} must be {what}, got {text!r}") from None
     try:
-        SensorFrame(t_ms, **values)  # the ranges live there
+        SensorFrame(**values)  # the ranges live there
     except ValueError as exc:
         raise ScenarioError(f"line {lineno}: {exc}") from None
     return Levels(t_ms, tuple(values.items()))

@@ -45,9 +45,9 @@ _RANGES = (
 
 @dataclass(frozen=True)
 class SensorFrame:
-    """One sampling instant of every virtual sensor channel."""
+    """The level of every virtual sensor channel. It holds no time: the
+    controller records when it stepped each frame."""
 
-    t_ms: int
     impact: int = 0
     panic: int = 0
     alcohol_raw: int = 0

@@ -37,10 +37,6 @@ RMC = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
 COORDS = "48.117300,11.516667"
 
 
-def frame(t, **kw):
-    return SensorFrame(t_ms=t, **kw)
-
-
 def kinds(actions):
     return [a.kind for a in actions]
 
@@ -284,7 +280,7 @@ class TestAccidentFlow:
     def burst(self, ctl, start, n=6):
         out = []
         for i in range(n):
-            out.extend(ctl.step(frame(start + 10 * i, impact=1), start + 10 * i))
+            out.extend(ctl.step(SensorFrame(impact=1), start + 10 * i))
         return out
 
     def test_airbag_then_alert_with_fresh_fix(self):
@@ -311,8 +307,8 @@ class TestAccidentFlow:
         ctl = SafetyController(CFG)
         self.burst(ctl, 5000)
         deadline = 5040 + CFG.gps_wait_ms
-        assert not ctl.step(frame(deadline - 10), deadline - 10)
-        actions = ctl.step(frame(deadline), deadline)
+        assert not ctl.step(SensorFrame(), deadline - 10)
+        actions = ctl.step(SensorFrame(), deadline)
         assert kinds(actions) == [ActionKind.SEND_ALERT]
         assert NO_FIX_TEXT in actions[0].alert.body
 
@@ -337,18 +333,18 @@ class TestAccidentFlow:
 
 class TestPanicFlow:
     def press(self, ctl, t):
-        acts = list(ctl.step(frame(t, panic=1), t))
-        acts += ctl.step(frame(t + 10, panic=0), t + 10)
+        acts = list(ctl.step(SensorFrame(panic=1), t))
+        acts += ctl.step(SensorFrame(panic=0), t + 10)
         return acts
 
     def test_edge_triggered_not_level(self):
         ctl = SafetyController(CFG)
         ctl.step(parse_sentence(GGA), 900)
-        actions = ctl.step(frame(1000, panic=1), 1000)
+        actions = ctl.step(SensorFrame(panic=1), 1000)
         assert sum(1 for a in actions if a.kind is ActionKind.SEND_ALERT) == 1
         # holding the button produces nothing new
         for t in range(1010, 1200, 10):
-            assert not ctl.step(frame(t, panic=1), t)
+            assert not ctl.step(SensorFrame(panic=1), t)
 
     def test_refractory_windows(self):
         ctl = SafetyController(CFG)
@@ -369,7 +365,7 @@ class TestAlcoholFlow:
         log = []
         t = 2000
         for raw in [600] * 30 + [0] * 30:
-            log.extend(ctl.step(frame(t, alcohol_raw=raw), t))
+            log.extend(ctl.step(SensorFrame(alcohol_raw=raw), t))
             t += 10
         engine = [a.engine_enabled for a in log if a.kind is ActionKind.SET_ENGINE]
         alerts = [a for a in log if a.kind is ActionKind.SEND_ALERT]
@@ -383,7 +379,7 @@ class TestAlcoholFlow:
         ctl.step(parse_sentence(GGA), 1900)
         t = 2000
         while True:
-            actions = ctl.step(frame(t, alcohol_raw=700), t)
+            actions = ctl.step(SensorFrame(alcohol_raw=700), t)
             if actions:
                 break
             t += 10
@@ -394,21 +390,21 @@ class TestAlcoholFlow:
 class TestWiperFlow:
     def test_emits_on_change_with_phase_anchor(self):
         ctl = SafetyController(CFG)
-        a0 = ctl.step(frame(1000, rain_wet=1, rain_intensity=500), 1000)
+        a0 = ctl.step(SensorFrame(rain_wet=1, rain_intensity=500), 1000)
         assert kinds(a0) == [ActionKind.SET_WIPER]
         assert a0[0].wiper.mode is WiperMode.LOW
         assert a0[0].wiper.servo_angle_deg == 0.0  # phase restarts on entry
-        a1 = ctl.step(frame(1010, rain_wet=1, rain_intensity=500), 1010)
+        a1 = ctl.step(SensorFrame(rain_wet=1, rain_intensity=500), 1010)
         assert a1[0].wiper.servo_angle_deg == 1.7
 
     def test_dry_parks_once(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(1000, rain_wet=1, rain_intensity=900), 1000)
-        a = ctl.step(frame(1010, rain_wet=0), 1010)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=900), 1000)
+        a = ctl.step(SensorFrame(rain_wet=0), 1010)
         assert kinds(a) == [ActionKind.SET_WIPER]
         assert a[0].wiper.mode is WiperMode.OFF
         assert a[0].wiper.servo_angle_deg == 0.0
-        assert not ctl.step(frame(1020, rain_wet=0), 1020)
+        assert not ctl.step(SensorFrame(rain_wet=0), 1020)
 
 
 class TestNextDeadline:
@@ -417,32 +413,32 @@ class TestNextDeadline:
 
     def test_all_quiet_has_no_deadline(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(0), 0)
+        ctl.step(SensorFrame(), 0)
         assert ctl.next_deadline_ms(0) is None
         assert ctl.next_deadline_ms(12345) is None
 
     def test_impact_high_is_now(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(0, impact=1), 0)
+        ctl.step(SensorFrame(impact=1), 0)
         assert ctl.next_deadline_ms(0) == 0
 
     def test_highs_in_window_are_now_until_they_leave_it(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(0, impact=1), 0)
-        ctl.step(frame(10), 10)
+        ctl.step(SensorFrame(impact=1), 0)
+        ctl.step(SensorFrame(), 10)
         assert ctl.next_deadline_ms(10) == 10
-        ctl.step(frame(CFG.impact_window_ms), CFG.impact_window_ms)
+        ctl.step(SensorFrame(), CFG.impact_window_ms)
         assert ctl.next_deadline_ms(CFG.impact_window_ms) is None
 
     def test_moving_ema_is_now_until_it_settles(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(0), 0)
+        ctl.step(SensorFrame(), 0)
         t = 10
-        ctl.step(frame(t, alcohol_raw=500), t)
+        ctl.step(SensorFrame(alcohol_raw=500), t)
         assert ctl.next_deadline_ms(t) == t
         while ctl.next_deadline_ms(t) is not None:
             t += 10
-            ctl.step(frame(t, alcohol_raw=500), t)
+            ctl.step(SensorFrame(alcohol_raw=500), t)
         assert ctl.interlock.ema == 500.0
         assert not ctl.engine_enabled
 
@@ -450,16 +446,16 @@ class TestNextDeadline:
         # a moving servo is sweep()'s to step, not a reason to visit
         for intensity in (500, 900):
             ctl = SafetyController(CFG)
-            ctl.step(frame(0, rain_wet=1, rain_intensity=intensity), 0)
+            ctl.step(SensorFrame(rain_wet=1, rain_intensity=intensity), 0)
             assert ctl.wiper.mode in (WiperMode.LOW, WiperMode.HIGH)
             assert ctl.next_deadline_ms(0) is None
 
     def test_intermittent_sweep_sets_no_deadline(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
         assert ctl.wiper.mode is WiperMode.INTERMITTENT
         assert ctl.next_deadline_ms(0) is None
-        ctl.step(frame(10, rain_wet=1, rain_intensity=100), 10)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 10)
         assert ctl.next_deadline_ms(10) is None
 
     def test_intermittent_first_rest_tick_sweeps_the_servo_down(self):
@@ -467,8 +463,8 @@ class TestNextDeadline:
         # last frame left the servo mid-sweep: the sweep's first tick
         # steps it down to 0, and the next one comes with the next cycle
         ctl = SafetyController(CFG)
-        ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
-        ctl.step(frame(1990, rain_wet=1, rain_intensity=100), 1990)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 1990)
         assert ctl.wiper.servo_angle_deg > 0.0
         assert ctl.next_deadline_ms(2005) is None
         up = servo_angle(WiperMode.INTERMITTENT, 4015)
@@ -479,8 +475,8 @@ class TestNextDeadline:
 
     def test_intermittent_rest_is_jumped_over(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(0, rain_wet=1, rain_intensity=100), 0)
-        ctl.step(frame(2000, rain_wet=1, rain_intensity=100), 2000)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
+        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 2000)
         assert ctl.wiper.servo_angle_deg == 0.0
         assert ctl.next_deadline_ms(2000) is None
         with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
@@ -492,9 +488,9 @@ class TestNextDeadline:
     def test_pending_alert_is_its_deadline(self):
         ctl = SafetyController(CFG)
         for t in range(5000, 5060, 10):
-            ctl.step(frame(t, impact=1), t)
+            ctl.step(SensorFrame(impact=1), t)
         (pending,) = ctl.pending_alerts
-        ctl.step(frame(5200), 5200)
+        ctl.step(SensorFrame(), 5200)
         assert ctl.next_deadline_ms(5200) == pending.deadline_ms == 5040 + CFG.gps_wait_ms
 
 
@@ -522,12 +518,12 @@ class TestSweep:
         config = Config(tick_ms=tick_ms)
         swept, stepped = SafetyController(config), SafetyController(config)
         for ctl in (swept, stepped):
-            ctl.step(frame(0, **levels), 0)
-            ctl.step(frame(visit, **levels), visit)
+            ctl.step(SensorFrame(**levels), 0)
+            ctl.step(SensorFrame(**levels), visit)
         expected = [
             (t, action.wiper.servo_angle_deg)
             for t in range(now + tick_ms, end, tick_ms)
-            for action in stepped.step(frame(t, **levels), t)
+            for action in stepped.step(SensorFrame(**levels), t)
             if action.kind is ActionKind.SET_WIPER
         ]
         assert swept.sweep(now, end) == expected
@@ -537,7 +533,7 @@ class TestSweep:
 class TestQueryDispatch:
     def test_reply_goes_to_sender(self):
         ctl = SafetyController(CFG)
-        ctl.step(frame(1000, temp_c=24.5, humidity_pct=51.0), 1000)
+        ctl.step(SensorFrame(temp_c=24.5, humidity_pct=51.0), 1000)
         actions = ctl.step(InboundSms(sender="+15550100", body="STATUS"), 1500)
         assert kinds(actions) == [ActionKind.SEND_REPLY]
         assert actions[0].dest == "+15550100"
@@ -552,7 +548,7 @@ class TestQueryDispatch:
     def test_status_reflects_interlock(self):
         ctl = SafetyController(CFG)
         for t in range(1000, 1400, 10):
-            ctl.step(frame(t, alcohol_raw=900), t)
+            ctl.step(SensorFrame(alcohol_raw=900), t)
         actions = ctl.step(InboundSms(sender="+1", body="STATUS"), 1400)
         assert "ENGINE=DISABLED" in actions[0].text
 
@@ -570,8 +566,7 @@ class TestDeterminism:
                 seq.append((InboundSms("+1", rng.choice(["STATUS", "LOC", "?"])), t))
             else:
                 seq.append((
-                    frame(
-                        t,
+                    SensorFrame(
                         impact=rng.randrange(2),
                         panic=rng.randrange(2),
                         alcohol_raw=rng.randrange(1024),

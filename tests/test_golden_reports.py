@@ -1,5 +1,6 @@
 """Golden reports: the byte-exact `smartcar-report v1` of each bundled
-scenario and of each benchmark drive at seed 201, pinned by SHA-256.
+scenario and of each benchmark drive at seeds 201 and 202, pinned by
+SHA-256.
 
 The report is the contract of the simulator, so any change to the
 program that alters one of these digests changes behaviour. A change
@@ -45,11 +46,18 @@ def test_report_matches_golden_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
 
 
-# the long generated drives of bench/workloads.py, seed 201
+# the long generated drives of bench/workloads.py, by seed
 WORKLOAD_SHA256 = {
-    "comms_storm": "e81b4b127efd9365648f98e99d1d0d3041e170aea43137ff74cf2b444f215583",
-    "idle_park": "c509c4d64bd8280c307e447e40346e712ce33427fb0c0cf8ddd6efb340505f6f",
-    "rain_drive": "ae1de44457e2a31dbe31be84233a2e6a831e375a208b2889d3404426950ecab1",
+    201: {
+        "comms_storm": "e81b4b127efd9365648f98e99d1d0d3041e170aea43137ff74cf2b444f215583",
+        "idle_park": "c509c4d64bd8280c307e447e40346e712ce33427fb0c0cf8ddd6efb340505f6f",
+        "rain_drive": "ae1de44457e2a31dbe31be84233a2e6a831e375a208b2889d3404426950ecab1",
+    },
+    202: {
+        "comms_storm": "569ae2b3cbae41e771f8e006ab3f8db25dff0fddae34f4adb673435dfa9723a9",
+        "idle_park": "54f12a56306edffb5566e7a829f58724f1fd139e1c143a20d90cf8e5e88ac4ac",
+        "rain_drive": "c91b3613eed93a37f4faaf55c796b850ebb90b8e7900feb90d7c71f457e76a07",
+    },
 }
 
 
@@ -66,11 +74,16 @@ GENERATORS = load_workloads().GENERATORS
 
 
 def test_every_workload_has_a_digest():
-    assert sorted(GENERATORS) == sorted(WORKLOAD_SHA256)
+    for digests in WORKLOAD_SHA256.values():
+        assert sorted(GENERATORS) == sorted(digests)
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_SHA256))
-def test_workload_report_matches_golden_digest(name):
-    w = GENERATORS[name](201)
+@pytest.mark.parametrize("name,seed", [
+    pytest.param(name, seed, id=name if seed == 201 else f"{name}-seed{seed}")
+    for seed, digests in WORKLOAD_SHA256.items()
+    for name in sorted(digests)
+])
+def test_workload_report_matches_golden_digest(name, seed):
+    w = GENERATORS[name](seed)
     text = run(load_scenario(w.scenario), load_config(w.config), w.until_ms).serialize()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WORKLOAD_SHA256[name]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WORKLOAD_SHA256[seed][name]

@@ -54,60 +54,58 @@ class TestParseQuery:
 
 class TestFormatReply:
     def test_temp_one_decimal(self):
-        frame = SensorFrame(t_ms=0, temp_c=24.5)
-        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG) == "TEMP=24.5C"
+        frame = SensorFrame(temp_c=24.5)
+        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG, 0) == "TEMP=24.5C"
 
     def test_temp_rounds_not_truncates(self):
-        frame = SensorFrame(t_ms=0, temp_c=24.46)
-        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG) == "TEMP=24.5C"
+        frame = SensorFrame(temp_c=24.46)
+        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG, 0) == "TEMP=24.5C"
 
     @pytest.mark.parametrize("temp,text", [(-0.0, "TEMP=0.0C"), (-0.04, "TEMP=0.0C"),
                                            (-0.05, "TEMP=-0.1C")])
     def test_temp_never_reads_negative_zero(self, temp, text):
-        frame = SensorFrame(t_ms=0, temp_c=temp)
-        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG) == text
-        status = format_reply(parse_query("STATUS"), frame, GpsState(), CFG)
+        frame = SensorFrame(temp_c=temp)
+        assert format_reply(parse_query("TEMP"), frame, GpsState(), CFG, 0) == text
+        status = format_reply(parse_query("STATUS"), frame, GpsState(), CFG, 0)
         assert status.startswith(text + " ")
 
     def test_hum_integer(self):
-        frame = SensorFrame(t_ms=0, humidity_pct=51.0)
-        assert format_reply(parse_query("HUM"), frame, GpsState(), CFG) == "HUM=51%"
+        frame = SensorFrame(humidity_pct=51.0)
+        assert format_reply(parse_query("HUM"), frame, GpsState(), CFG, 0) == "HUM=51%"
 
     def test_loc_with_fresh_fix(self):
-        frame = SensorFrame(t_ms=2000)
-        got = format_reply(parse_query("LOC"), frame, fresh_gps(1000), CFG)
+        got = format_reply(parse_query("LOC"), SensorFrame(), fresh_gps(1000), CFG, 2000)
         assert got == f"LOC={COORDS} {URL}"
 
     def test_loc_without_fix(self):
-        got = format_reply(parse_query("LOC"), SensorFrame(t_ms=0), GpsState(), CFG)
+        got = format_reply(parse_query("LOC"), SensorFrame(), GpsState(), CFG, 0)
         assert got == f"LOC={NO_FIX_TEXT}"
 
     def test_loc_staleness_judged_at_frame_time(self):
         gps = fresh_gps(1000)
-        fresh_frame = SensorFrame(t_ms=6000)  # age 5000 = limit, still fresh
-        stale_frame = SensorFrame(t_ms=6010)
-        assert COORDS in format_reply(parse_query("LOC"), fresh_frame, gps, CFG)
-        assert NO_FIX_TEXT in format_reply(parse_query("LOC"), stale_frame, gps, CFG)
+        # age 5000 = limit, still fresh
+        assert COORDS in format_reply(parse_query("LOC"), SensorFrame(), gps, CFG, 6000)
+        assert NO_FIX_TEXT in format_reply(parse_query("LOC"), SensorFrame(), gps, CFG, 6010)
 
     def test_status_line(self):
-        frame = SensorFrame(t_ms=0, temp_c=24.5, humidity_pct=51, alcohol_raw=123,
+        frame = SensorFrame(temp_c=24.5, humidity_pct=51, alcohol_raw=123,
                             rain_wet=1, rain_intensity=400)
-        got = format_reply(parse_query("STATUS"), frame, GpsState(), CFG,
+        got = format_reply(parse_query("STATUS"), frame, GpsState(), CFG, 0,
                            engine_enabled=False)
         assert got == "TEMP=24.5C HUM=51% ALC=123 RAIN=WET ENGINE=DISABLED"
 
     def test_status_dry_enabled(self):
-        frame = SensorFrame(t_ms=0, temp_c=20.0, humidity_pct=50)
-        got = format_reply(parse_query("STATUS"), frame, GpsState(), CFG)
+        frame = SensorFrame(temp_c=20.0, humidity_pct=50)
+        got = format_reply(parse_query("STATUS"), frame, GpsState(), CFG, 0)
         assert got == "TEMP=20.0C HUM=50% ALC=0 RAIN=DRY ENGINE=ENABLED"
 
     def test_help_is_one_line(self):
-        got = format_reply(parse_query("HELP"), SensorFrame(t_ms=0), GpsState(), CFG)
+        got = format_reply(parse_query("HELP"), SensorFrame(), GpsState(), CFG, 0)
         assert got == "CMDS: STATUS TEMP HUM LOC HELP"
         assert "\n" not in got
 
     def test_unknown_reply(self):
-        got = format_reply(parse_query("dance"), SensorFrame(t_ms=0), GpsState(), CFG)
+        got = format_reply(parse_query("dance"), SensorFrame(), GpsState(), CFG, 0)
         assert got == "UNKNOWN CMD. SEND HELP"
 
     @given(
@@ -120,11 +118,11 @@ class TestFormatReply:
     def test_every_reply_fits_one_sms(self, kind, temp, hum, alc, wet):
         # any temperature SensorFrame accepts: its range is written only there
         try:
-            frame = SensorFrame(t_ms=2000, temp_c=temp, humidity_pct=hum,
+            frame = SensorFrame(temp_c=temp, humidity_pct=hum,
                                 alcohol_raw=alc, rain_wet=wet)
         except ValueError:
             reject()
-        text = format_reply(kind, frame, fresh_gps(1000), CFG)
+        text = format_reply(kind, frame, fresh_gps(1000), CFG, 2000)
         assert len(text) <= 160
         check_body(text)  # printable GSM-text payload
 

@@ -126,6 +126,26 @@ class TestEncode:
         with pytest.raises(ModemError):
             check_body("caf\xe9")
 
+    @given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127)),
+                     st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=170)))
+    def test_body_check_is_the_per_character_rule(self, body):
+        # the rule written out: at most 160 characters, each in 0x20..0x7E;
+        # the first one outside is named
+        want = None
+        if len(body) > 160:
+            want = f"SMS body exceeds 160 chars ({len(body)})"
+        else:
+            for ch in body:
+                if not 0x20 <= ord(ch) <= 0x7E:
+                    want = f"SMS body contains non-printable character {ch!r}"
+                    break
+        if want is None:
+            check_body(body)
+        else:
+            with pytest.raises(ModemError) as exc:
+                check_body(body)
+            assert str(exc.value) == want
+
     @pytest.mark.parametrize("number", ["1", "+1", "15550100", "+123456789012345"])
     def test_dialable_numbers_encode(self, number):
         assert header_command(number) == f'AT+CMGS="{number}"\r'.encode()
@@ -245,6 +265,18 @@ class TestDecodeStream:
     def test_unrecognized_line_surfaces_as_line_event(self):
         events, _ = decode_stream(b"\r\n+CSQ: 18,0\r\n")
         assert events == [AtEvent(EventKind.LINE)]
+
+    @given(st.lists(st.one_of(
+        st.binary(max_size=24),
+        st.sampled_from((b"\r\nOK\r\n", b"\r\n> ", b">", b"\r", b"\n", b"+CMGR:",
+                         b'\r\n+CMGR: "REC UNREAD","+1",""\r\n', b"BODY\r\n")),
+    ), max_size=12))
+    def test_remainder_decodes_to_nothing_and_itself(self, chunks):
+        # what lets ModemSession skip decoding when no new byte arrived
+        rest = b""
+        for chunk in chunks:
+            _, rest = decode_stream(rest + chunk)
+            assert decode_stream(rest) == ([], rest)
 
     @given(st.binary(max_size=96), st.integers(0, 95))
     def test_split_anywhere_decodes_identically(self, blob, cut):

@@ -5,6 +5,8 @@ before being pinned here; the property tests re-derive them per case.
 """
 
 import math
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +41,36 @@ def fold(text: str) -> int:
     return acc
 
 
+HEX = "0123456789abcdefABCDEF"
+
+
+def hex_rule(line: str) -> bool:
+    """The frame rule on ASCII text, written out: '$', then the body up to
+    the last '*', then exactly two hex digits equal to the body's fold."""
+    text = line.rstrip("\r\n")
+    if not text.startswith("$") or "*" not in text:
+        return False
+    head, _, suffix = text[1:].rpartition("*")
+    return len(suffix) == 2 and all(c in HEX for c in suffix) and fold(head) == int(suffix, 16)
+
+
+@st.composite
+def checksummed_lines(draw):
+    """A $body*suffix line: an ASCII or any body, and a suffix that is the
+    body's code-point fold in either case, hex-like junk, a short hex run,
+    full-width digits or any text."""
+    body = draw(st.one_of(st.text(st.characters(max_codepoint=127), max_size=40),
+                          st.text(max_size=40)))
+    code_point_fold = reduce(xor, map(ord, body), 0)
+    suffix = draw(st.one_of(
+        st.sampled_from([f"{code_point_fold:02X}", f"{code_point_fold:02x}"]),
+        st.sampled_from([" f", "0_", "+f", "4Z", "\uff14\uff17", "\uff10"]),
+        st.text(HEX, min_size=1, max_size=3),
+        st.text(min_size=1, max_size=3),
+    ))
+    return f"${body}*{suffix}" + draw(st.sampled_from(["", "\r\n"]))
+
+
 class TestChecksum:
     def test_known_gga_fold(self):
         assert xor_checksum(GGA[1:-3]) == 0x47
@@ -63,6 +95,25 @@ class TestChecksum:
         assert not checksum_ok("$GPGGA,1,2*4")  # short hex
         assert not checksum_ok("$GPGGA,1,2*4Z")  # bad hex
         assert not checksum_ok("$GPGGA,1,2*471")  # long hex
+
+    @given(checksummed_lines())
+    def test_checksum_ok_is_the_hex_rule_on_ascii_and_false_otherwise(self, line):
+        if line.isascii():
+            assert checksum_ok(line) == hex_rule(line)
+        else:
+            assert checksum_ok(line) is False
+
+    def test_non_ascii_text_fails_the_checksum(self):
+        # U+0664 U+0668 U+0660 U+0667 are Arabic-Indic 4807: str.isdigit
+        # accepts them, and their code points fold to the 66 given here
+        line = ("$GPGGA,001234.50,\u0664\u0668\u0660\u0667.\u0660\u0663\u0668\u0661,N,"
+                "01131.0002,E,1,08,0.9,545.4,M,46.9,M,,*66")
+        assert reduce(xor, map(ord, line[1:-3]), 0) == 0x66
+        assert not checksum_ok(line)
+        assert update_fix(GpsState(), parse_sentence(line), now_ms=0) == GpsState()
+        # a byte >= 0x80 in a bytes line, folded the same way
+        body = "GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W\xb0"
+        assert not checksum_ok(f"${body}*{reduce(xor, map(ord, body), 0):02X}".encode("latin-1"))
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126,
                                           exclude_characters="$*"), max_size=40))

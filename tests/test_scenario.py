@@ -220,21 +220,26 @@ class TestVirtualModemFaults:
 class TestSensorBoard:
     def test_levels_hold_between_samples(self):
         board = SensorBoard()
-        frame = board.sample(0)
+        frame = board.sample()
         assert (frame.impact, frame.temp_c, frame.humidity_pct) == (0, 20.0, 50.0)
-        board.levels["impact"] = 1
-        assert board.sample(10).impact == 1
-        assert board.sample(20).impact == 1
+        board.set_levels((("impact", 1),))
+        board.set_levels((("temp_c", 30.0),))
+        assert (board.sample().impact, board.sample().temp_c) == (1, 30.0)
+
+    def test_one_frame_per_level_change(self):
+        board = SensorBoard()
+        board.set_levels((("alcohol_raw", 500),))
+        frame = board.sample()
+        assert board.sample() is frame
+        board.set_levels((("alcohol_raw", 501),))
+        assert board.sample() is not frame and board.sample().alcohol_raw == 501
 
 
 # -- executor -------------------------------------------------------------------
 
 
-CRASH = """\
-t=1000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A
-t=5000 impact 1
-t=5060 impact 0
-"""
+RMC_LINE = "t=1000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A\n"
+CRASH = RMC_LINE + "t=5000 impact 1\nt=5060 impact 0\n"
 
 
 class TestRunner:
@@ -277,6 +282,21 @@ class TestRunner:
     def test_good_sentences_counted(self):
         report = run(load_scenario(CRASH), CFG, 20000)
         assert report.counters.sentences_parsed >= 1
+
+    def test_loc_after_a_long_send_is_judged_at_the_frame_time(self):
+        # the impact alert at t=1040 finds the modem silent until t=8000,
+        # so its send blocks well past gps_stale_ms; the LOC that arrived
+        # on the same tick is read after it, in the same visit, and still
+        # reports the fix as fresh as of the frame it goes with
+        text = (RMC_LINE + "t=1000 modem_fault silent_for 7000\n"
+                "t=1000 impact 1\nt=1040 sms +15550100 LOC\nt=1100 impact 0\n")
+        report = run(load_scenario(text), CFG, 20000)
+        alert, reply = [r for r in report.records if r.tag == "S"]
+        assert "body=ACCIDENT DETECTED" in alert.text
+        assert alert.t_ms - 1040 > CFG.gps_stale_ms
+        assert reply.t_ms == alert.t_ms
+        assert "body=LOC=48.117300,11.516667 " in reply.text
+        assert report.violations == []
 
     def test_final_state_keys(self):
         report = run([], CFG, 100)
@@ -334,6 +354,23 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_non_ascii_digits_in_a_sentence_are_no_position(self, workdir, capsys):
+        # Arabic-Indic digits pass str.isdigit, and folded as code points
+        # they match this checksum: they became the car's position
+        tmp, _, config = workdir
+        scenario = tmp / "arabic.txt"
+        scenario.write_text(
+            "t=1000 gps $GPGGA,001234.50,\u0664\u0668\u0660\u0667.\u0660\u0663\u0668\u0661,N,"
+            "01131.0002,E,1,08,0.9,545.4,M,46.9,M,,*66\nt=2000 sms +15550100 LOC\n",
+            encoding="utf-8",
+        )
+        argv = ["run", "--scenario", str(scenario), "--config", str(config), "--until-ms", "3000"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "C checksum_failures=1\n" in out
+        assert "F gps_fix=none\n" in out
+        assert "reply dest=+15550100 body=LOC=UNKNOWN (no GPS fix)\n" in out
 
     def test_run_bad_config(self, workdir, capsys):
         tmp, scenario, _ = workdir
