@@ -1,15 +1,30 @@
-"""Runtime configuration: thresholds, timing windows, alert routing.
+"""Runtime configuration: thresholds, timing windows, alert numbers.
 
-Config files are UTF-8 ``key = value`` lines; ``#`` starts a comment line,
-blank lines are ignored, LF and CRLF both accepted. Unknown keys are
-permitted (and skipped) so one file can serve several firmware variants.
+Config files are UTF-8 ``key = value`` lines, split as types.content_lines
+splits them: ``#`` starts a comment line and blank lines are ignored.
+Unknown keys are permitted (and skipped) so one file can serve several
+firmware variants.
 All thresholds are raw 10-bit ADC counts; all times are milliseconds.
 """
 
 from dataclasses import dataclass, fields
 
 from .modem import check_number
-from .types import ADC_MAX, ConfigError, ModemError, parse_int, read_utf8
+from .types import ADC_MAX, ConfigError, ModemError, content_lines, parse_int, read_utf8
+
+# smallest accepted value of each duration and count key
+_MINIMUMS = {
+    "impact_window_ms": 1,
+    "impact_min_high": 1,
+    "impact_refractory_ms": 1,
+    "panic_refractory_ms": 1,
+    "gps_stale_ms": 1,
+    "gps_wait_ms": 1,
+    "sms_retry_max": 0,
+    "sms_retry_backoff_ms": 1,
+    "sms_ok_timeout_ms": 1,
+    "tick_ms": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -32,44 +47,25 @@ class Config:
     tick_ms: int = 10
 
     def __post_init__(self):
-        validate(self)
-
-
-# smallest accepted value of each duration and count key
-_MINIMUMS = {
-    "impact_window_ms": 1,
-    "impact_min_high": 1,
-    "impact_refractory_ms": 1,
-    "panic_refractory_ms": 1,
-    "gps_stale_ms": 1,
-    "gps_wait_ms": 1,
-    "sms_retry_max": 0,
-    "sms_retry_backoff_ms": 1,
-    "sms_ok_timeout_ms": 1,
-    "tick_ms": 1,
-}
-
-
-def validate(cfg: Config) -> None:
-    """Check cross-field invariants, raising ConfigError naming the keys."""
-    if cfg.alcohol_release >= cfg.alcohol_threshold:
-        raise ConfigError(
-            "alcohol_release must be < alcohol_threshold "
-            f"(got {cfg.alcohol_release} >= {cfg.alcohol_threshold})"
-        )
-    if not cfg.wiper_intermittent_max < cfg.wiper_low_max < ADC_MAX + 1:
-        raise ConfigError(
-            "require wiper_intermittent_max < wiper_low_max < 1024 "
-            f"(got {cfg.wiper_intermittent_max}, {cfg.wiper_low_max})"
-        )
-    for key, low in _MINIMUMS.items():
-        if getattr(cfg, key) < low:
-            raise ConfigError(f"{key} must be >= {low} (got {getattr(cfg, key)})")
-    for key in ("alert_primary_number", "alert_safety_number"):
-        try:
-            check_number(getattr(cfg, key))
-        except ModemError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+        """Check cross-field invariants, raising ConfigError naming the keys."""
+        if self.alcohol_release >= self.alcohol_threshold:
+            raise ConfigError(
+                "alcohol_release must be < alcohol_threshold "
+                f"(got {self.alcohol_release} >= {self.alcohol_threshold})"
+            )
+        if not self.wiper_intermittent_max < self.wiper_low_max < ADC_MAX + 1:
+            raise ConfigError(
+                "require wiper_intermittent_max < wiper_low_max < 1024 "
+                f"(got {self.wiper_intermittent_max}, {self.wiper_low_max})"
+            )
+        for key, low in _MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low} (got {getattr(self, key)})")
+        for key in ("alert_primary_number", "alert_safety_number"):
+            try:
+                check_number(getattr(self, key))
+            except ModemError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
 
 def load_config(source: str) -> Config:
@@ -81,10 +77,7 @@ def load_config(source: str) -> Config:
     """
     field_types = {f.name: f.type for f in fields(Config)}
     overrides: dict[str, object] = {}
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(source):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")

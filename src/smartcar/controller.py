@@ -18,7 +18,7 @@ from functools import cache
 from .config import Config
 from .messages import format_alert, format_reply, parse_query
 from .nmea import GpsState, NmeaSentence, update_fix
-from .types import AlertKind, AlertMessage, InboundSms, SensorFrame
+from .types import AlertKind, InboundSms, SensorFrame
 
 
 class WiperMode(IntEnum):
@@ -60,8 +60,11 @@ class ActionKind(Enum):
 
 @dataclass(frozen=True)
 class Action:
+    """One output. Both sends carry the number in dest and the body in
+    text; an alert also names its kind."""
+
     kind: ActionKind
-    alert: AlertMessage | None = None
+    alert: AlertKind | None = None
     dest: str = ""
     text: str = ""
     wiper: WiperCommand | None = None
@@ -261,12 +264,9 @@ class SafetyController:
 
     def _step_impact(self, level: int, now_ms: int, actions: list[Action]) -> None:
         if self.impact.update(now_ms, level):
-            self._on_accident(now_ms, actions)
-
-    def _on_accident(self, now_ms: int, actions: list[Action]) -> None:
-        # safety-critical line first; the SMS can wait for a fix
-        actions.append(Action(ActionKind.ASSERT_AIRBAG_LINE))
-        self._request_alert(AlertKind.ACCIDENT, now_ms, actions)
+            # safety-critical line first; the SMS can wait for a fix
+            actions.append(Action(ActionKind.ASSERT_AIRBAG_LINE))
+            self._request_alert(AlertKind.ACCIDENT, now_ms, actions)
 
     def _step_panic(self, level: int, now_ms: int, actions: list[Action]) -> None:
         rising = level == 1 and self._panic_prev == 0
@@ -304,12 +304,21 @@ class SafetyController:
 
     # -- alert release --------------------------------------------------
 
+    def _alert(self, kind: AlertKind, now_ms: int) -> Action:
+        """The alert SMS for kind: Alcohol goes to the safety number,
+        Accident and Panic to the primary number."""
+        if kind is AlertKind.ALCOHOL:
+            dest = self.config.alert_safety_number
+        else:
+            dest = self.config.alert_primary_number
+        body = format_alert(kind, self.gps, self.config, now_ms)
+        return Action(ActionKind.SEND_ALERT, alert=kind, dest=dest, text=body)
+
     def _request_alert(self, kind: AlertKind, now_ms: int, actions: list[Action]) -> None:
         """Emit now if a fresh fix exists, else park until one arrives
         or gps_wait_ms runs out."""
         if self.gps.fresh(now_ms, self.config.gps_stale_ms):
-            alert = format_alert(kind, self.gps, self.config, now_ms)
-            actions.append(Action(ActionKind.SEND_ALERT, alert=alert))
+            actions.append(self._alert(kind, now_ms))
         else:
             self.pending_alerts.append(_PendingAlert(kind, now_ms + self.config.gps_wait_ms))
 
@@ -318,7 +327,6 @@ class SafetyController:
             head = self.pending_alerts[0]
             if self.gps.fresh(now_ms, self.config.gps_stale_ms) or now_ms >= head.deadline_ms:
                 self.pending_alerts.popleft()
-                alert = format_alert(head.kind, self.gps, self.config, now_ms)
-                actions.append(Action(ActionKind.SEND_ALERT, alert=alert))
+                actions.append(self._alert(head.kind, now_ms))
             else:
                 break

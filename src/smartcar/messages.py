@@ -12,7 +12,7 @@ from enum import Enum
 
 from .config import Config
 from .nmea import GpsState
-from .types import AlertKind, AlertMessage, SensorFrame
+from .types import AlertKind, SensorFrame
 
 NO_FIX_TEXT = "UNKNOWN (no GPS fix)"
 _MAPS_URL = "https://maps.google.com/?q="
@@ -84,16 +84,7 @@ def format_reply(
     return "UNKNOWN CMD. SEND HELP"
 
 
-def format_alert(kind: AlertKind, gps: GpsState, config: Config, now_ms: int) -> AlertMessage:
-    """Render an alert SMS; routing follows the alert kind.
-
-    Accident and Panic go to the primary number, Alcohol to the safety
-    number. Without a fix fresher than gps_stale_ms the location section
-    reads UNKNOWN.
-    """
-    body = f"{_ALERT_PREFIX[kind]}. Location: {_location_text(gps, now_ms, config)}"
-    if kind is AlertKind.ALCOHOL:
-        dest = config.alert_safety_number
-    else:
-        dest = config.alert_primary_number
-    return AlertMessage(kind=kind, destination=dest, body=body)
+def format_alert(kind: AlertKind, gps: GpsState, config: Config, now_ms: int) -> str:
+    """Render an alert SMS body. Without a fix fresher than gps_stale_ms
+    the location section reads UNKNOWN; the controller picks the number."""
+    return f"{_ALERT_PREFIX[kind]}. Location: {_location_text(gps, now_ms, config)}"

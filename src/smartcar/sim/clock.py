@@ -13,6 +13,3 @@ class SimClock:
         if ms < 0:
             raise ValueError(f"clock cannot move backwards: {ms}")
         self.now_ms += ms
-
-    def __repr__(self):
-        return f"SimClock(now_ms={self.now_ms})"

@@ -129,15 +129,9 @@ class _Executor:
             t = self.clock.now_ms
             if action.kind is ActionKind.ASSERT_AIRBAG_LINE:
                 self._record_action(t, "airbag-line asserted")
-            elif action.kind is ActionKind.SEND_ALERT:
-                alert = action.alert
-                self._record_action(
-                    t, f"alert kind={alert.kind.name} dest={alert.destination} body={alert.body}"
-                )
-                self.send_action_count += 1
-                self._dispatch(alert.destination, alert.body)
-            elif action.kind is ActionKind.SEND_REPLY:
-                self._record_action(t, f"reply dest={action.dest} body={action.text}")
+            elif action.kind is ActionKind.SEND_ALERT or action.kind is ActionKind.SEND_REPLY:
+                head = "reply" if action.alert is None else f"alert kind={action.alert.name}"
+                self._record_action(t, f"{head} dest={action.dest} body={action.text}")
                 self.send_action_count += 1
                 self._dispatch(action.dest, action.text)
             elif action.kind is ActionKind.SET_WIPER:

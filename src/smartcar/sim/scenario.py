@@ -4,6 +4,7 @@ Level words (impact, panic, alcohol, rain, cabin) set SensorFrame fields,
 which hold until they are set again; SensorFrame holds each field's range
 and its value before the first set. gps/sms lines inject traffic,
 modem_fault arms a fault. `#` starts a comment; blank lines are skipped.
+Lines are split as types.content_lines splits them.
 Events are sorted stably by time, so same-tick events apply in file order.
 
     t=1000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A
@@ -19,7 +20,8 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 from ..modem import check_body, check_number
-from ..types import ModemError, ScenarioError, SensorFrame, parse_decimal, parse_int, read_utf8
+from ..types import ModemError, ScenarioError, SensorFrame, content_lines, read_utf8
+from ..types import parse_decimal, parse_int
 
 # the SensorFrame fields each level word sets, in argument order
 _LEVEL_FIELDS = {
@@ -139,12 +141,7 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
 
 
 def load_scenario(source: str) -> list[ScenarioEvent]:
-    events = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        events.append(_parse_line(s, lineno))
+    events = [_parse_line(s, lineno) for lineno, s in content_lines(source)]
     return sorted(events, key=lambda e: e.t_ms)
 
 

@@ -67,15 +67,6 @@ class SensorFrame:
 
 
 @dataclass(frozen=True)
-class AlertMessage:
-    """Outbound alert SMS: kind, destination number, rendered body."""
-
-    kind: AlertKind
-    destination: str
-    body: str
-
-
-@dataclass(frozen=True)
 class InboundSms:
     """A text message received by the modem, after fetch and decode."""
 
@@ -96,12 +87,24 @@ class ModemError(RuntimeError):
 
 
 def read_utf8(path, error: type[ValueError]) -> str:
-    """A UTF-8 file's text; an undecodable byte raises ``error`` with its offset."""
+    """A UTF-8 file's text, with CRLF and CR read as LF and one leading
+    byte-order mark dropped; an undecodable byte raises ``error`` with
+    its offset in the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
+
+
+def content_lines(text: str):
+    """(1-based line number, stripped text) of each line that is neither
+    blank nor a '#' comment. Lines end at LF only, so a U+2028 or a form
+    feed stays inside its line, and line N is the one an editor shows."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_int(text: str) -> int:

@@ -113,3 +113,23 @@ class TestLoad:
         p = tmp_path / "a.cfg"
         p.write_text("gps_wait_ms = 2500\n")
         assert load_config_file(str(p)).gps_wait_ms == 2500
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_load_config_file_reads_crlf_and_cr_as_lf(self, tmp_path, ending):
+        p = tmp_path / "a.cfg"
+        p.write_bytes(ending.join([b"gps_wait_ms = 2500", b"# x", b"tick_ms = 20", b""]))
+        cfg = load_config_file(str(p))
+        assert (cfg.gps_wait_ms, cfg.tick_ms) == (2500, 20)
+        p.write_bytes(ending.join([b"tick_ms = 20", b"", b"tick_ms"]))
+        with pytest.raises(ConfigError, match="line 3: "):
+            load_config_file(str(p))
+
+    def test_load_config_file_drops_a_leading_bom(self, tmp_path):
+        p = tmp_path / "a.cfg"
+        p.write_bytes(b"\xef\xbb\xbfalert_primary_number = +4915112345678\n")
+        assert load_config_file(str(p)).alert_primary_number == "+4915112345678"
+
+    def test_a_line_separator_does_not_end_a_line(self):
+        with pytest.raises(ConfigError, match="line 2: "):
+            load_config("# tuning \u2028 tick_ms = 20\ntick_ms\n")
+        assert load_config("# tuning \u2028 tick_ms = 20\n").tick_ms == Config().tick_ms

@@ -288,9 +288,9 @@ class TestAccidentFlow:
         ctl.step(parse_sentence(GGA), 1000)
         actions = self.burst(ctl, 5000)
         assert kinds(actions) == [ActionKind.ASSERT_AIRBAG_LINE, ActionKind.SEND_ALERT]
-        alert = actions[1].alert
-        assert alert.kind is AlertKind.ACCIDENT
-        assert COORDS in alert.body
+        alert = actions[1]
+        assert alert.alert is AlertKind.ACCIDENT
+        assert COORDS in alert.text
 
     def test_without_fix_alert_waits_for_one(self):
         # the fix arriving 3 s into the wait must be inside the alert body
@@ -300,7 +300,7 @@ class TestAccidentFlow:
         assert len(ctl.pending_alerts) == 1
         actions = ctl.step(parse_sentence(RMC), 8040)
         assert kinds(actions) == [ActionKind.SEND_ALERT]
-        assert COORDS in actions[0].alert.body
+        assert COORDS in actions[0].text
         assert not ctl.pending_alerts
 
     def test_without_any_fix_alert_releases_unknown_at_deadline(self):
@@ -310,7 +310,7 @@ class TestAccidentFlow:
         assert not ctl.step(SensorFrame(), deadline - 10)
         actions = ctl.step(SensorFrame(), deadline)
         assert kinds(actions) == [ActionKind.SEND_ALERT]
-        assert NO_FIX_TEXT in actions[0].alert.body
+        assert NO_FIX_TEXT in actions[0].text
 
     def test_one_alert_per_refractory_window(self):
         ctl = SafetyController(CFG)
@@ -355,7 +355,7 @@ class TestPanicFlow:
         a3 = self.press(ctl, 32000)  # outside
         count = lambda acts: sum(1 for a in acts if a.kind is ActionKind.SEND_ALERT)
         assert (count(a1), count(a2), count(a3)) == (1, 0, 1)
-        assert a1[0].alert.kind is AlertKind.PANIC
+        assert a1[0].alert is AlertKind.PANIC
 
 
 class TestAlcoholFlow:
@@ -371,8 +371,8 @@ class TestAlcoholFlow:
         alerts = [a for a in log if a.kind is ActionKind.SEND_ALERT]
         assert engine == [False, True]
         assert len(alerts) == 1
-        assert alerts[0].alert.kind is AlertKind.ALCOHOL
-        assert alerts[0].alert.destination == CFG.alert_safety_number
+        assert alerts[0].alert is AlertKind.ALCOHOL
+        assert alerts[0].dest == CFG.alert_safety_number
 
     def test_engine_disable_precedes_alert_action(self):
         ctl = SafetyController(CFG)
@@ -385,6 +385,42 @@ class TestAlcoholFlow:
             t += 10
         assert kinds(actions) == [ActionKind.SET_ENGINE, ActionKind.SEND_ALERT]
         assert actions[0].engine_enabled is False
+
+
+class TestAlertRouting:
+    # the frames that raise each alert, 10 ms apart
+    TRIGGERS = {
+        AlertKind.ACCIDENT: [SensorFrame(impact=1)] * 6,
+        AlertKind.PANIC: [SensorFrame(panic=1)],
+        AlertKind.ALCOHOL: [SensorFrame(alcohol_raw=1023)],
+    }
+    ROUTE = {
+        AlertKind.ACCIDENT: CFG.alert_primary_number,
+        AlertKind.PANIC: CFG.alert_primary_number,
+        AlertKind.ALCOHOL: CFG.alert_safety_number,
+    }
+
+    @pytest.mark.parametrize("kind", list(AlertKind))
+    @pytest.mark.parametrize("fresh_fix", [True, False], ids=["immediate", "parked"])
+    def test_kind_picks_the_number_on_both_release_paths(self, kind, fresh_fix):
+        assert CFG.alert_primary_number != CFG.alert_safety_number
+        ctl = SafetyController(CFG)
+        if fresh_fix:
+            ctl.step(parse_sentence(GGA), 900)
+        actions = []
+        for i, frame in enumerate(self.TRIGGERS[kind]):
+            actions += ctl.step(frame, 1000 + 10 * i)
+        if not fresh_fix:
+            assert ActionKind.SEND_ALERT not in kinds(actions)
+            deadline = ctl.pending_alerts[0].deadline_ms
+            assert ActionKind.SEND_ALERT not in kinds(ctl.step(SensorFrame(), deadline - 10))
+            actions = ctl.step(SensorFrame(), deadline)
+        alerts = [a for a in actions if a.kind is ActionKind.SEND_ALERT]
+        assert len(alerts) == 1
+        assert alerts[0].alert is kind
+        assert alerts[0].dest == self.ROUTE[kind]
+        assert (COORDS if fresh_fix else NO_FIX_TEXT) in alerts[0].text
+        assert not ctl.pending_alerts
 
 
 class TestWiperFlow:

@@ -1,4 +1,4 @@
-"""Query parsing, reply templates, alert bodies and routing."""
+"""Query parsing, reply templates and alert bodies."""
 
 import pytest
 from hypothesis import given, reject, strategies as st
@@ -128,36 +128,33 @@ class TestFormatReply:
 
 
 class TestFormatAlert:
-    def test_accident_body_and_routing(self):
-        msg = format_alert(AlertKind.ACCIDENT, fresh_gps(1000), CFG, now_ms=2000)
-        assert msg.body == f"ACCIDENT DETECTED. Location: {COORDS} {URL}"
-        assert msg.destination == CFG.alert_primary_number
+    def test_accident_body(self):
+        body = format_alert(AlertKind.ACCIDENT, fresh_gps(1000), CFG, now_ms=2000)
+        assert body == f"ACCIDENT DETECTED. Location: {COORDS} {URL}"
 
-    def test_panic_body_and_routing(self):
-        msg = format_alert(AlertKind.PANIC, fresh_gps(1000), CFG, now_ms=2000)
-        assert msg.body == f"PANIC BUTTON PRESSED. Location: {COORDS} {URL}"
-        assert msg.destination == CFG.alert_primary_number
+    def test_panic_body(self):
+        body = format_alert(AlertKind.PANIC, fresh_gps(1000), CFG, now_ms=2000)
+        assert body == f"PANIC BUTTON PRESSED. Location: {COORDS} {URL}"
 
-    def test_alcohol_body_and_routing(self):
-        msg = format_alert(AlertKind.ALCOHOL, fresh_gps(1000), CFG, now_ms=2000)
-        assert msg.body == (
+    def test_alcohol_body(self):
+        body = format_alert(AlertKind.ALCOHOL, fresh_gps(1000), CFG, now_ms=2000)
+        assert body == (
             f"ALCOHOL LIMIT EXCEEDED. Vehicle interlock engaged. Location: {COORDS} {URL}"
         )
-        assert msg.destination == CFG.alert_safety_number
 
     def test_stale_fix_reads_unknown(self):
-        msg = format_alert(AlertKind.PANIC, fresh_gps(1000), CFG, now_ms=99999)
-        assert msg.body.endswith(f"Location: {NO_FIX_TEXT}")
+        body = format_alert(AlertKind.PANIC, fresh_gps(1000), CFG, now_ms=99999)
+        assert body.endswith(f"Location: {NO_FIX_TEXT}")
 
     def test_no_fix_reads_unknown(self):
-        msg = format_alert(AlertKind.ACCIDENT, GpsState(), CFG, now_ms=0)
-        assert msg.body == f"ACCIDENT DETECTED. Location: {NO_FIX_TEXT}"
+        body = format_alert(AlertKind.ACCIDENT, GpsState(), CFG, now_ms=0)
+        assert body == f"ACCIDENT DETECTED. Location: {NO_FIX_TEXT}"
 
     def test_url_embeds_identical_coordinate_text(self):
         gps = fresh_gps(1000)
-        msg = format_alert(AlertKind.ACCIDENT, gps, CFG, now_ms=1500)
+        body = format_alert(AlertKind.ACCIDENT, gps, CFG, now_ms=1500)
         coords = coordinate_text(gps.last_fix.latitude, gps.last_fix.longitude)
-        after_location = msg.body.split("Location: ", 1)[1]
+        after_location = body.split("Location: ", 1)[1]
         plain, url = after_location.split(" ", 1)
         assert plain == coords
         assert url == f"https://maps.google.com/?q={coords}"
@@ -170,6 +167,6 @@ class TestFormatAlert:
             last_fix=GeoFix(latitude=lat, longitude=lon),
             last_update_ms=0,
         )
-        msg = format_alert(kind, gps, CFG, now_ms=0)
-        assert len(msg.body) <= 160
-        check_body(msg.body)
+        body = format_alert(kind, gps, CFG, now_ms=0)
+        assert len(body) <= 160
+        check_body(body)

@@ -157,6 +157,29 @@ class TestScenarioGrammar:
         p.write_text("t=0 impact 1\n")
         assert load_scenario_file(p) == [impact(0, 1)]
 
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_file_loader_reads_crlf_and_cr_as_lf(self, tmp_path, ending):
+        p = tmp_path / "s.txt"
+        p.write_bytes(ending.join([b"# drill", b"t=0 impact 1", b"", b"t=10 impact 0", b""]))
+        assert load_scenario_file(p) == [impact(0, 1), impact(10, 0)]
+        p.write_bytes(ending.join([b"t=0 impact 1", b"", b"t=10 impact 3"]))
+        with pytest.raises(ScenarioError, match="line 3: "):
+            load_scenario_file(p)
+
+    def test_file_loader_drops_a_leading_bom(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"\xef\xbb\xbft=1000 panic 1\n")
+        assert load_scenario_file(p) == [Levels(1000, (("panic", 1),))]
+
+    @pytest.mark.parametrize("sep", list("\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"))
+    def test_lines_end_at_lf_only(self, sep):
+        # an editor shows one comment line here, so no line ends at sep
+        assert load_scenario(f"# panic drill {sep} see wiki\nt=1000 panic 1\n") == [
+            Levels(1000, (("panic", 1),))
+        ]
+        with pytest.raises(ScenarioError, match="line 2: unknown event 'bogus'"):
+            load_scenario(f"# drill {sep} see wiki\nt=1000 bogus\n")
+
 
 # -- virtual gps --------------------------------------------------------------
 
@@ -516,3 +539,40 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {out}: ")
         assert not out.exists()
+
+    def test_check_keeps_a_comment_with_a_line_separator_whole(self, workdir, capsys):
+        tmp, _, _ = workdir
+        scenario = tmp / "drill.txt"
+        scenario.write_text("# panic drill \u2028 see wiki\nt=1000 panic 1\n", encoding="utf-8")
+        assert main(["check", "--scenario", str(scenario)]) == 0
+        assert capsys.readouterr().out == "ok: 1 events\n"
+
+    def test_run_reads_the_first_key_of_a_config_with_a_bom(self, workdir, capsys):
+        # a BOM read as part of the first key makes it unknown, so it is
+        # skipped and the alert goes to the default number
+        tmp, _, _ = workdir
+        cfg = tmp / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfalert_primary_number = +4915112345678\n")
+        scenario = tmp / "panic.txt"
+        scenario.write_text(
+            "t=1000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A\n"
+            "t=2000 panic 1\nt=2100 panic 0\n"
+        )
+        argv = ["run", "--scenario", str(scenario), "--config", str(cfg), "--until-ms", "5000"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "\nM t=2000 dest=+4915112345678 body=PANIC BUTTON PRESSED. " in out
+        assert "+15550001" not in out
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_non_utf8_after_a_bom_names_the_file_offset(self, workdir, capsys, command):
+        tmp, _, config = workdir
+        scenario = tmp / "bom.txt"
+        scenario.write_bytes(b"\xef\xbb\xbft=1\xff\n")
+        argv = [command, "--scenario", str(scenario)]
+        if command == "run":
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {scenario}: not UTF-8: byte 0xff at offset 6\n"
