@@ -177,27 +177,22 @@ class ModemSession:
 
     def ask(self, command: bytes, want: EventKind, timeout_ms: int) -> AtEvent | None:
         """Write ``command`` and return its answer: the first ``want`` or
-        ERROR decoded after the write, or None at the deadline.
+        ERROR decoded after the write, or None once timeout_ms has passed.
 
         Nothing decoded before the write can answer it, so the transport
         is drained first. Every event but the answer is dropped; an
-        arrival leaves its slot for poll(). The virtual transport answers synchronously or not at all, so an
-        empty pump means nothing more will arrive without time passing;
-        the wait jumps the simulation clock straight to the deadline.
+        arrival leaves its slot for poll(). The virtual transport answers
+        within the write or not at all, so one read after the write gets
+        all there is: an answer costs no simulated time, and no answer
+        moves the clock by exactly timeout_ms.
         """
         self._pump()
         self.transport.write(command)
-        deadline = self.clock.now_ms + timeout_ms
-        while True:
-            events = self._pump()
-            for ev in events:
-                if ev.kind is want or ev.kind is EventKind.ERROR:
-                    return ev
-            if events:
-                continue
-            if self.clock.now_ms >= deadline:
-                return None
-            self.clock.advance(deadline - self.clock.now_ms)
+        for ev in self._pump():
+            if ev.kind is want or ev.kind is EventKind.ERROR:
+                return ev
+        self.clock.advance(timeout_ms)
+        return None
 
 
 def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> SendRecord:

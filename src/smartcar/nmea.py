@@ -11,15 +11,12 @@ transport's job, not this module's.
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 from functools import reduce
 from operator import xor
 from typing import NamedTuple
 
 from .types import GeoFix
-
-log = logging.getLogger(__name__)
 
 # each two-character checksum field over 0-9a-fA-F, and its value
 _HEX_DIGITS = "0123456789abcdefABCDEF"
@@ -131,7 +128,6 @@ def update_fix(state: GpsState, sentence: NmeaSentence, now_ms: int) -> GpsState
         else:
             return state
         fix = GeoFix(latitude=lat, longitude=lon)  # ValueError if out of range
-    except ValueError as exc:
-        log.debug("ignoring undecodable sentence %s: %s", f[:1], exc)
+    except ValueError:
         return state
     return GpsState(last_fix=fix, last_update_ms=now_ms)

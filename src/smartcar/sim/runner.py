@@ -140,8 +140,6 @@ class _Executor:
             elif action.kind is ActionKind.SET_ENGINE:
                 state = "yes" if action.engine_enabled else "no"
                 self._record_action(t, f"engine enabled={state}")
-            else:
-                self._record_action(t, f"note {action.text}")
 
     def _dispatch(self, dest: str, body: str) -> None:
         try:
@@ -189,8 +187,9 @@ class _Executor:
         )
 
     def _check_interlock(self) -> None:
-        ema = self.controller.interlock.ema
-        if ema is not None and ema >= self.config.alcohol_threshold and self.controller.engine_enabled:
+        interlock = self.controller.interlock
+        ema = interlock.ema
+        if ema is not None and ema >= self.config.alcohol_threshold and interlock.engine_enabled:
             self.report.violations.append(
                 f"t={self.clock.now_ms} interlock: engine enabled while ema={ema:.1f}"
                 f" >= {self.config.alcohol_threshold}"
@@ -225,7 +224,7 @@ class _Executor:
         ema = self.controller.interlock.ema
         fix = self.controller.gps.last_fix
         self.report.final_state = [
-            ("engine_enabled", "yes" if self.controller.engine_enabled else "no"),
+            ("engine_enabled", "yes" if self.controller.interlock.engine_enabled else "no"),
             ("wiper_mode", self.controller.wiper.mode.name),
             ("alcohol_ema", "none" if ema is None else f"{ema:.3f}"),
             ("gps_fix", coordinate_text(fix.latitude, fix.longitude) if fix else "none"),

@@ -476,7 +476,7 @@ class TestNextDeadline:
             t += 10
             ctl.step(SensorFrame(alcohol_raw=500), t)
         assert ctl.interlock.ema == 500.0
-        assert not ctl.engine_enabled
+        assert not ctl.interlock.engine_enabled
 
     def test_low_and_high_wipers_set_no_deadline(self):
         # a moving servo is sweep()'s to step, not a reason to visit

@@ -418,6 +418,16 @@ class TestUnsolicited:
         session = ModemSession(transport=transport, clock=SimClock())
         assert session.poll() == [3]
 
+    def test_unrelated_lines_do_not_answer(self):
+        # a status line and an arrival come back, but no OK: the exchange
+        # times out after exactly its wait and the arrival waits for poll()
+        transport = Scripted(b'\r\n+CSQ: 18,0\r\n\r\n+CMTI: "SM",4\r\nRING\r\n')
+        clock = SimClock()
+        session = ModemSession(transport=transport, clock=clock)
+        assert session.ask(b"AT+CMGF=1\r", EventKind.OK, 5000) is None
+        assert clock.now_ms == 5000
+        assert session.poll() == [4]
+
     def test_late_prompt_does_not_answer_a_later_header(self):
         # the second CMGF gets the prompt the first header never got; it
         # must not make the second header look answered
