@@ -55,12 +55,9 @@ _LINE = AtEvent(EventKind.LINE)  # any other line, such as +CMGS: <mr>
 
 @dataclass(frozen=True)
 class SendRecord:
-    """One send as the report lists it: the clock when it ended, what it
-    carried, how many attempts it took and why it failed ("" if it did not)."""
+    """What one send found out: whether it was delivered, how many attempts
+    it took and why it failed ("" if it did not)."""
 
-    t_ms: int
-    destination: str
-    body: str
     delivered: bool
     attempts: int
     reason: str
@@ -197,7 +194,7 @@ class ModemSession:
 
 def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> SendRecord:
     """Run the text-mode send sequence with retry/backoff and return its
-    record, stamped with the clock when the sequence ends.
+    record; the session's clock stands where the sequence ended.
 
     CMGF=1 (await OK), CMGS (await prompt), body+CTRL-Z (await OK), each
     stage bounded by sms_ok_timeout_ms. ERROR or a timeout at any stage
@@ -216,7 +213,7 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> Sen
         session.clock.advance(config.sms_retry_backoff_ms)
         attempt += 1
         reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
-    return SendRecord(session.clock.now_ms, dest, body, not reason, attempt, reason)
+    return SendRecord(not reason, attempt, reason)
 
 
 def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:

@@ -53,8 +53,13 @@ def _wiper_text(mode_name: str, angle: float) -> str:
 
 @dataclass
 class Counters:
+    """The report's C lines, in printed order; each send counts as it ends."""
+
     sentences_parsed: int = 0
     checksum_failures: int = 0
+    sms_sent: int = 0
+    sms_failed: int = 0
+    sms_retries: int = 0
 
 
 @dataclass
@@ -62,26 +67,14 @@ class SimReport:
     tick_ms: int
     until_ms: int
     records: list[LogRecord] = field(default_factory=list)
-    sends: list[SendRecord] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
     final_state: list[tuple[str, str]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
-    @property
-    def outbound_sms(self) -> list[tuple[int, str, str]]:
-        """(t_ms, destination, body) of each delivered send, in order."""
-        return [(s.t_ms, s.destination, s.body) for s in self.sends if s.delivered]
-
     def serialize(self) -> str:
         lines = [REPORT_HEADER, f"tick_ms={self.tick_ms}", f"until_ms={self.until_ms}"]
         lines.extend(f"{r.tag} t={r.t_ms} {r.text}" for r in self.records)
-        lines += [
-            f"C sentences_parsed={self.counters.sentences_parsed}",
-            f"C checksum_failures={self.counters.checksum_failures}",
-            f"C sms_sent={sum(s.delivered for s in self.sends)}",
-            f"C sms_failed={sum(not s.delivered for s in self.sends)}",
-            f"C sms_retries={sum(s.attempts - 1 for s in self.sends)}",
-        ]
+        lines.extend(f"C {name}={value}" for name, value in vars(self.counters).items())
         lines.extend(f"F {key}={value}" for key, value in self.final_state)
         lines.extend(f"V {text}" for text in self.violations)
         return "\n".join(lines) + "\n"
@@ -142,21 +135,29 @@ class _Executor:
                 self._record_action(t, f"engine enabled={state}")
 
     def _dispatch(self, dest: str, body: str) -> None:
+        counters = self.report.counters
+        sent_before = counters.sms_sent
         try:
             send = send_sms(self.session, dest, body, self.config)
         except ModemError as exc:
-            send = SendRecord(self.clock.now_ms, dest, body, False, 1, f"rejected: {exc}")
-        self.report.sends.append(send)
-        self.report.records.append(
-            LogRecord(
-                "S",
-                send.t_ms,
-                f"delivered={'yes' if send.delivered else 'no'} attempts={send.attempts} "
-                f"reason={send.reason or '-'} dest={dest} body={body}",
-            )
+            send = SendRecord(False, 1, f"rejected: {exc}")
+        t = self.clock.now_ms
+        message = f"dest={dest} body={body}"
+        outcome = (
+            f"delivered={'yes' if send.delivered else 'no'} attempts={send.attempts}"
+            f" reason={send.reason or '-'} {message}"
         )
+        self.report.records.append(LogRecord("S", t, outcome))
         if send.delivered:
-            self.report.records.append(LogRecord("M", send.t_ms, f"dest={dest} body={body}"))
+            self.report.records.append(LogRecord("M", t, message))
+            counters.sms_sent += 1
+        else:
+            counters.sms_failed += 1
+        counters.sms_retries += send.attempts - 1
+        # past the report's earlier count the modem holds this delivery or nothing
+        new = self.modem.deliveries[sent_before:]
+        if new != ([(dest, body)] if send.delivered else []):
+            self.report.violations.append(f"t={t} conservation: {outcome}, modem recorded {new}")
 
     def _step_gps(self) -> None:
         for line in self.gps_feed.poll():
@@ -198,16 +199,16 @@ class _Executor:
     # -- audits ------------------------------------------------------------
 
     def _check_conservation(self) -> None:
-        delivered = [(dest, body) for _, dest, body in self.report.outbound_sms]
-        if delivered != self.modem.deliveries:
+        counters = self.report.counters
+        if counters.sms_sent != len(self.modem.deliveries):
             self.report.violations.append(
-                f"conservation: report lists {len(delivered)} deliveries,"
+                f"conservation: report lists {counters.sms_sent} deliveries,"
                 f" modem recorded {len(self.modem.deliveries)}"
             )
-        if self.send_action_count != len(self.report.sends):
+        sends = counters.sms_sent + counters.sms_failed
+        if self.send_action_count != sends:
             self.report.violations.append(
-                f"conservation: {self.send_action_count} send actions,"
-                f" {len(self.report.sends)} send records"
+                f"conservation: {self.send_action_count} send actions, {sends} send records"
             )
 
     def _check_clock_order(self) -> None:

@@ -47,11 +47,11 @@ def test_c01_accident_alert_end_to_end():
     elapsed = time.perf_counter() - started
 
     assert report.violations == []
-    assert len(report.outbound_sms) == 1
-    _, dest, body = report.outbound_sms[0]
-    assert dest == CFG.alert_primary_number
-    assert COORDS in body
-    assert MAPS_URL in body
+    messages = [r.text for r in report.records if r.tag == "M"]
+    assert len(messages) == 1
+    assert messages[0].startswith(f"dest={CFG.alert_primary_number} body=")
+    assert COORDS in messages[0]
+    assert MAPS_URL in messages[0]
     airbag_at = next(i for i, r in enumerate(report.records) if "airbag" in r.text)
     send_at = next(i for i, r in enumerate(report.records) if r.tag == "S")
     assert airbag_at < send_at
@@ -65,23 +65,24 @@ def test_c02_panic_button_refractory():
     three = run_text(press(1000) + press(6000) + press(32000), 60000)
     elapsed = time.perf_counter() - started
 
-    for report in (one, two, three):
+    sent = [[r.text for r in report.records if r.tag == "M"] for report in (one, two, three)]
+    for report, messages in zip((one, two, three), sent):
         assert report.violations == []
-        assert all(dest == CFG.alert_primary_number for _, dest, _ in report.outbound_sms)
-    assert len(one.outbound_sms) == 1
-    assert len(two.outbound_sms) == 1  # press inside the 30 s window is absorbed
-    assert len(three.outbound_sms) == 2
+        assert all(m.startswith(f"dest={CFG.alert_primary_number} body=") for m in messages)
+    assert len(sent[0]) == 1
+    assert len(sent[1]) == 1  # press inside the 30 s window is absorbed
+    assert len(sent[2]) == 2
     assert elapsed < 1.0
 
 
 def test_c03_remote_status_query():
     report = run_text("t=500 cabin 24.5 51\nt=1000 sms +15550100 STATUS\n", 15000)
     assert report.violations == []
-    assert len(report.outbound_sms) == 1
-    _, dest, body = report.outbound_sms[0]
-    assert dest == "+15550100"
-    assert "TEMP=24.5C" in body
-    assert "HUM=51%" in body
+    messages = [r.text for r in report.records if r.tag == "M"]
+    assert len(messages) == 1
+    assert messages[0].startswith("dest=+15550100 body=")
+    assert "TEMP=24.5C" in messages[0]
+    assert "HUM=51%" in messages[0]
 
 
 def test_c04_alcohol_interlock_cycle():
@@ -90,11 +91,11 @@ def test_c04_alcohol_interlock_cycle():
 
     engine = [r for r in report.records if r.text.startswith("engine ")]
     assert [r.text for r in engine] == ["engine enabled=no", "engine enabled=yes"]
-    assert len(report.outbound_sms) == 1
-    _, dest, body = report.outbound_sms[0]
-    assert dest == CFG.alert_safety_number
-    assert "ALCOHOL" in body
-    assert engine[0].t_ms < report.outbound_sms[0][0] <= engine[1].t_ms
+    messages = [r for r in report.records if r.tag == "M"]
+    assert len(messages) == 1
+    assert messages[0].text.startswith(f"dest={CFG.alert_safety_number} body=")
+    assert "ALCOHOL" in messages[0].text
+    assert engine[0].t_ms < messages[0].t_ms <= engine[1].t_ms
 
 
 def frame_sentence(body: str) -> str:
@@ -242,23 +243,20 @@ def test_c09_modem_fault_retry_paths():
     )
     report = run_text(flaky, 40000)
     assert report.violations == []
-    assert len(report.sends) == 1
-    send = report.sends[0]
-    assert send.delivered and send.attempts == 3
+    sends = [r.text for r in report.records if r.tag == "S"]
+    assert len(sends) == 1
+    assert sends[0].startswith("delivered=yes attempts=3 reason=- ")
     assert "C sms_retries=2\n" in report.serialize()
-    assert len(report.outbound_sms) == 1
+    assert sum(r.tag == "M" for r in report.records) == 1
 
     dead = f"t=1000 gps {RMC_FIX}\nt=4000 modem_fault silent_for 60000\n" + burst(5000)
     report = run_text(dead, 40000)
     assert report.violations == []
-    assert len(report.sends) == 1
-    send = report.sends[0]
-    assert not send.delivered
-    assert send.attempts == CFG.sms_retry_max + 1
-    assert send.reason == "timeout"
-    assert report.outbound_sms == []
+    sends = [r.text for r in report.records if r.tag == "S"]
+    assert len(sends) == 1
+    assert sends[0].startswith(f"delivered=no attempts={CFG.sms_retry_max + 1} reason=timeout ")
+    assert not any(r.tag == "M" for r in report.records)
     assert "C sms_sent=0\nC sms_failed=1\n" in report.serialize()
-    assert any(r.tag == "S" and "delivered=no attempts=4" in r.text for r in report.records)
 
 
 def test_c10_reports_and_decoder_deterministic():

@@ -1,0 +1,99 @@
+"""The executor's self-audits fire: each test breaks the invariant one
+audit guards, through unittest.mock, and expects that audit's V line.
+
+Every other test expects no V line, so without these a deleted audit
+would pass the whole suite.
+"""
+
+from pathlib import Path
+from unittest import mock
+
+from smartcar.cli import main
+from smartcar.config import Config
+from smartcar.controller import AlcoholInterlock, SafetyController
+from smartcar.sim.devices import VirtualModem
+from smartcar.sim.runner import _Executor, run
+from smartcar.sim.scenario import load_scenario
+
+CFG = Config()
+DEFAULT_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "default.cfg"
+RMC_FIX = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A"
+CRASH = f"t=1000 gps {RMC_FIX}\nt=5000 impact 1\nt=5060 impact 0\n"
+ALERT = (
+    "dest=+15550001 body=ACCIDENT DETECTED. Location: 48.117300,11.516667"
+    " https://maps.google.com/?q=48.117300,11.516667"
+)
+
+
+def v_lines(report) -> list[str]:
+    return [line for line in report.serialize().splitlines() if line.startswith("V ")]
+
+
+def _update_never_engages(self, raw):
+    """An interlock that smooths nothing and never drops the engine line."""
+    self.ema = raw
+    return False, False
+
+
+def _finish_body_unrecorded(self, body):
+    """A modem that acknowledges the body but records no delivery."""
+    self._pending_dest = None
+    self._emit("\r\n+CMGS: 1\r\n\r\nOK\r\n")
+
+
+def test_interlock_audit_fires():
+    with mock.patch.object(AlcoholInterlock, "update", _update_never_engages):
+        report = run(load_scenario("t=100 alcohol 900"), CFG, 2000)
+    assert v_lines(report) == ["V t=100 interlock: engine enabled while ema=900.0 >= 450"]
+
+
+def test_clock_order_audit_fires():
+    sweep = SafetyController.sweep
+
+    def sweep_with_early_step(self, start_ms, end_ms):
+        return [*sweep(self, start_ms, end_ms), (start_ms - 1, 0.0)]
+
+    with mock.patch.object(SafetyController, "sweep", sweep_with_early_step):
+        report = run(load_scenario("t=0 rain 1 900"), CFG, 2000)
+    [line] = v_lines(report)
+    assert line.startswith("V clock: record at t=")
+
+
+def test_conservation_audit_fires_per_send_and_at_the_end():
+    with mock.patch.object(VirtualModem, "_finish_body", _finish_body_unrecorded):
+        report = run(load_scenario(CRASH), CFG, 20000)
+    assert f"M t=5040 {ALERT}" in report.serialize()
+    assert v_lines(report) == [
+        f"V t=5040 conservation: delivered=yes attempts=1 reason=- {ALERT}, modem recorded []",
+        "V conservation: report lists 1 deliveries, modem recorded 0",
+    ]
+
+
+def test_conservation_audit_counts_send_actions():
+    with mock.patch.object(_Executor, "_dispatch", lambda self, dest, body: None):
+        report = run(load_scenario(CRASH), CFG, 20000)
+    assert v_lines(report) == ["V conservation: 1 send actions, 0 send records"]
+
+
+def test_cli_exits_2_on_a_violation(tmp_path, capsys):
+    scenario = tmp_path / "drunk.txt"
+    scenario.write_text("t=100 alcohol 900\n", encoding="utf-8")
+    with mock.patch.object(AlcoholInterlock, "update", _update_never_engages):
+        code = main(["run", "--scenario", str(scenario), "--config", str(DEFAULT_CFG)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "\nV t=100 interlock: " in out
+    assert err == "error: 1 invariant violation(s), see report\n"
+
+
+def test_rejected_send_is_one_failed_send():
+    # a reply the text-mode encoder cannot carry is rejected before any byte is written
+    with mock.patch("smartcar.controller.format_reply", return_value="X" * 161):
+        text = run(load_scenario("t=100 sms +15550100 STATUS"), CFG, 2000).serialize()
+    assert (
+        "\nS t=100 delivered=no attempts=1 reason=rejected: SMS body exceeds 160 chars (161)"
+        f" dest=+15550100 body={'X' * 161}\n"
+    ) in text
+    assert "\nC sms_sent=0\nC sms_failed=1\nC sms_retries=0\n" in text
+    assert "\nM " not in text
+    assert "\nV " not in text

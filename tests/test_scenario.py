@@ -143,8 +143,10 @@ class TestScenarioGrammar:
             load_scenario(f"t=100 {bad}")
 
     def test_sms_limits_accepted(self):
-        events = load_scenario("t=0 sms 1 x\nt=0 sms +123456789012345 " + "~" * 160)
-        assert events == [SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160)]
+        events = load_scenario("t=0 sms 1 x\nt=0 sms +123456789012345 " + "~" * 160
+                               + "\nt=0 sms +15550100 hi   there   ")
+        assert events == [SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160),
+                          SmsIn(0, "+15550100", "hi   there")]  # trailing spaces go with the line's
 
     @pytest.mark.parametrize("prefix", ["1000 impact 1", "t= impact 1", "t=-5 impact 1", "t=1.5 impact 1",
                                         "t=+3 panic 1", "t=1_0 impact 1", "t=\u0663 impact 1"])
@@ -283,10 +285,10 @@ class TestRunner:
         report = run(load_scenario(CRASH), CFG, 20000)
         assert report.violations == []
         assert "C sms_sent=1\nC sms_failed=0\n" in report.serialize()
-        assert len(report.outbound_sms) == 1
-        t, dest, body = report.outbound_sms[0]
-        assert dest == CFG.alert_primary_number
-        assert "48.117300,11.516667" in body
+        messages = [r.text for r in report.records if r.tag == "M"]
+        assert len(messages) == 1
+        assert messages[0].startswith(f"dest={CFG.alert_primary_number} body=")
+        assert "48.117300,11.516667" in messages[0]
         airbags = [r for r in report.records if "airbag" in r.text]
         assert len(airbags) == 1 and airbags[0].t_ms == 5040
 
