@@ -137,8 +137,7 @@ class AlcoholInterlock:
     """EMA-smoothed hysteresis gate on the raw alcohol channel.
 
     The engine-enable line drops when the smoothed value reaches the
-    engage threshold and returns only below the release threshold; one
-    alert per engagement.
+    engage threshold and returns only below the release threshold.
     """
 
     EMA_ALPHA = 0.2
@@ -153,16 +152,16 @@ class AlcoholInterlock:
         """The EMA that update(raw) would store."""
         return raw if self.ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * self.ema
 
-    def update(self, raw: int) -> tuple[bool, bool]:
-        """Feed one sample; returns (engine_line_changed, alert_due)."""
+    def update(self, raw: int) -> bool:
+        """Feed one sample; returns whether the engine-enable line changed."""
         self.ema = self.smoothed(raw)
         if self.engine_enabled and self.ema >= self.threshold:
             self.engine_enabled = False
-            return True, True
+            return True
         if not self.engine_enabled and self.ema < self.release:
             self.engine_enabled = True
-            return True, False
-        return False, False
+            return True
+        return False
 
 
 @dataclass
@@ -268,11 +267,12 @@ class SafetyController:
             self._request_alert(AlertKind.PANIC, now_ms, actions)
 
     def _step_alcohol(self, raw: int, now_ms: int, actions: list[Action]) -> None:
-        changed, alert_due = self.interlock.update(raw)
-        if changed:
-            enabled = self.interlock.engine_enabled
-            actions.append(Action(ActionKind.SET_ENGINE, engine_enabled=enabled))
-        if alert_due:
+        if not self.interlock.update(raw):
+            return
+        enabled = self.interlock.engine_enabled
+        actions.append(Action(ActionKind.SET_ENGINE, engine_enabled=enabled))
+        if not enabled:
+            # the line drops once per engagement, so one alert per engagement
             self._request_alert(AlertKind.ALCOHOL, now_ms, actions)
 
     def _step_wiper(self, wet: int, intensity: int, now_ms: int, actions: list[Action]) -> None:

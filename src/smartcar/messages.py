@@ -80,7 +80,7 @@ def format_reply(
         engine = "ENABLED" if engine_enabled else "DISABLED"
         return f"{temp} {hum} ALC={frame.alcohol_raw} RAIN={rain} ENGINE={engine}"
     if kind is QueryKind.HELP:
-        return "CMDS: STATUS TEMP HUM LOC HELP"
+        return "CMDS: " + " ".join(_KNOWN_QUERIES)
     return "UNKNOWN CMD. SEND HELP"
 
 

@@ -43,8 +43,7 @@ class EventKind(Enum):
 class AtEvent:
     kind: EventKind
     index: int = 0  # SMS_ARRIVED storage slot
-    sender: str = ""  # INBOUND_SMS
-    body: str = ""  # INBOUND_SMS
+    sms: InboundSms | None = None  # INBOUND_SMS
 
 
 _OK = AtEvent(EventKind.OK)
@@ -55,12 +54,15 @@ _LINE = AtEvent(EventKind.LINE)  # any other line, such as +CMGS: <mr>
 
 @dataclass(frozen=True)
 class SendRecord:
-    """What one send found out: whether it was delivered, how many attempts
-    it took and why it failed ("" if it did not)."""
+    """What one send found out: how many attempts it took and why it
+    failed ("" if it was delivered)."""
 
-    delivered: bool
     attempts: int
     reason: str
+
+    @property
+    def delivered(self) -> bool:
+        return not self.reason
 
 
 def check_body(body: str) -> None:
@@ -123,13 +125,9 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
             if body_end < 0:
                 return events, buf  # wait for the body line
             sender_match = _CMGR_SENDER_RE.match(text)
-            events.append(
-                AtEvent(
-                    EventKind.INBOUND_SMS,
-                    sender=sender_match.group(1) if sender_match else "",
-                    body=rest[:body_end].decode("latin-1"),
-                )
-            )
+            sender = sender_match.group(1) if sender_match else ""
+            sms = InboundSms(sender, rest[:body_end].decode("latin-1"))
+            events.append(AtEvent(EventKind.INBOUND_SMS, sms=sms))
             rest = rest[body_end + 2 :]
         else:
             events.append(_LINE)
@@ -213,7 +211,7 @@ def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> Sen
         session.clock.advance(config.sms_retry_backoff_ms)
         attempt += 1
         reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
-    return SendRecord(not reason, attempt, reason)
+    return SendRecord(attempt, reason)
 
 
 def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
@@ -233,4 +231,4 @@ def fetch_inbound(session: ModemSession, slot: int, config: Config) -> InboundSm
     ev = session.ask(command, EventKind.INBOUND_SMS, config.sms_ok_timeout_ms)
     if ev is None or ev.kind is EventKind.ERROR:
         raise ModemError(f"failed to fetch stored SMS at index {slot}")
-    return InboundSms(sender=ev.sender, body=ev.body)
+    return ev.sms

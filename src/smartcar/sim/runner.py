@@ -111,11 +111,10 @@ class _Executor:
             self.gps_feed.push_raw(ev.text)
         elif isinstance(ev, sc.SmsIn):
             self.modem.inject_sms(ev.sender, ev.body)
-        elif isinstance(ev, sc.ModemFault):
-            if ev.mode == sc.ERROR_ONCE:
-                self.modem.arm_error_once()
-            else:
-                self.modem.silence_for(ev.duration_ms)
+        elif isinstance(ev, sc.ErrorOnce):
+            self.modem.arm_error_once()
+        elif isinstance(ev, sc.SilentFor):
+            self.modem.silence_for(ev.duration_ms)
 
     def _interpret(self, actions) -> None:
         for action in actions:
@@ -140,7 +139,7 @@ class _Executor:
         try:
             send = send_sms(self.session, dest, body, self.config)
         except ModemError as exc:
-            send = SendRecord(False, 1, f"rejected: {exc}")
+            send = SendRecord(1, f"rejected: {exc}")
         t = self.clock.now_ms
         message = f"dest={dest} body={body}"
         outcome = (

@@ -59,18 +59,18 @@ class SmsIn:
     body: str
 
 
-ERROR_ONCE = "error_once"
-SILENT_FOR = "silent_for"
+@dataclass(frozen=True)
+class ErrorOnce:  # the modem's next answered command fails with ERROR
+    t_ms: int
 
 
 @dataclass(frozen=True)
-class ModemFault:
+class SilentFor:  # the modem drops every byte written for duration_ms
     t_ms: int
-    mode: str  # ERROR_ONCE or SILENT_FOR
-    duration_ms: int = 0
+    duration_ms: int
 
 
-ScenarioEvent = Union[Levels, GpsLine, SmsIn, ModemFault]
+ScenarioEvent = Union[Levels, GpsLine, SmsIn, ErrorOnce, SilentFor]
 
 
 def _levels(t_ms: int, word: str, args: str, lineno: int) -> Levels:
@@ -122,11 +122,11 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
         return SmsIn(t_ms, sender, body)
     if word == "modem_fault":
         mode, _, extra = args.partition(" ")
-        if mode == ERROR_ONCE:
+        if mode == "error_once":
             if extra:
                 raise ScenarioError(f"line {lineno}: error_once takes no argument")
-            return ModemFault(t_ms, ERROR_ONCE)
-        if mode == SILENT_FOR:
+            return ErrorOnce(t_ms)
+        if mode == "silent_for":
             try:
                 ms = parse_int(extra.strip())
             except ValueError:
@@ -135,7 +135,7 @@ def _parse_line(s: str, lineno: int) -> ScenarioEvent:
                 ) from None
             if not 1 <= ms <= 10**9:
                 raise ScenarioError(f"line {lineno}: silence duration out of range 1..{10**9}: {ms}")
-            return ModemFault(t_ms, SILENT_FOR, ms)
+            return SilentFor(t_ms, ms)
         raise ScenarioError(f"line {lineno}: unknown modem fault {mode!r}")
     raise ScenarioError(f"line {lineno}: unknown event {word!r}")
 

@@ -304,3 +304,24 @@ def test_panic_press_during_a_blocked_send_is_not_lost():
     report = run_text(scenario, 120000)
     alerts = [r.text for r in report.records if r.text.startswith("alert kind=")]
     assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts
+
+
+# the first read of slot 1 meets the armed ERROR; slot 2 arrives later
+UNREAD_SCENARIO = (
+    "t=1000 modem_fault error_once\n"
+    "t=1000 sms +15550100 STATUS\n"
+    "t=5000 sms +15550101 TEMP\n"
+)
+
+
+def test_failed_inbound_read_is_noted_and_later_texts_answered():
+    lines = run_text(UNREAD_SCENARIO, 35000).serialize().splitlines()
+    assert "A t=1000 note inbound-read-failed: failed to fetch stored SMS at index 1" in lines
+    assert "A t=5000 reply dest=+15550101 body=TEMP=20.0C" in lines
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_text_whose_read_failed_is_read_again():
+    report = run_text(UNREAD_SCENARIO, 35000)
+    replies = [r.text for r in report.records if r.text.startswith("reply ")]
+    assert any(text.startswith("reply dest=+15550100 ") for text in replies), replies

@@ -32,7 +32,7 @@ def v_lines(report) -> list[str]:
 def _update_never_engages(self, raw):
     """An interlock that smooths nothing and never drops the engine line."""
     self.ema = raw
-    return False, False
+    return False
 
 
 def _finish_body_unrecorded(self, body):

@@ -129,9 +129,8 @@ class TestAlcoholInterlock:
         lock = AlcoholInterlock(450, 400)
         crossed_at = None
         for i, (raw, ema) in enumerate(zip(raws, expect)):
-            changed, alert = lock.update(raw)
+            changed = lock.update(raw)
             assert lock.ema == ema
-            assert changed == alert  # first crossing carries the alert
             if changed:
                 crossed_at = i
                 break
@@ -141,31 +140,29 @@ class TestAlcoholInterlock:
 
     def test_single_alert_per_engagement(self):
         lock = AlcoholInterlock(450, 400)
-        alerts = sum(lock.update(800)[1] for _ in range(50))
-        assert alerts == 1
+        changes = sum(lock.update(800) for _ in range(50))
+        assert changes == 1
         assert not lock.engine_enabled
 
     def test_hysteresis_band_holds(self):
         lock = AlcoholInterlock(450, 400)
         for _ in range(50):
             lock.update(800)
-        # hover between release and threshold: stays engaged, no new alert
+        # hover between release and threshold: the line does not move
         for _ in range(100):
-            changed, alert = lock.update(430)
-            assert not alert
+            assert not lock.update(430)
         assert not lock.engine_enabled
-        # drop below release: re-enables, and a fresh breach alerts again
+        # drop below release: re-enables, and a fresh breach drops it again
         while not lock.engine_enabled:
             lock.update(0)
         assert lock.engine_enabled
-        alerts = sum(lock.update(900)[1] for _ in range(30))
-        assert alerts == 1
+        changes = sum(lock.update(900) for _ in range(30))
+        assert changes == 1
 
     def test_smoothing_rejects_single_spike(self):
         lock = AlcoholInterlock(450, 400)
         lock.update(0)
-        changed, alert = lock.update(1023)  # ema 204.6, nowhere near 450
-        assert not changed and not alert
+        assert not lock.update(1023)  # ema 204.6, nowhere near 450
         assert lock.engine_enabled
 
 

@@ -23,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 GOLDEN_SHA256 = {
+    "cold_start": "8e006b3ff2320ad1eafd03c8aaf20369f77dd51cd269781ded9996b9ae766524",
     "crash_demo": "a7d00fc85780bb0a5969e509d7de201c035ff45ede7c00c23da2612887938c26",
     "drunk_start": "301eb32d629c58f086c8b026363e737adb3db5d7bac56d25d944e93a869f379d",
     "remote_query": "014d49190e1924135eb7a3c7d8e84959f107b4e0e72e3a7f514e76b64066a2cf",

@@ -29,6 +29,7 @@ from smartcar.modem import (
 )
 from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import VirtualModem
+from smartcar.types import InboundSms
 
 TRANSCRIPT = Path(__file__).parent / "data" / "transcript_sim900.txt"
 ALERT_BODY = (
@@ -168,7 +169,7 @@ class TestGoldenTranscript:
         AtEvent(EventKind.LINE),  # +CMGS: 1
         AtEvent(EventKind.OK),
         AtEvent(EventKind.SMS_ARRIVED, index=1),
-        AtEvent(EventKind.INBOUND_SMS, sender="+15550100", body="STATUS"),
+        AtEvent(EventKind.INBOUND_SMS, sms=InboundSms("+15550100", "STATUS")),
         AtEvent(EventKind.OK),
         AtEvent(EventKind.ERROR),
         AtEvent(EventKind.ERROR),
@@ -258,7 +259,7 @@ class TestDecodeStream:
         assert events == []
         events, rest = decode_stream(rest + b"TUS\r\n\r\nOK\r\n")
         assert events == [
-            AtEvent(EventKind.INBOUND_SMS, sender="+1555", body="STATUS"),
+            AtEvent(EventKind.INBOUND_SMS, sms=InboundSms("+1555", "STATUS")),
             AtEvent(EventKind.OK),
         ]
 
@@ -293,7 +294,7 @@ class TestSendSms:
         clock = SimClock()
         modem, session = fresh_session(clock)
         record = send_sms(session, "+15550001", "HELLO", Config())
-        assert record == SendRecord(True, 1, "")
+        assert record == SendRecord(1, "")
         assert modem.deliveries == [("+15550001", "HELLO")]
         assert clock.now_ms == 0  # synchronous peer, no waiting
 

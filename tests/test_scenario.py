@@ -8,9 +8,10 @@ from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import SensorBoard, VirtualGps, VirtualModem
 from smartcar.sim.runner import REPORT_HEADER, run
 from smartcar.sim.scenario import (
+    ErrorOnce,
     GpsLine,
     Levels,
-    ModemFault,
+    SilentFor,
     SmsIn,
     load_scenario,
     load_scenario_file,
@@ -50,8 +51,8 @@ class TestScenarioGrammar:
         assert events[5] == Levels(5000, (("rain_wet", 1), ("rain_intensity", 520)))
         assert events[6] == Levels(6000, (("temp_c", 24.5), ("humidity_pct", 51.0)))
         assert events[7] == SmsIn(7000, "+15550100", "STATUS NOW")  # body keeps spaces
-        assert events[8] == ModemFault(8000, "error_once")
-        assert events[9] == ModemFault(9000, "silent_for", 12000)
+        assert events[8] == ErrorOnce(8000)
+        assert events[9] == SilentFor(9000, 12000)
 
     def test_comments_and_blanks_skipped(self):
         events = load_scenario("# header\n\n   \nt=10 impact 1\n  # trailing\n")
