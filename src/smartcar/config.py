@@ -7,10 +7,8 @@ firmware variants.
 All thresholds are raw 10-bit ADC counts; all times are milliseconds.
 """
 
-from dataclasses import dataclass, fields
-
 from .modem import check_number
-from .types import ADC_MAX, ConfigError, ModemError, content_lines, parse_int, read_utf8
+from .types import ADC_MAX, ConfigError, Frozen, ModemError, content_lines, parse_int, read_utf8
 
 # smallest accepted value of each duration and count key
 _MINIMUMS = {
@@ -27,26 +25,18 @@ _MINIMUMS = {
 }
 
 
-@dataclass(frozen=True)
-class Config:
-    alert_primary_number: str = "+15550001"
-    alert_safety_number: str = "+15550002"
-    alcohol_threshold: int = 450
-    alcohol_release: int = 400
-    impact_window_ms: int = 100
-    impact_min_high: int = 5
-    impact_refractory_ms: int = 60000
-    panic_refractory_ms: int = 30000
-    gps_stale_ms: int = 5000
-    gps_wait_ms: int = 10000
-    sms_retry_max: int = 3
-    sms_retry_backoff_ms: int = 2000
-    sms_ok_timeout_ms: int = 5000
-    wiper_intermittent_max: int = 300
-    wiper_low_max: int = 700
-    tick_ms: int = 10
+class Config(Frozen):
+    _field_defaults = dict(
+        alert_primary_number="+15550001", alert_safety_number="+15550002",
+        alcohol_threshold=450, alcohol_release=400,
+        impact_window_ms=100, impact_min_high=5, impact_refractory_ms=60000,
+        panic_refractory_ms=30000, gps_stale_ms=5000, gps_wait_ms=10000,
+        sms_retry_max=3, sms_retry_backoff_ms=2000, sms_ok_timeout_ms=5000,
+        wiper_intermittent_max=300, wiper_low_max=700, tick_ms=10,
+    )
+    __slots__ = tuple(_field_defaults)
 
-    def __post_init__(self):
+    def _validate(self):
         """Check cross-field invariants, raising ConfigError naming the keys."""
         if self.alcohol_release >= self.alcohol_threshold:
             raise ConfigError(
@@ -75,7 +65,7 @@ def load_config(source: str) -> Config:
     content but no '=', or for a value that does not parse as the field's
     type; cross-field invariant violations raise from Config construction.
     """
-    field_types = {f.name: f.type for f in fields(Config)}
+    defaults = Config._field_defaults  # a key's type is its default's
     overrides: dict[str, object] = {}
     for lineno, line in content_lines(source):
         if "=" not in line:
@@ -83,10 +73,10 @@ def load_config(source: str) -> Config:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in field_types:
+        if key not in defaults:
             continue  # unknown keys permitted
         try:
-            overrides[key] = parse_int(value) if field_types[key] is int else value
+            overrides[key] = parse_int(value) if type(defaults[key]) is int else value
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return Config(**overrides)

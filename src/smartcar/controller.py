@@ -11,14 +11,14 @@ transcript exactly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum, Enum
 from functools import cache
+from typing import NamedTuple
 
 from .config import Config
 from .messages import format_alert, format_reply, parse_query
 from .nmea import GpsState, NmeaSentence, update_fix
-from .types import AlertKind, InboundSms, SensorFrame
+from .types import AlertKind, Frozen, InboundSms, SensorFrame
 
 
 class WiperMode(IntEnum):
@@ -37,12 +37,10 @@ WIPER_PERIOD_MS = {WiperMode.HIGH: 1000, WiperMode.LOW: 2000, WiperMode.INTERMIT
 WIPER_ACTIVE_MS = {WiperMode.HIGH: 1000, WiperMode.LOW: 2000, WiperMode.INTERMITTENT: 2000}
 
 
-@dataclass(frozen=True)
-class WiperCommand:
-    mode: WiperMode
-    servo_angle_deg: float
+class WiperCommand(Frozen):
+    __slots__ = ("mode", "servo_angle_deg")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.mode is WiperMode.OFF and self.servo_angle_deg != 0.0:
             raise ValueError("wiper Off requires servo angle 0")
         if not 0.0 <= self.servo_angle_deg <= SERVO_MAX_DEG:
@@ -58,8 +56,7 @@ class ActionKind(Enum):
     LOG = "log"  # no producer; kept because the benchmark reports one count per member
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One output. Both sends carry the number in dest and the body in
     text; an alert also names its kind."""
 
@@ -164,8 +161,7 @@ class AlcoholInterlock:
         return False
 
 
-@dataclass
-class _PendingAlert:
+class _PendingAlert(NamedTuple):
     kind: AlertKind
     deadline_ms: int
 

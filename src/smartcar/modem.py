@@ -13,9 +13,8 @@ remainder, append new bytes, call again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .types import SMS_MAX_LEN, InboundSms, ModemError
 
@@ -39,8 +38,7 @@ class EventKind(Enum):
     LINE = "line"
 
 
-@dataclass(frozen=True)
-class AtEvent:
+class AtEvent(NamedTuple):
     kind: EventKind
     index: int = 0  # SMS_ARRIVED storage slot
     sms: InboundSms | None = None  # INBOUND_SMS
@@ -52,8 +50,7 @@ _PROMPT = AtEvent(EventKind.PROMPT)
 _LINE = AtEvent(EventKind.LINE)  # any other line, such as +CMGS: <mr>
 
 
-@dataclass(frozen=True)
-class SendRecord:
+class SendRecord(NamedTuple):
     """What one send found out: how many attempts it took and why it
     failed ("" if it was delivered)."""
 
@@ -134,7 +131,6 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
         buf = rest
 
 
-@dataclass
 class ModemSession:
     """One owner of one byte transport, with incremental decode state.
 
@@ -144,10 +140,11 @@ class ModemSession:
     ask() waits for or dropped.
     """
 
-    transport: object  # needs write(bytes), read() -> bytes
-    clock: object  # needs now_ms: int, advance(ms)
-    _buf: bytes = b""
-    _slots: list[int] = field(default_factory=list)
+    def __init__(self, transport, clock):
+        self.transport = transport  # needs write(bytes), read() -> bytes
+        self.clock = clock  # needs now_ms: int, advance(ms)
+        self._buf = b""
+        self._slots: list[int] = []
 
     def _pump(self) -> list[AtEvent]:
         """Decode what the transport holds, keeping each arrival's slot.

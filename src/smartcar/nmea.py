@@ -127,7 +127,7 @@ def update_fix(state: GpsState, sentence: NmeaSentence, now_ms: int) -> GpsState
             lon = to_decimal_degrees(f[5], f[6])
         else:
             return state
-        fix = GeoFix(latitude=lat, longitude=lon)  # ValueError if out of range
+        fix = GeoFix(lat, lon)  # ValueError if out of range
     except ValueError:
         return state
     return GpsState(last_fix=fix, last_update_ms=now_ms)

@@ -10,7 +10,6 @@ scripted silence window.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from ..modem import CTRL_Z
 from ..types import SensorFrame
@@ -153,7 +152,7 @@ class SensorBoard:
 
     def set_levels(self, values) -> None:
         """Apply (SensorFrame field name, value) pairs; the others hold."""
-        self._frame = replace(self._frame, **dict(values))
+        self._frame = self._frame._replace(**dict(values))
 
     def sample(self) -> SensorFrame:
         return self._frame

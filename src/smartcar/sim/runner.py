@@ -22,8 +22,8 @@ clock stands, so after a block they are off the tick_ms grid.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..config import Config
@@ -51,25 +51,16 @@ def _wiper_text(mode_name: str, angle: float) -> str:
     return f"wiper mode={mode_name} angle={angle:.1f}"
 
 
-@dataclass
-class Counters:
-    """The report's C lines, in printed order; each send counts as it ends."""
-
-    sentences_parsed: int = 0
-    checksum_failures: int = 0
-    sms_sent: int = 0
-    sms_failed: int = 0
-    sms_retries: int = 0
-
-
-@dataclass
 class SimReport:
-    tick_ms: int
-    until_ms: int
-    records: list[LogRecord] = field(default_factory=list)
-    counters: Counters = field(default_factory=Counters)
-    final_state: list[tuple[str, str]] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    def __init__(self, tick_ms: int, until_ms: int):
+        self.tick_ms = tick_ms
+        self.until_ms = until_ms
+        self.records: list[LogRecord] = []
+        self.counters = SimpleNamespace(  # the C lines in printed order; a send counts as it ends
+            sentences_parsed=0, checksum_failures=0, sms_sent=0, sms_failed=0, sms_retries=0
+        )
+        self.final_state: list[tuple[str, str]] = []
+        self.violations: list[str] = []
 
     def serialize(self) -> str:
         lines = [REPORT_HEADER, f"tick_ms={self.tick_ms}", f"until_ms={self.until_ms}"]

@@ -16,8 +16,7 @@ Events are sorted stably by time, so same-tick events apply in file order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..modem import check_body, check_number
 from ..types import ModemError, ScenarioError, SensorFrame, content_lines, read_utf8
@@ -33,39 +32,34 @@ _LEVEL_FIELDS = {
 }
 # each SensorFrame field's parser, and what its error calls the value
 _FIELD_PARSERS = {
-    f.name: (parse_int, "an integer") if f.type is int else (parse_decimal, "a number")
-    for f in fields(SensorFrame)
+    name: (parse_int, "an integer") if type(default) is int else (parse_decimal, "a number")
+    for name, default in SensorFrame._field_defaults.items()
 }
 
 
-@dataclass(frozen=True)
-class Levels:
+class Levels(NamedTuple):
     """(SensorFrame field name, value) pairs that hold from t_ms on."""
 
     t_ms: int
     values: tuple[tuple[str, int | float], ...]
 
 
-@dataclass(frozen=True)
-class GpsLine:
+class GpsLine(NamedTuple):
     t_ms: int
     text: str
 
 
-@dataclass(frozen=True)
-class SmsIn:
+class SmsIn(NamedTuple):
     t_ms: int
     sender: str
     body: str
 
 
-@dataclass(frozen=True)
-class ErrorOnce:  # the modem's next answered command fails with ERROR
+class ErrorOnce(NamedTuple):  # the modem's next answered command fails with ERROR
     t_ms: int
 
 
-@dataclass(frozen=True)
-class SilentFor:  # the modem drops every byte written for duration_ms
+class SilentFor(NamedTuple):  # the modem drops every byte written for duration_ms
     t_ms: int
     duration_ms: int
 

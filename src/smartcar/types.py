@@ -1,13 +1,13 @@
 """Shared value types for the telematics core.
 
 Everything here is an immutable value: safe to copy between contexts,
-hashable where it matters, validated at construction. Time is simulation
-milliseconds supplied by the harness; nothing in this package reads a
-wall clock.
+hashable where it matters, and validated on every construction, copies
+included. Time is simulation milliseconds supplied by the harness;
+nothing in this package reads a wall clock.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 ADC_MAX = 1023  # 10-bit analog inputs
 SMS_MAX_LEN = 160  # GSM-7 single-message budget, 1 char = 1 septet
@@ -19,14 +19,52 @@ class AlertKind(Enum):
     ALCOHOL = "Alcohol"
 
 
-@dataclass(frozen=True)
-class GeoFix:
+class Frozen:
+    """An immutable value with its fields in __slots__ (the fastest read) and
+    defaults in _field_defaults; it runs the subclass's _validate() on every
+    construction, _replace() copies included, and compares field by field."""
+
+    __slots__ = ()
+    _field_defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = dict(self._field_defaults, **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        return type(self)(*[changes.pop(name, getattr(self, name)) for name in self.__slots__], **changes)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self._values())
+
+
+class GeoFix(Frozen):
     """Latest decoded GPS position, in decimal degrees."""
 
-    latitude: float
-    longitude: float
+    __slots__ = ("latitude", "longitude")
 
-    def __post_init__(self):
+    def _validate(self):
         if not -90.0 <= self.latitude <= 90.0:
             raise ValueError(f"latitude out of range: {self.latitude}")
         if not -180.0 <= self.longitude <= 180.0:
@@ -43,20 +81,16 @@ _RANGES = (
 )
 
 
-@dataclass(frozen=True)
-class SensorFrame:
+class SensorFrame(Frozen):
     """The level of every virtual sensor channel. It holds no time: the
     controller records when it stepped each frame."""
 
-    impact: int = 0
-    panic: int = 0
-    alcohol_raw: int = 0
-    rain_wet: int = 0
-    rain_intensity: int = 0
-    temp_c: float = 20.0
-    humidity_pct: float = 50.0
+    _field_defaults = dict(
+        impact=0, panic=0, alcohol_raw=0, rain_wet=0, rain_intensity=0, temp_c=20.0, humidity_pct=50.0
+    )
+    __slots__ = tuple(_field_defaults)
 
-    def __post_init__(self):
+    def _validate(self):
         for name in ("impact", "panic", "rain_wet"):
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be logic 0/1, got {getattr(self, name)}")
@@ -66,8 +100,7 @@ class SensorFrame:
                 raise ValueError(f"{name} must be within {lo}..{hi}, got {value}")
 
 
-@dataclass(frozen=True)
-class InboundSms:
+class InboundSms(NamedTuple):
     """A text message received by the modem, after fetch and decode."""
 
     sender: str

@@ -13,7 +13,6 @@ The default hypothesis profile runs here; `--hypothesis-profile=long`
 (tests/conftest.py) runs many more examples.
 """
 
-from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -70,7 +69,7 @@ scenario_text = st.tuples(
     st.lists(valid_line, max_size=10), st.one_of(edge_line, grammar_line, raw)
 ).map(lambda p: "\n".join(p[0] + [p[1]]))
 
-KEYS = tuple(f.name for f in fields(Config)) + ("bogus_key", "TICK_MS", "")
+KEYS = Config.__slots__ + ("bogus_key", "TICK_MS", "")
 value = st.one_of(
     st.integers(-3, 60).map(str),
     st.sampled_from(("100", "450", "1023", "5000", "30000", "", "x", "1e3", " 7 ",

@@ -1,11 +1,10 @@
 """Config defaults, file parsing, validation."""
 
-import dataclasses
-
 import pytest
 
 from smartcar.config import Config, load_config, load_config_file
-from smartcar.types import ConfigError
+from smartcar.controller import WiperCommand, WiperMode
+from smartcar.types import ConfigError, GeoFix, SensorFrame
 
 
 class TestDefaults:
@@ -29,11 +28,33 @@ class TestDefaults:
         assert cfg.tick_ms == 10
 
     def test_config_is_immutable(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            Config().tick_ms = 20
+        # and so are the other values the loop reads on every visit
+        values = (Config(), SensorFrame(), WiperCommand(WiperMode.LOW, 10.0), GeoFix(48.1, 11.5))
+        for value in values:
+            name = type(value).__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert value == value._replace() and hash(value) == hash(value._replace())
 
 
 class TestValidation:
+    def test_every_construction_is_validated(self):
+        bad_values = (
+            lambda: GeoFix(91.0, 0.0),
+            lambda: GeoFix(0.0, 0.0)._replace(longitude=181.0),
+            lambda: WiperCommand(WiperMode.OFF, 5.0),
+            lambda: SensorFrame(panic=2),
+            lambda: Config()._replace(tick_ms=0),
+        )
+        for build in bad_values:
+            with pytest.raises(ValueError):
+                build()
+        for build in (lambda: SensorFrame(bogus=1), lambda: GeoFix(1.0), lambda: GeoFix(1.0, 2.0, 3.0)):
+            with pytest.raises(TypeError):
+                build()
+
     def test_release_must_sit_below_threshold(self):
         with pytest.raises(ConfigError, match="alcohol_release"):
             Config(alcohol_threshold=400, alcohol_release=400)

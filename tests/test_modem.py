@@ -31,6 +31,8 @@ from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import VirtualModem
 from smartcar.types import InboundSms
 
+from helpers import typed
+
 TRANSCRIPT = Path(__file__).parent / "data" / "transcript_sim900.txt"
 ALERT_BODY = (
     "ACCIDENT DETECTED. Location: 48.117300,11.516667 "
@@ -221,7 +223,7 @@ class TestGoldenTranscript:
     def test_decoder_yields_expected_events(self):
         events, rest = decode_stream(self.rx_stream())
         assert rest == b""
-        assert events == self.EXPECTED_EVENTS
+        assert typed(events) == typed(self.EXPECTED_EVENTS)
 
     def test_decoder_invariant_under_chunking(self):
         stream = self.rx_stream()
@@ -236,7 +238,7 @@ class TestGoldenTranscript:
             got, buf = decode_stream(buf)
             events.extend(got)
             assert buf == b""
-            assert events == self.EXPECTED_EVENTS
+            assert typed(events) == typed(self.EXPECTED_EVENTS)
 
 
 class TestDecodeStream:
@@ -244,28 +246,28 @@ class TestDecodeStream:
         events, rest = decode_stream(b"\r\nO")
         assert events == []
         events, rest = decode_stream(rest + b"K\r\n")
-        assert events == [AtEvent(EventKind.OK)]
+        assert typed(events) == typed([AtEvent(EventKind.OK)])
         assert rest == b""
 
     def test_bare_gt_waits_for_prompt_space(self):
         events, rest = decode_stream(b"\r\n>")
         assert events == []
         events, rest = decode_stream(rest + b" ")
-        assert events == [AtEvent(EventKind.PROMPT)]
+        assert typed(events) == typed([AtEvent(EventKind.PROMPT)])
 
     def test_cmgr_header_held_until_body_complete(self):
         head = b'\r\n+CMGR: "REC UNREAD","+1555","","00/01/01,00:00:00+00"\r\nSTA'
         events, rest = decode_stream(head)
         assert events == []
         events, rest = decode_stream(rest + b"TUS\r\n\r\nOK\r\n")
-        assert events == [
+        assert typed(events) == typed([
             AtEvent(EventKind.INBOUND_SMS, sms=InboundSms("+1555", "STATUS")),
             AtEvent(EventKind.OK),
-        ]
+        ])
 
     def test_unrecognized_line_surfaces_as_line_event(self):
         events, _ = decode_stream(b"\r\n+CSQ: 18,0\r\n")
-        assert events == [AtEvent(EventKind.LINE)]
+        assert typed(events) == typed([AtEvent(EventKind.LINE)])
 
     @given(st.lists(st.one_of(
         st.binary(max_size=24),

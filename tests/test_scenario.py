@@ -16,7 +16,9 @@ from smartcar.sim.scenario import (
     load_scenario,
     load_scenario_file,
 )
-from smartcar.types import ScenarioError
+from smartcar.types import ScenarioError, SensorFrame
+
+from helpers import typed
 
 CFG = Config()
 
@@ -43,24 +45,26 @@ class TestScenarioGrammar:
             "t=9000 modem_fault silent_for 12000",
         ])
         events = load_scenario(text)
-        assert events[0] == GpsLine(1000, "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47")
-        assert events[1] == impact(2000, 1)
-        assert events[2] == impact(2060, 0)
-        assert events[3] == Levels(3000, (("panic", 1),))
-        assert events[4] == Levels(4000, (("alcohol_raw", 612),))
-        assert events[5] == Levels(5000, (("rain_wet", 1), ("rain_intensity", 520)))
-        assert events[6] == Levels(6000, (("temp_c", 24.5), ("humidity_pct", 51.0)))
-        assert events[7] == SmsIn(7000, "+15550100", "STATUS NOW")  # body keeps spaces
-        assert events[8] == ErrorOnce(8000)
-        assert events[9] == SilentFor(9000, 12000)
+        assert typed(events) == typed([
+            GpsLine(1000, "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47"),
+            impact(2000, 1),
+            impact(2060, 0),
+            Levels(3000, (("panic", 1),)),
+            Levels(4000, (("alcohol_raw", 612),)),
+            Levels(5000, (("rain_wet", 1), ("rain_intensity", 520))),
+            Levels(6000, (("temp_c", 24.5), ("humidity_pct", 51.0))),
+            SmsIn(7000, "+15550100", "STATUS NOW"),  # body keeps spaces
+            ErrorOnce(8000),
+            SilentFor(9000, 12000),
+        ])
 
     def test_comments_and_blanks_skipped(self):
         events = load_scenario("# header\n\n   \nt=10 impact 1\n  # trailing\n")
-        assert events == [impact(10, 1)]
+        assert typed(events) == typed([impact(10, 1)])
 
     def test_sorted_by_time_stable(self):
         events = load_scenario("t=500 panic 1\nt=100 impact 1\nt=500 impact 0\n")
-        assert events == [impact(100, 1), Levels(500, (("panic", 1),)), impact(500, 0)]
+        assert typed(events) == typed([impact(100, 1), Levels(500, (("panic", 1),)), impact(500, 0)])
 
     def test_unknown_event_names_line(self):
         with pytest.raises(ScenarioError, match="line 1: unknown event 'bogus'"):
@@ -146,8 +150,10 @@ class TestScenarioGrammar:
     def test_sms_limits_accepted(self):
         events = load_scenario("t=0 sms 1 x\nt=0 sms +123456789012345 " + "~" * 160
                                + "\nt=0 sms +15550100 hi   there   ")
-        assert events == [SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160),
-                          SmsIn(0, "+15550100", "hi   there")]  # trailing spaces go with the line's
+        assert typed(events) == typed([
+            SmsIn(0, "1", "x"), SmsIn(0, "+123456789012345", "~" * 160),
+            SmsIn(0, "+15550100", "hi   there"),  # trailing spaces go with the line's
+        ])
 
     @pytest.mark.parametrize("prefix", ["1000 impact 1", "t= impact 1", "t=-5 impact 1", "t=1.5 impact 1",
                                         "t=+3 panic 1", "t=1_0 impact 1", "t=\u0663 impact 1"])
@@ -158,13 +164,13 @@ class TestScenarioGrammar:
     def test_file_loader(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("t=0 impact 1\n")
-        assert load_scenario_file(p) == [impact(0, 1)]
+        assert typed(load_scenario_file(p)) == typed([impact(0, 1)])
 
     @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_file_loader_reads_crlf_and_cr_as_lf(self, tmp_path, ending):
         p = tmp_path / "s.txt"
         p.write_bytes(ending.join([b"# drill", b"t=0 impact 1", b"", b"t=10 impact 0", b""]))
-        assert load_scenario_file(p) == [impact(0, 1), impact(10, 0)]
+        assert typed(load_scenario_file(p)) == typed([impact(0, 1), impact(10, 0)])
         p.write_bytes(ending.join([b"t=0 impact 1", b"", b"t=10 impact 3"]))
         with pytest.raises(ScenarioError, match="line 3: "):
             load_scenario_file(p)
@@ -172,14 +178,13 @@ class TestScenarioGrammar:
     def test_file_loader_drops_a_leading_bom(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_bytes(b"\xef\xbb\xbft=1000 panic 1\n")
-        assert load_scenario_file(p) == [Levels(1000, (("panic", 1),))]
+        assert typed(load_scenario_file(p)) == typed([Levels(1000, (("panic", 1),))])
 
     @pytest.mark.parametrize("sep", list("\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"))
     def test_lines_end_at_lf_only(self, sep):
         # an editor shows one comment line here, so no line ends at sep
-        assert load_scenario(f"# panic drill {sep} see wiki\nt=1000 panic 1\n") == [
-            Levels(1000, (("panic", 1),))
-        ]
+        events = load_scenario(f"# panic drill {sep} see wiki\nt=1000 panic 1\n")
+        assert typed(events) == typed([Levels(1000, (("panic", 1),))])
         with pytest.raises(ScenarioError, match="line 2: unknown event 'bogus'"):
             load_scenario(f"# drill {sep} see wiki\nt=1000 bogus\n")
 
@@ -259,6 +264,14 @@ class TestSensorBoard:
         assert board.sample() is frame
         board.set_levels((("alcohol_raw", 501),))
         assert board.sample() is not frame and board.sample().alcohol_raw == 501
+
+    @pytest.mark.parametrize("values", [(("rain_intensity", 2000),), (("impact", 2),),
+                                        (("temp_c", 85.5),), (("humidity_pct", -1.0),)])
+    def test_each_copy_is_validated(self, values):
+        board = SensorBoard()
+        with pytest.raises(ValueError):
+            board.set_levels(values)
+        assert board.sample() == SensorFrame()
 
 
 # -- executor -------------------------------------------------------------------
