@@ -10,9 +10,10 @@ transcript exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from enum import IntEnum, Enum
-from functools import cache
+from math import gcd
 from typing import NamedTuple
 
 from .config import Config
@@ -32,9 +33,13 @@ class WiperMode(IntEnum):
 SERVO_MAX_DEG = 170.0
 
 # full cycle length and the sweep portion at its start, ms; the
-# remainder of an intermittent cycle rests at 0 degrees
-WIPER_PERIOD_MS = {WiperMode.HIGH: 1000, WiperMode.LOW: 2000, WiperMode.INTERMITTENT: 4000}
-WIPER_ACTIVE_MS = {WiperMode.HIGH: 1000, WiperMode.LOW: 2000, WiperMode.INTERMITTENT: 2000}
+# remainder of a cycle rests at 0 degrees, which is all of Off's
+WIPER_PERIOD_MS = {
+    WiperMode.OFF: 1, WiperMode.HIGH: 1000, WiperMode.LOW: 2000, WiperMode.INTERMITTENT: 4000
+}
+WIPER_ACTIVE_MS = {
+    WiperMode.OFF: 0, WiperMode.HIGH: 1000, WiperMode.LOW: 2000, WiperMode.INTERMITTENT: 2000
+}
 
 
 class WiperCommand(Frozen):
@@ -58,7 +63,8 @@ class ActionKind(Enum):
 
 class Action(NamedTuple):
     """One output. Both sends carry the number in dest and the body in
-    text; an alert also names its kind."""
+    text; an alert also names its kind. A wiper step carries its report
+    line in text."""
 
     kind: ActionKind
     alert: AlertKind | None = None
@@ -83,25 +89,65 @@ def servo_angle(mode: WiperMode, phase_ms: int) -> float:
     """Triangle sweep 0 -> 170 -> 0 over the mode's active window.
 
     phase_ms is time since the mode was entered; it wraps at the full
-    period. Intermittent cycles rest at 0 for their second half. Each
-    angle is worked out once per (mode, phase_ms modulo the period) and
-    cached, so the cache holds at most one entry per millisecond of the
-    three periods (7,000), however long the drive.
+    period. Intermittent cycles rest at 0 for their second half.
     """
-    if mode is WiperMode.OFF:
-        return 0.0
-    return _cycle_angle(mode, phase_ms % WIPER_PERIOD_MS[mode])
-
-
-@cache
-def _cycle_angle(mode: WiperMode, phase: int) -> float:
     active = WIPER_ACTIVE_MS[mode]
+    phase = phase_ms % WIPER_PERIOD_MS[mode]
     if phase >= active:
         return 0.0
     half = active / 2.0
     if phase <= half:
         return SERVO_MAX_DEG * (phase / half)
     return SERVO_MAX_DEG * ((active - phase) / half)
+
+
+class WiperCycle:
+    """A mode's servo angles on one tick length's grid. Ticks tick_ms
+    apart walk the phases of one coset, phase modulo gcd(period,
+    tick_ms), and the walk repeats after `steps` ticks. Only the walk
+    positions where the angle changes (from the position before it,
+    cyclically) are kept: each one's offset in ms, and the angle and
+    report line from there on; with no change, one angle.
+    """
+
+    __slots__ = ("tick_ms", "steps", "inverse", "offsets_ms", "angles", "texts")
+
+    def __init__(self, mode: WiperMode, tick_ms: int, coset: int):
+        period = WIPER_PERIOD_MS[mode]
+        g = gcd(period, tick_ms)
+        self.tick_ms = tick_ms
+        self.steps = steps = period // g  # walk positions
+        self.inverse = pow(tick_ms // g, -1, steps)  # turns a phase into its position
+        walk = [servo_angle(mode, coset + k * tick_ms) for k in range(steps)]
+        marks = [k for k in range(steps) if walk[k] != walk[k - 1]]
+        self.offsets_ms = [k * tick_ms for k in marks]
+        self.angles = [walk[k] for k in marks] or walk[:1]
+        texts: dict[float, str] = {}  # one string per angle, for both sweep directions
+        self.texts = [
+            texts.setdefault(a, f"wiper mode={mode.name} angle={a:.1f}") for a in self.angles
+        ]
+
+    @classmethod
+    def find(cls, mode: WiperMode, tick_ms: int, phase_ms: int) -> tuple[WiperCycle, int]:
+        """The cycle that a tick at phase_ms since the mode was entered
+        lies on, built on first use, and the tick's walk position in it."""
+        period = WIPER_PERIOD_MS[mode]
+        g = gcd(period, tick_ms)
+        phase = phase_ms % period
+        key = (mode, tick_ms, phase % g)
+        cycle = _WIPER_CYCLES.get(key)
+        if cycle is None:
+            cycle = _WIPER_CYCLES[key] = cls(*key)
+        return cycle, phase // g * cycle.inverse % cycle.steps
+
+    def entry(self, position: int) -> int:
+        """Index into angles and texts of the walk position's angle."""
+        return bisect_right(self.offsets_ms, position * self.tick_ms) - 1
+
+
+# (mode, tick_ms, coset) -> its WiperCycle; for one tick length the
+# cosets of a mode hold at most its period's positions between them
+_WIPER_CYCLES: dict[tuple[WiperMode, int, int], WiperCycle] = {}
 
 
 class ImpactDebouncer:
@@ -223,30 +269,36 @@ class SafetyController:
             return now_ms
         return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
 
-    def sweep(self, now_ms: int, end_ms: int) -> list[tuple[int, float]]:
+    def sweep(self, now_ms: int, end_ms: int) -> list[tuple[int, str]]:
         """The wiper's steps on the ticks strictly between now_ms and
-        end_ms, with the last frame's levels held: the (t_ms, angle) of
-        each tick on which step() would emit SET_WIPER. The mode stays
-        the current one, which must not be OFF; self.wiper ends at the
-        last command. Each angle comes from servo_angle's cache, so a
-        long sweep works out each of the cycle's angles only once."""
-        mode, angle = self.wiper.mode, self.wiper.servo_angle_deg
-        period, active = WIPER_PERIOD_MS[mode], WIPER_ACTIVE_MS[mode]
-        since, tick = self._wiper_mode_since_ms, self.config.tick_ms
-        steps = []
-        t = now_ms + tick
-        while t < end_ms:
-            phase = (t - since) % period
-            if phase >= active and angle == 0.0:
-                # resting at 0: on to the first tick of the next cycle
-                t += -((phase - period) // tick) * tick
-                continue
-            step_angle = servo_angle(mode, t - since)
-            if step_angle != angle:
-                angle = step_angle
-                steps.append((t, angle))
-            t += tick
-        self.wiper = WiperCommand(mode, angle)
+        end_ms, on or off the tick_ms grid, with the last frame's levels
+        held: the t_ms and report line of each tick on which step() would
+        emit SET_WIPER. The mode, not OFF, stays; self.wiper ends at the
+        last command. The first tick is compared with the servo as it
+        stands, which a blocked send may have left anywhere; each later
+        step is a WiperCycle entry, its offset added to its cycle's
+        start."""
+        tick = self.config.tick_ms
+        first = now_ms + tick
+        count = -((first - end_ms) // tick)  # ticks from first up to end_ms
+        if count <= 0:
+            return []
+        mode = self.wiper.mode
+        cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
+        k = cycle.entry(start)
+        steps = [] if cycle.angles[k] == self.wiper.servo_angle_deg else [(first, cycle.texts[k])]
+        # the entries after start in its cycle, every entry of the
+        # cycles after that, and the entries before stop in the last
+        stop = start + count
+        laps, rest = divmod(stop, cycle.steps)
+        offsets, texts = cycle.offsets_ms, cycle.texts
+        lo, hi = bisect_right(offsets, start * tick), bisect_left(offsets, rest * tick)
+        base, lap_ms = first - start * tick, cycle.steps * tick
+        for lap in range(laps + 1):
+            a, b = lo if lap == 0 else 0, hi if lap == laps else None
+            steps += [(base + offset, text) for offset, text in zip(offsets[a:b], texts[a:b])]
+            base += lap_ms
+        self.wiper = WiperCommand(mode, cycle.angles[cycle.entry((stop - 1) % cycle.steps)])
         return steps
 
     # -- sub-operations -------------------------------------------------
@@ -273,13 +325,16 @@ class SafetyController:
 
     def _step_wiper(self, wet: int, intensity: int, now_ms: int, actions: list[Action]) -> None:
         mode = wiper_mode(wet, intensity, self.config)
-        mode_changed = mode is not self.wiper.mode
-        if mode_changed:
+        if mode is not self.wiper.mode:
             self._wiper_mode_since_ms = now_ms
-        angle = servo_angle(mode, now_ms - self._wiper_mode_since_ms)
-        if mode_changed or angle != self.wiper.servo_angle_deg:
-            self.wiper = WiperCommand(mode, angle)
-            actions.append(Action(ActionKind.SET_WIPER, wiper=self.wiper))
+        elif mode is WiperMode.OFF:
+            return  # parked, and it stays so
+        phase = now_ms - self._wiper_mode_since_ms
+        cycle, position = WiperCycle.find(mode, self.config.tick_ms, phase)
+        k = cycle.entry(position)
+        if mode is not self.wiper.mode or cycle.angles[k] != self.wiper.servo_angle_deg:
+            self.wiper = WiperCommand(mode, cycle.angles[k])
+            actions.append(Action(ActionKind.SET_WIPER, text=cycle.texts[k], wiper=self.wiper))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:
         frame, frame_ms = self.last_frame, self.last_frame_ms

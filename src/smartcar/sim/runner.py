@@ -9,8 +9,10 @@ ticks the controller asks for through next_deadline_ms(). On the ticks
 between two visits the levels repeat and only the wiper servo can step;
 the executor records those steps from SafetyController.sweep() without
 sampling, stepping or polling, so the report is byte-identical to
-sampling every tick. Visiting every tick leaves no tick between two
-visits, and the sweep then covers nothing.
+sampling every tick. The sweep hands over each step's time and report
+line, read from the wiper's cycle table, so the executor only wraps
+them in records. Visiting every tick leaves no tick between two visits,
+and the sweep then covers nothing.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -22,7 +24,6 @@ clock stands, so after a block they are off the tick_ms grid.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -43,12 +44,6 @@ class LogRecord(NamedTuple):
     tag: str  # "A" action, "S" send outcome, "M" delivered message
     t_ms: int
     text: str
-
-
-@cache
-def _wiper_text(mode_name: str, angle: float) -> str:
-    # one text per (mode, angle), so bounded like servo_angle's cache
-    return f"wiper mode={mode_name} angle={angle:.1f}"
 
 
 class SimReport:
@@ -118,8 +113,7 @@ class _Executor:
                 self.send_action_count += 1
                 self._dispatch(action.dest, action.text)
             elif action.kind is ActionKind.SET_WIPER:
-                cmd = action.wiper
-                self._record_action(t, _wiper_text(cmd.mode.name, cmd.servo_angle_deg))
+                self._record_action(t, action.text)
             elif action.kind is ActionKind.SET_ENGINE:
                 state = "yes" if action.engine_enabled else "no"
                 self._record_action(t, f"engine enabled={state}")
@@ -171,11 +165,9 @@ class _Executor:
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
     def _sweep_wiper(self, end_ms: int) -> None:
-        mode_name = self.controller.wiper.mode.name
-        self.report.records.extend(
-            LogRecord("A", t, _wiper_text(mode_name, angle))
-            for t, angle in self.controller.sweep(self.clock.now_ms, end_ms)
-        )
+        self.report.records += [
+            LogRecord("A", t, text) for t, text in self.controller.sweep(self.clock.now_ms, end_ms)
+        ]
 
     def _check_interlock(self) -> None:
         interlock = self.controller.interlock
@@ -222,29 +214,32 @@ class _Executor:
             ("pending_alerts", str(len(self.controller.pending_alerts))),
         ]
 
-    def _ticks_to_next_visit(self) -> int:
-        """Whole ticks from now to the first tick at or after the next
-        scripted event or controller deadline, whichever is sooner; with
-        neither, to the first tick past until_ms. At least one."""
+    def _ticks_to_next_visit(self, next_event_ms: int) -> int:
+        """Whole ticks from now to the first tick at or after
+        next_event_ms or the controller's deadline, whichever is sooner.
+        At least one."""
         now = self.clock.now_ms
         target = self.controller.next_deadline_ms(now)
-        if self.events and (target is None or self.events[0].t_ms < target):
-            target = self.events[0].t_ms
-        if target is None:
-            target = self.report.until_ms + 1
+        if target is None or next_event_ms < target:
+            target = next_event_ms
         return max(1, -((now - target) // self.config.tick_ms))
 
     def run(self) -> SimReport:
-        while self.clock.now_ms <= self.report.until_ms:
-            while self.events and self.events[0].t_ms <= self.clock.now_ms:
-                self._apply_event(self.events.popleft())
+        events, until_ms = self.events, self.report.until_ms
+        # the head event's time, read once per event; with no event left,
+        # the first millisecond after the run
+        next_event_ms = events[0].t_ms if events else until_ms + 1
+        while self.clock.now_ms <= until_ms:
+            while next_event_ms <= self.clock.now_ms:
+                self._apply_event(events.popleft())
+                next_event_ms = events[0].t_ms if events else until_ms + 1
             self._step_gps()
             self._step_frame()
             self._step_inbound()
             self._check_interlock()
-            skip_ms = self._ticks_to_next_visit() * self.config.tick_ms
+            skip_ms = self._ticks_to_next_visit(next_event_ms) * self.config.tick_ms
             if self.controller.wiper.mode is not WiperMode.OFF:
-                self._sweep_wiper(min(self.clock.now_ms + skip_ms, self.report.until_ms + 1))
+                self._sweep_wiper(min(self.clock.now_ms + skip_ms, until_ms + 1))
             self.clock.advance(skip_ms)
         self._check_conservation()
         self._check_clock_order()

@@ -51,7 +51,7 @@ def test_clock_order_audit_fires():
     sweep = SafetyController.sweep
 
     def sweep_with_early_step(self, start_ms, end_ms):
-        return [*sweep(self, start_ms, end_ms), (start_ms - 1, 0.0)]
+        return [*sweep(self, start_ms, end_ms), (start_ms - 1, "wiper mode=HIGH angle=0.0")]
 
     with mock.patch.object(SafetyController, "sweep", sweep_with_early_step):
         report = run(load_scenario("t=0 rain 1 900"), CFG, 2000)

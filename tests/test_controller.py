@@ -1,11 +1,13 @@
 """Reactive core: debounce, interlock, wiper, panic, alert release.
 
-The debouncer, the EMA and the cached servo angle are checked against
-brute-force re-derivations written independently in this file.
+The debouncer, the EMA, the servo angle and the wiper's cycle tables are
+checked against brute-force re-derivations written independently in
+this file.
 """
 
 import hashlib
 import random
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -20,8 +22,9 @@ from smartcar.controller import (
     SafetyController,
     WIPER_PERIOD_MS,
     WiperCommand,
+    WiperCycle,
     WiperMode,
-    _cycle_angle,
+    _WIPER_CYCLES,
     servo_angle,
     wiper_mode,
 )
@@ -241,20 +244,62 @@ def oracle_angle(mode, phase_ms):
     return 170.0 * min(phase, active - phase) / (active / 2) if phase < active else 0.0
 
 
-class TestServoAngleCache:
-    """servo_angle caches per (mode, phase modulo the period); a cache
-    keyed without the mode, or by the raw phase, shows here."""
+def wiper_line(mode, angle):
+    """The report line of a wiper step, written out here."""
+    return f"wiper mode={mode.name} angle={angle:.1f}"
 
-    @given(st.lists(
-        st.tuples(st.integers(0, 10**9), st.permutations(list(WiperMode))), min_size=1, max_size=30
-    ))
-    def test_cached_angle_is_the_triangle_wave(self, asks):
+
+def cycle_angle(mode, tick_ms, phase_ms):
+    """The angle and report line the cycle tables give at phase_ms."""
+    cycle, position = WiperCycle.find(mode, tick_ms, phase_ms)
+    k = cycle.entry(position)
+    return cycle.angles[k], cycle.texts[k]
+
+
+# the tick lengths TestSweep draws from
+SWEEP_TICKS_MS = (1, 7, 10, 25, 300, 1000, 1500)
+
+
+class TestServoAngleCache:
+    """The wiper's angles are kept in one WiperCycle per (mode, tick_ms,
+    coset); a table keyed without the mode, the tick length or the
+    coset, or a walk position worked out wrong, shows here."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**9), st.permutations(list(WiperMode))),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from(SWEEP_TICKS_MS),
+    )
+    def test_cached_angle_is_the_triangle_wave(self, asks, tick_ms):
         # every phase is asked in every mode, in a drawn order, and then
-        # all of it again backwards, answered from the cache
-        _cycle_angle.cache_clear()
+        # all of it again backwards, answered from the tables
+        _WIPER_CYCLES.clear()
         for phase, modes in asks + asks[::-1]:
             for mode in modes:
-                assert servo_angle(mode, phase) == pytest.approx(oracle_angle(mode, phase), abs=1e-9)
+                angle, text = cycle_angle(mode, tick_ms, phase)
+                assert angle == pytest.approx(oracle_angle(mode, phase), abs=1e-9)
+                assert text == wiper_line(mode, angle)
+
+    @pytest.mark.parametrize("tick_ms", SWEEP_TICKS_MS)
+    def test_every_table_entry_is_the_triangle_wave(self, tick_ms):
+        # each mode's period, written out here; Off rests for its 1 ms
+        periods = {WiperMode.OFF: 1, **{mode: period for mode, (period, _) in TRIANGLE_MS.items()}}
+        for mode, period in periods.items():
+            g = gcd(period, tick_ms)
+            for coset in range(g):
+                cycle, position = WiperCycle.find(mode, tick_ms, coset)
+                assert (position, cycle.steps) == (0, period // g)
+                walk = [oracle_angle(mode, coset + k * tick_ms) for k in range(period // g)]
+                changes = [k for k in range(len(walk)) if walk[k] != walk[k - 1]]
+                assert cycle.offsets_ms == [k * tick_ms for k in changes]
+                for k, want in enumerate(walk):
+                    angle, text = cycle.angles[cycle.entry(k)], cycle.texts[cycle.entry(k)]
+                    assert angle == pytest.approx(want, abs=1e-9)
+                    assert text == wiper_line(mode, angle)
+                    assert float(text.rpartition("=")[2]) == pytest.approx(want, abs=0.05 + 1e-9)
 
     # an hour of heavy rain, t=0 rain 1 900, at two tick lengths
     HOUR_OF_RAIN_SHA256 = {
@@ -263,11 +308,18 @@ class TestServoAngleCache:
     }
 
     def test_cache_stays_bounded_over_long_drives(self):
-        _cycle_angle.cache_clear()
+        _WIPER_CYCLES.clear()
         for tick_ms, digest in self.HOUR_OF_RAIN_SHA256.items():
             report = run(load_scenario("t=0 rain 1 900\n"), Config(tick_ms=tick_ms), 3_600_000)
             assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest, tick_ms
-        assert _cycle_angle.cache_info().currsize <= sum(WIPER_PERIOD_MS.values())
+        # the cosets of one mode and tick length split its period between them
+        positions = {}
+        for (mode, tick_ms, _), cycle in _WIPER_CYCLES.items():
+            assert len(cycle.offsets_ms) <= cycle.steps
+            assert len(cycle.angles) == len(cycle.texts) <= cycle.steps
+            positions[mode, tick_ms] = positions.get((mode, tick_ms), 0) + cycle.steps
+        assert {tick_ms for _, tick_ms in positions} == set(self.HOUR_OF_RAIN_SHA256)
+        assert all(size <= WIPER_PERIOD_MS[mode] for (mode, _), size in positions.items())
 
 
 # -- controller ------------------------------------------------------------
@@ -500,11 +552,14 @@ class TestNextDeadline:
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 1990)
         assert ctl.wiper.servo_angle_deg > 0.0
         assert ctl.next_deadline_ms(2005) is None
-        up = servo_angle(WiperMode.INTERMITTENT, 4015)
+        mode = WiperMode.INTERMITTENT
+        up = servo_angle(mode, 4015)
         assert ctl.sweep(2005, 4020) == [
-            (2015, 0.0), (4005, servo_angle(WiperMode.INTERMITTENT, 4005)), (4015, up)
+            (2015, wiper_line(mode, 0.0)),
+            (4005, wiper_line(mode, servo_angle(mode, 4005))),
+            (4015, wiper_line(mode, up)),
         ]
-        assert ctl.wiper == WiperCommand(WiperMode.INTERMITTENT, up)
+        assert ctl.wiper == WiperCommand(mode, up)
 
     def test_intermittent_rest_is_jumped_over(self):
         ctl = SafetyController(CFG)
@@ -512,11 +567,12 @@ class TestNextDeadline:
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 2000)
         assert ctl.wiper.servo_angle_deg == 0.0
         assert ctl.next_deadline_ms(2000) is None
+        step = (4010, wiper_line(WiperMode.INTERMITTENT, servo_angle(WiperMode.INTERMITTENT, 10)))
+        # the steps at 0 and 2000 built the cycle; a sweep only reads it
         with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
             assert ctl.sweep(2000, 4000) == []
-            assert angle.call_count == 0
-            assert ctl.sweep(2000, 4020) == [(4010, servo_angle(WiperMode.INTERMITTENT, 10))]
-            assert angle.call_count == 2  # 4000 (still 0.0) and 4010
+            assert ctl.sweep(2000, 4020) == [step]
+        assert angle.call_count == 0
 
     def test_pending_alert_is_its_deadline(self):
         ctl = SafetyController(CFG)
@@ -536,29 +592,37 @@ class TestSweep:
     @settings(deadline=None)
     @given(
         mode=st.sampled_from(sorted(INTENSITY)),
-        tick_ms=st.sampled_from((1, 7, 10, 25, 300, 1000, 1500)),
+        tick_ms=st.sampled_from(SWEEP_TICKS_MS),
+        entry_draw=st.integers(0, 10**6),
         visit_ticks=st.integers(0, 500),
         blocked_ms=st.one_of(st.just(0), st.integers(1, 5000)),
         span_ms=st.integers(0, 9000),
     )
-    def test_sweep_matches_stepping_every_tick(self, mode, tick_ms, visit_ticks, blocked_ms, span_ms):
-        # the mode starts at 0 and the last visit is on the tick grid; a
-        # send that blocked after it can leave the clock off the grid,
-        # possibly in a rest phase with the servo still up
+    def test_sweep_matches_stepping_every_tick(
+        self, mode, tick_ms, entry_draw, visit_ticks, blocked_ms, span_ms
+    ):
+        # the last visit is on the tick grid, and the mode was entered
+        # at or before it, on or off the grid, so the swept ticks may lie
+        # in any coset; a send that blocked after the visit can leave
+        # the clock off the grid too, possibly in a rest phase with the
+        # servo still up
         levels = {"rain_wet": 1, "rain_intensity": self.INTENSITY[mode]}
         visit = visit_ticks * tick_ms
+        entry = entry_draw % (visit + 1)
         now, end = visit + blocked_ms, visit + blocked_ms + span_ms
         config = Config(tick_ms=tick_ms)
         swept, stepped = SafetyController(config), SafetyController(config)
         for ctl in (swept, stepped):
-            ctl.step(SensorFrame(**levels), 0)
+            ctl.step(SensorFrame(**levels), entry)
             ctl.step(SensorFrame(**levels), visit)
-        expected = [
-            (t, action.wiper.servo_angle_deg)
-            for t in range(now + tick_ms, end, tick_ms)
-            for action in stepped.step(SensorFrame(**levels), t)
-            if action.kind is ActionKind.SET_WIPER
-        ]
+        expected = []
+        for t in range(now + tick_ms, end, tick_ms):
+            for action in stepped.step(SensorFrame(**levels), t):
+                if action.kind is ActionKind.SET_WIPER:
+                    angle = action.wiper.servo_angle_deg
+                    assert angle == servo_angle(mode, t - entry)
+                    assert action.text == wiper_line(mode, angle)
+                    expected.append((t, action.text))
         assert swept.sweep(now, end) == expected
         assert swept.wiper == stepped.wiper
 
