@@ -10,9 +10,9 @@ between two visits the levels repeat and only the wiper servo can step;
 the executor records those steps from SafetyController.sweep() without
 sampling, stepping or polling, so the report is byte-identical to
 sampling every tick. The sweep hands over each step's time and report
-line, read from the wiper's cycle table, so the executor only wraps
-them in records. Visiting every tick leaves no tick between two visits,
-and the sweep then covers nothing.
+line, read from the wiper's cycle table, and the executor formats each
+record once, into its finished report line. Visiting every tick leaves
+no tick between two visits, and the sweep then covers nothing.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -47,23 +47,32 @@ class LogRecord(NamedTuple):
 
 
 class SimReport:
+    """A run's report: `lines` holds each record's finished line,
+    `<tag> t=<t_ms> <text>`, in the order the records were made; the
+    counters, final state and violations are the C, F and V tail."""
+
     def __init__(self, tick_ms: int, until_ms: int):
         self.tick_ms = tick_ms
         self.until_ms = until_ms
-        self.records: list[LogRecord] = []
+        self.lines: list[str] = []
         self.counters = SimpleNamespace(  # the C lines in printed order; a send counts as it ends
             sentences_parsed=0, checksum_failures=0, sms_sent=0, sms_failed=0, sms_retries=0
         )
         self.final_state: list[tuple[str, str]] = []
         self.violations: list[str] = []
 
+    @property
+    def records(self) -> list[LogRecord]:
+        """Each line read back as a record, for readers in this process."""
+        split = (line.split(" ", 2) for line in self.lines)
+        return [LogRecord(tag, int(t[2:]), text) for tag, t, text in split]
+
     def serialize(self) -> str:
-        lines = [REPORT_HEADER, f"tick_ms={self.tick_ms}", f"until_ms={self.until_ms}"]
-        lines.extend(f"{r.tag} t={r.t_ms} {r.text}" for r in self.records)
-        lines.extend(f"C {name}={value}" for name, value in vars(self.counters).items())
-        lines.extend(f"F {key}={value}" for key, value in self.final_state)
-        lines.extend(f"V {text}" for text in self.violations)
-        return "\n".join(lines) + "\n"
+        head = [REPORT_HEADER, f"tick_ms={self.tick_ms}", f"until_ms={self.until_ms}"]
+        tail = [f"C {name}={value}" for name, value in vars(self.counters).items()]
+        tail += [f"F {key}={value}" for key, value in self.final_state]
+        tail += [f"V {text}" for text in self.violations]
+        return "\n".join([*head, *self.lines, *tail, ""])
 
 
 class _Executor:
@@ -82,11 +91,25 @@ class _Executor:
         self.controller = SafetyController(config)
         self.report = SimReport(tick_ms=config.tick_ms, until_ms=until_ms)
         self.send_action_count = 0
+        self.last_ms = 0  # the time of the last record written
+        self.clock_in_order = True
 
     # -- bookkeeping -----------------------------------------------------
 
+    def _write(self, tag: str, records: list[tuple[int, str]]) -> None:
+        """Append each (t_ms, text) record's line, checking its time against
+        the last record's; only the first record out of order writes a V line."""
+        lines, last = self.report.lines, self.last_ms
+        for t, text in records:
+            if t < last and self.clock_in_order:
+                self.clock_in_order = False
+                self.report.violations.append(f"clock: record at t={t} after one at t={last}")
+            last = t
+            lines.append(f"{tag} t={t} {text}")
+        self.last_ms = last
+
     def _record_action(self, t_ms: int, text: str) -> None:
-        self.report.records.append(LogRecord("A", t_ms, text))
+        self._write("A", [(t_ms, text)])
 
     # -- per-tick stages ---------------------------------------------------
 
@@ -131,9 +154,9 @@ class _Executor:
             f"delivered={'yes' if send.delivered else 'no'} attempts={send.attempts}"
             f" reason={send.reason or '-'} {message}"
         )
-        self.report.records.append(LogRecord("S", t, outcome))
+        self._write("S", [(t, outcome)])
         if send.delivered:
-            self.report.records.append(LogRecord("M", t, message))
+            self._write("M", [(t, message)])
             counters.sms_sent += 1
         else:
             counters.sms_failed += 1
@@ -165,9 +188,7 @@ class _Executor:
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
     def _sweep_wiper(self, end_ms: int) -> None:
-        self.report.records += [
-            LogRecord("A", t, text) for t, text in self.controller.sweep(self.clock.now_ms, end_ms)
-        ]
+        self._write("A", self.controller.sweep(self.clock.now_ms, end_ms))
 
     def _check_interlock(self) -> None:
         interlock = self.controller.interlock
@@ -192,16 +213,6 @@ class _Executor:
             self.report.violations.append(
                 f"conservation: {self.send_action_count} send actions, {sends} send records"
             )
-
-    def _check_clock_order(self) -> None:
-        last = 0
-        for rec in self.report.records:
-            if rec.t_ms < last:
-                self.report.violations.append(
-                    f"clock: record at t={rec.t_ms} after one at t={last}"
-                )
-                return
-            last = rec.t_ms
 
     def _final_state(self) -> None:
         ema = self.controller.interlock.ema
@@ -242,7 +253,6 @@ class _Executor:
                 self._sweep_wiper(min(self.clock.now_ms + skip_ms, until_ms + 1))
             self.clock.advance(skip_ms)
         self._check_conservation()
-        self._check_clock_order()
         self._final_state()
         return self.report
 

@@ -59,6 +59,50 @@ def test_clock_order_audit_fires():
     assert line.startswith("V clock: record at t=")
 
 
+# a visit at t=1000 splits the rain into two sweeps: 10..990, then 1010..1990
+TWO_SWEEPS = "t=0 rain 1 900\nt=1000 cabin 21 50"
+
+
+def test_clock_order_audit_fires_mid_sweep():
+    sweep = SafetyController.sweep
+
+    def sweep_with_early_step_inside(self, start_ms, end_ms):
+        steps = sweep(self, start_ms, end_ms)
+        return [*steps[:50], (steps[49][0] - 1, "wiper mode=HIGH angle=0.0"), *steps[50:]]
+
+    # both sweeps step back; only the first record out of order is reported
+    with mock.patch.object(SafetyController, "sweep", sweep_with_early_step_inside):
+        report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
+    assert "\nA t=1499 wiper mode=HIGH angle=0.0\n" in report.serialize()
+    assert v_lines(report) == ["V clock: record at t=499 after one at t=500"]
+
+
+def test_clock_order_audit_fires_on_a_sweeps_first_step():
+    sweep = SafetyController.sweep
+
+    def sweep_starting_early(self, start_ms, end_ms):
+        steps = sweep(self, start_ms, end_ms)
+        return [(start_ms - 5, steps[0][1]), *steps[1:]] if start_ms == 1000 else steps
+
+    with mock.patch.object(SafetyController, "sweep", sweep_starting_early):
+        report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
+    assert "\nA t=1000 wiper mode=HIGH " in report.serialize()
+    assert v_lines(report) == ["V clock: record at t=995 after one at t=1000"]
+
+
+def test_clock_order_audit_fires_on_an_action():
+    check_interlock = _Executor._check_interlock
+
+    def check_interlock_then_note_early(self):
+        check_interlock(self)
+        if self.clock.now_ms == 1000:
+            self._record_action(985, "note early")
+
+    with mock.patch.object(_Executor, "_check_interlock", check_interlock_then_note_early):
+        report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
+    assert v_lines(report) == ["V clock: record at t=985 after one at t=1000"]
+
+
 def test_conservation_audit_fires_per_send_and_at_the_end():
     with mock.patch.object(VirtualModem, "_finish_body", _finish_body_unrecorded):
         report = run(load_scenario(CRASH), CFG, 20000)

@@ -5,6 +5,8 @@ SHA-256.
 The report is the contract of the simulator, so any change to the
 program that alters one of these digests changes behaviour. A change
 that means to alter a report updates its digest here and says why.
+The same reports also check the in-process records view: printed back
+as lines, it must give the serialized report.
 """
 
 import hashlib
@@ -14,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from smartcar.cli import main
-from smartcar.config import load_config
-from smartcar.sim.runner import run
-from smartcar.sim.scenario import load_scenario
+from smartcar.cli import DEFAULT_TAIL_MS, main
+from smartcar.config import Config, load_config, load_config_file
+from smartcar.sim.runner import REPORT_HEADER, run
+from smartcar.sim.scenario import load_scenario, load_scenario_file
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -74,6 +76,19 @@ def load_workloads():
 GENERATORS = load_workloads().GENERATORS
 
 
+def assert_records_match_text(report):
+    """The records view, printed as report lines between the header and
+    the C/F/V tail, gives the serialized report back."""
+    records = report.records
+    assert {r.tag for r in records} <= {"A", "S", "M"}
+    head = [REPORT_HEADER, f"tick_ms={report.tick_ms}", f"until_ms={report.until_ms}"]
+    body = [f"{r.tag} t={r.t_ms} {r.text}" for r in records]
+    tail = [f"C {name}={value}" for name, value in vars(report.counters).items()]
+    tail += [f"F {key}={value}" for key, value in report.final_state]
+    tail += [f"V {text}" for text in report.violations]
+    assert report.serialize() == "\n".join(head + body + tail) + "\n"
+
+
 def test_every_workload_has_a_digest():
     for digests in WORKLOAD_SHA256.values():
         assert sorted(GENERATORS) == sorted(digests)
@@ -86,5 +101,28 @@ def test_every_workload_has_a_digest():
 ])
 def test_workload_report_matches_golden_digest(name, seed):
     w = GENERATORS[name](seed)
-    text = run(load_scenario(w.scenario), load_config(w.config), w.until_ms).serialize()
+    report = run(load_scenario(w.scenario), load_config(w.config), w.until_ms)
+    text = report.serialize()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WORKLOAD_SHA256[seed][name]
+    assert_records_match_text(report)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_records_view_matches_bundled_report(name):
+    events = load_scenario_file(SCENARIOS / f"{name}.txt")
+    config = load_config_file(SCENARIOS / "default.cfg")
+    report = run(events, config, events[-1].t_ms + DEFAULT_TAIL_MS)  # as `smartcar run` does
+    assert hashlib.sha256(report.serialize().encode()).hexdigest() == GOLDEN_SHA256[name]
+    assert_records_match_text(report)
+
+
+def test_records_view_keeps_spaces_and_t_inside_a_text():
+    # the failed read's note has spaces; the reply's "dest=" holds a "t="
+    report = run(load_scenario(
+        "t=1000 modem_fault error_once\nt=1000 sms +15550100 STATUS\nt=5000 sms +15550101 TEMP\n"
+    ), Config(), 8000)
+    records = [tuple(r) for r in report.records]
+    assert ("A", 1000, "note inbound-read-failed: failed to fetch stored SMS at index 1") in records
+    assert ("A", 5000, "reply dest=+15550101 body=TEMP=20.0C") in records
+    assert ("M", 5000, "dest=+15550101 body=TEMP=20.0C") in records
+    assert_records_match_text(report)
