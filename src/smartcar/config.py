@@ -43,6 +43,11 @@ class Config(Frozen):
                 "alcohol_release must be < alcohol_threshold "
                 f"(got {self.alcohol_release} >= {self.alcohol_threshold})"
             )
+        if not 1 <= self.alcohol_release < self.alcohol_threshold <= ADC_MAX:
+            raise ConfigError(
+                "require 1 <= alcohol_release < alcohol_threshold <= 1023 "
+                f"(got {self.alcohol_release}, {self.alcohol_threshold})"
+            )
         if not self.wiper_intermittent_max < self.wiper_low_max < ADC_MAX + 1:
             raise ConfigError(
                 "require wiper_intermittent_max < wiper_low_max < 1024 "

@@ -10,10 +10,11 @@ transcript exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import itertools
 from collections import deque
 from enum import IntEnum, Enum
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .config import Config
@@ -104,27 +105,24 @@ def servo_angle(mode: WiperMode, phase_ms: int) -> float:
 class WiperCycle:
     """A mode's servo angles on one tick length's grid. Ticks tick_ms
     apart walk the phases of one coset, phase modulo gcd(period,
-    tick_ms), and the walk repeats after `steps` ticks. Only the walk
-    positions where the angle changes (from the position before it,
-    cyclically) are kept: each one's offset in ms, and the angle and
-    report line from there on; with no change, one angle.
+    tick_ms), and the walk repeats after `steps` ticks. Each walk
+    position keeps its angle and report line, and in `changes` that
+    line again where the angle differs from the position before it
+    (cyclically), else None.
     """
 
-    __slots__ = ("tick_ms", "steps", "inverse", "offsets_ms", "angles", "texts")
+    __slots__ = ("steps", "inverse", "angles", "texts", "changes")
 
     def __init__(self, mode: WiperMode, tick_ms: int, coset: int):
         period = WIPER_PERIOD_MS[mode]
         g = gcd(period, tick_ms)
-        self.tick_ms = tick_ms
         self.steps = steps = period // g  # walk positions
         self.inverse = pow(tick_ms // g, -1, steps)  # turns a phase into its position
-        walk = [servo_angle(mode, coset + k * tick_ms) for k in range(steps)]
-        marks = [k for k in range(steps) if walk[k] != walk[k - 1]]
-        self.offsets_ms = [k * tick_ms for k in marks]
-        self.angles = [walk[k] for k in marks] or walk[:1]
+        self.angles = angles = [servo_angle(mode, coset + k * tick_ms) for k in range(steps)]
         texts: dict[float, str] = {}  # one string per angle, for both sweep directions
-        self.texts = [
-            texts.setdefault(a, f"wiper mode={mode.name} angle={a:.1f}") for a in self.angles
+        self.texts = [texts.setdefault(a, f"wiper mode={mode.name} angle={a:.1f}") for a in angles]
+        self.changes = [
+            text if angles[k] != angles[k - 1] else None for k, text in enumerate(self.texts)
         ]
 
     @classmethod
@@ -140,13 +138,10 @@ class WiperCycle:
             cycle = _WIPER_CYCLES[key] = cls(*key)
         return cycle, phase // g * cycle.inverse % cycle.steps
 
-    def entry(self, position: int) -> int:
-        """Index into angles and texts of the walk position's angle."""
-        return bisect_right(self.offsets_ms, position * self.tick_ms) - 1
-
 
 # (mode, tick_ms, coset) -> its WiperCycle; for one tick length the
-# cosets of a mode hold at most its period's positions between them
+# cosets of a mode hold at most its period's positions between them,
+# so a tick length's tables hold at most 7,001 positions in all
 _WIPER_CYCLES: dict[tuple[WiperMode, int, int], WiperCycle] = {}
 
 
@@ -276,8 +271,7 @@ class SafetyController:
         emit SET_WIPER. The mode, not OFF, stays; self.wiper ends at the
         last command. The first tick is compared with the servo as it
         stands, which a blocked send may have left anywhere; each later
-        step is a WiperCycle entry, its offset added to its cycle's
-        start."""
+        tick steps where its walk position's `changes` holds a line."""
         tick = self.config.tick_ms
         first = now_ms + tick
         count = -((first - end_ms) // tick)  # ticks from first up to end_ms
@@ -285,20 +279,12 @@ class SafetyController:
             return []
         mode = self.wiper.mode
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
-        k = cycle.entry(start)
-        steps = [] if cycle.angles[k] == self.wiper.servo_angle_deg else [(first, cycle.texts[k])]
-        # the entries after start in its cycle, every entry of the
-        # cycles after that, and the entries before stop in the last
-        stop = start + count
-        laps, rest = divmod(stop, cycle.steps)
-        offsets, texts = cycle.offsets_ms, cycle.texts
-        lo, hi = bisect_right(offsets, start * tick), bisect_left(offsets, rest * tick)
-        base, lap_ms = first - start * tick, cycle.steps * tick
-        for lap in range(laps + 1):
-            a, b = lo if lap == 0 else 0, hi if lap == laps else None
-            steps += [(base + offset, text) for offset, text in zip(offsets[a:b], texts[a:b])]
-            base += lap_ms
-        self.wiper = WiperCommand(mode, cycle.angles[cycle.entry((stop - 1) % cycle.steps)])
+        angles, texts = cycle.angles, cycle.texts
+        steps = [] if angles[start] == self.wiper.servo_angle_deg else [(first, texts[start])]
+        # the positions after start, round the walk as often as it takes
+        changes = itertools.islice(itertools.cycle(cycle.changes), start + 1, None)
+        steps += filter(itemgetter(1), zip(range(first + tick, end_ms, tick), changes))
+        self.wiper = WiperCommand(mode, angles[(start + count - 1) % cycle.steps])
         return steps
 
     # -- sub-operations -------------------------------------------------
@@ -331,10 +317,10 @@ class SafetyController:
             return  # parked, and it stays so
         phase = now_ms - self._wiper_mode_since_ms
         cycle, position = WiperCycle.find(mode, self.config.tick_ms, phase)
-        k = cycle.entry(position)
-        if mode is not self.wiper.mode or cycle.angles[k] != self.wiper.servo_angle_deg:
-            self.wiper = WiperCommand(mode, cycle.angles[k])
-            actions.append(Action(ActionKind.SET_WIPER, text=cycle.texts[k], wiper=self.wiper))
+        angle, text = cycle.angles[position], cycle.texts[position]
+        if mode is not self.wiper.mode or angle != self.wiper.servo_angle_deg:
+            self.wiper = WiperCommand(mode, angle)
+            actions.append(Action(ActionKind.SET_WIPER, text=text, wiper=self.wiper))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:
         frame, frame_ms = self.last_frame, self.last_frame_ms

@@ -21,6 +21,8 @@ from smartcar.nmea import GpsState, parse_sentence, update_fix
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
+from helpers import printed_records
+
 CFG = Config()
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -47,13 +49,14 @@ def test_c01_accident_alert_end_to_end():
     elapsed = time.perf_counter() - started
 
     assert report.violations == []
-    messages = [r.text for r in report.records if r.tag == "M"]
+    records = printed_records(report)
+    messages = [r.text for r in records if r.tag == "M"]
     assert len(messages) == 1
     assert messages[0].startswith(f"dest={CFG.alert_primary_number} body=")
     assert COORDS in messages[0]
     assert MAPS_URL in messages[0]
-    airbag_at = next(i for i, r in enumerate(report.records) if "airbag" in r.text)
-    send_at = next(i for i, r in enumerate(report.records) if r.tag == "S")
+    airbag_at = next(i for i, r in enumerate(records) if "airbag" in r.text)
+    send_at = next(i for i, r in enumerate(records) if r.tag == "S")
     assert airbag_at < send_at
     assert elapsed < 1.0
 
@@ -65,7 +68,7 @@ def test_c02_panic_button_refractory():
     three = run_text(press(1000) + press(6000) + press(32000), 60000)
     elapsed = time.perf_counter() - started
 
-    sent = [[r.text for r in report.records if r.tag == "M"] for report in (one, two, three)]
+    sent = [[r.text for r in printed_records(report) if r.tag == "M"] for report in (one, two, three)]
     for report, messages in zip((one, two, three), sent):
         assert report.violations == []
         assert all(m.startswith(f"dest={CFG.alert_primary_number} body=") for m in messages)
@@ -78,7 +81,7 @@ def test_c02_panic_button_refractory():
 def test_c03_remote_status_query():
     report = run_text("t=500 cabin 24.5 51\nt=1000 sms +15550100 STATUS\n", 15000)
     assert report.violations == []
-    messages = [r.text for r in report.records if r.tag == "M"]
+    messages = [r.text for r in printed_records(report) if r.tag == "M"]
     assert len(messages) == 1
     assert messages[0].startswith("dest=+15550100 body=")
     assert "TEMP=24.5C" in messages[0]
@@ -89,9 +92,9 @@ def test_c04_alcohol_interlock_cycle():
     report = run_text("t=2000 alcohol 600\nt=15000 alcohol 0\n", 30000)
     assert report.violations == []  # engine never enabled while ema >= threshold
 
-    engine = [r for r in report.records if r.text.startswith("engine ")]
+    engine = [r for r in printed_records(report) if r.text.startswith("engine ")]
     assert [r.text for r in engine] == ["engine enabled=no", "engine enabled=yes"]
-    messages = [r for r in report.records if r.tag == "M"]
+    messages = [r for r in printed_records(report) if r.tag == "M"]
     assert len(messages) == 1
     assert messages[0].text.startswith(f"dest={CFG.alert_safety_number} body=")
     assert "ALCOHOL" in messages[0].text
@@ -243,19 +246,19 @@ def test_c09_modem_fault_retry_paths():
     )
     report = run_text(flaky, 40000)
     assert report.violations == []
-    sends = [r.text for r in report.records if r.tag == "S"]
+    sends = [r.text for r in printed_records(report) if r.tag == "S"]
     assert len(sends) == 1
     assert sends[0].startswith("delivered=yes attempts=3 reason=- ")
     assert "C sms_retries=2\n" in report.serialize()
-    assert sum(r.tag == "M" for r in report.records) == 1
+    assert sum(r.tag == "M" for r in printed_records(report)) == 1
 
     dead = f"t=1000 gps {RMC_FIX}\nt=4000 modem_fault silent_for 60000\n" + burst(5000)
     report = run_text(dead, 40000)
     assert report.violations == []
-    sends = [r.text for r in report.records if r.tag == "S"]
+    sends = [r.text for r in printed_records(report) if r.tag == "S"]
     assert len(sends) == 1
     assert sends[0].startswith(f"delivered=no attempts={CFG.sms_retry_max + 1} reason=timeout ")
-    assert not any(r.tag == "M" for r in report.records)
+    assert not any(r.tag == "M" for r in printed_records(report))
     assert "C sms_sent=0\nC sms_failed=1\n" in report.serialize()
 
 
@@ -302,7 +305,7 @@ def test_panic_press_during_a_blocked_send_is_not_lost():
         "t=7000 panic 1\nt=7400 panic 0\n"
     )
     report = run_text(scenario, 120000)
-    alerts = [r.text for r in report.records if r.text.startswith("alert kind=")]
+    alerts = [r.text for r in printed_records(report) if r.text.startswith("alert kind=")]
     assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts
 
 
@@ -323,5 +326,5 @@ def test_failed_inbound_read_is_noted_and_later_texts_answered():
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
 def test_text_whose_read_failed_is_read_again():
     report = run_text(UNREAD_SCENARIO, 35000)
-    replies = [r.text for r in report.records if r.text.startswith("reply ")]
+    replies = [r.text for r in printed_records(report) if r.text.startswith("reply ")]
     assert any(text.startswith("reply dest=+15550100 ") for text in replies), replies

@@ -59,6 +59,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="alcohol_release"):
             Config(alcohol_threshold=400, alcohol_release=400)
 
+    @pytest.mark.parametrize("release, threshold", [(4000, 5000), (400, 1024), (0, 450), (-1, 0)])
+    def test_alcohol_thresholds_must_lie_in_the_adc_range(self, release, threshold):
+        # a threshold above 1023 never engages; a release below 1 never lets go
+        with pytest.raises(ConfigError, match="alcohol_release < alcohol_threshold <= 1023"):
+            Config(alcohol_threshold=threshold, alcohol_release=release)
+
+    def test_alcohol_threshold_range_ends_are_accepted(self):
+        Config(alcohol_threshold=1023, alcohol_release=1)
+        Config(alcohol_threshold=2, alcohol_release=1)
+
     def test_wiper_bands_must_be_ordered(self):
         with pytest.raises(ConfigError, match="wiper"):
             Config(wiper_intermittent_max=700, wiper_low_max=700)

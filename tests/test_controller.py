@@ -252,8 +252,7 @@ def wiper_line(mode, angle):
 def cycle_angle(mode, tick_ms, phase_ms):
     """The angle and report line the cycle tables give at phase_ms."""
     cycle, position = WiperCycle.find(mode, tick_ms, phase_ms)
-    k = cycle.entry(position)
-    return cycle.angles[k], cycle.texts[k]
+    return cycle.angles[position], cycle.texts[position]
 
 
 # the tick lengths TestSweep draws from
@@ -293,13 +292,17 @@ class TestServoAngleCache:
                 cycle, position = WiperCycle.find(mode, tick_ms, coset)
                 assert (position, cycle.steps) == (0, period // g)
                 walk = [oracle_angle(mode, coset + k * tick_ms) for k in range(period // g)]
-                changes = [k for k in range(len(walk)) if walk[k] != walk[k - 1]]
-                assert cycle.offsets_ms == [k * tick_ms for k in changes]
+                assert len(cycle.angles) == len(cycle.texts) == len(cycle.changes) == len(walk)
                 for k, want in enumerate(walk):
-                    angle, text = cycle.angles[cycle.entry(k)], cycle.texts[cycle.entry(k)]
+                    angle, text = cycle.angles[k], cycle.texts[k]
                     assert angle == pytest.approx(want, abs=1e-9)
                     assert text == wiper_line(mode, angle)
                     assert float(text.rpartition("=")[2]) == pytest.approx(want, abs=0.05 + 1e-9)
+                    # the line again where the walk moves on from the position before, cyclically
+                    if want != walk[k - 1]:
+                        assert cycle.changes[k] is text
+                    else:
+                        assert cycle.changes[k] is None
 
     # an hour of heavy rain, t=0 rain 1 900, at two tick lengths
     HOUR_OF_RAIN_SHA256 = {
@@ -315,8 +318,7 @@ class TestServoAngleCache:
         # the cosets of one mode and tick length split its period between them
         positions = {}
         for (mode, tick_ms, _), cycle in _WIPER_CYCLES.items():
-            assert len(cycle.offsets_ms) <= cycle.steps
-            assert len(cycle.angles) == len(cycle.texts) <= cycle.steps
+            assert len(cycle.angles) == len(cycle.texts) == len(cycle.changes) == cycle.steps
             positions[mode, tick_ms] = positions.get((mode, tick_ms), 0) + cycle.steps
         assert {tick_ms for _, tick_ms in positions} == set(self.HOUR_OF_RAIN_SHA256)
         assert all(size <= WIPER_PERIOD_MS[mode] for (mode, _), size in positions.items())

@@ -31,6 +31,8 @@ from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import load_scenario
 
+from helpers import printed_records
+
 GPS_LINES = (
     "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
     "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47",
@@ -150,5 +152,5 @@ def test_sweeping_wiper_is_not_sampled():
     with counted as sample:
         report = run(load_scenario("t=0 rain 1 900"), config, 60_000)
     assert sample.call_count <= 3
-    wiper_lines = [r for r in report.records if r.text.startswith("wiper mode=HIGH ")]
+    wiper_lines = [r for r in printed_records(report) if r.text.startswith("wiper mode=HIGH ")]
     assert len(wiper_lines) == 60_000 // config.tick_ms + 1  # one step on every tick 0..60,000

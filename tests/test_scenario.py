@@ -18,7 +18,7 @@ from smartcar.sim.scenario import (
 )
 from smartcar.types import ScenarioError, SensorFrame
 
-from helpers import typed
+from helpers import printed_records, typed
 
 CFG = Config()
 
@@ -299,16 +299,16 @@ class TestRunner:
         report = run(load_scenario(CRASH), CFG, 20000)
         assert report.violations == []
         assert "C sms_sent=1\nC sms_failed=0\n" in report.serialize()
-        messages = [r.text for r in report.records if r.tag == "M"]
+        messages = [r.text for r in printed_records(report) if r.tag == "M"]
         assert len(messages) == 1
         assert messages[0].startswith(f"dest={CFG.alert_primary_number} body=")
         assert "48.117300,11.516667" in messages[0]
-        airbags = [r for r in report.records if "airbag" in r.text]
+        airbags = [r for r in printed_records(report) if "airbag" in r.text]
         assert len(airbags) == 1 and airbags[0].t_ms == 5040
 
     def test_record_times_never_decrease(self):
         report = run(load_scenario(CRASH), CFG, 20000)
-        times = [r.t_ms for r in report.records]
+        times = [r.t_ms for r in printed_records(report)]
         assert times == sorted(times)
 
     def test_checksum_failure_counted_not_fatal(self):
@@ -330,7 +330,7 @@ class TestRunner:
         text = (RMC_LINE + "t=1000 modem_fault silent_for 7000\n"
                 "t=1000 impact 1\nt=1040 sms +15550100 LOC\nt=1100 impact 0\n")
         report = run(load_scenario(text), CFG, 20000)
-        alert, reply = [r for r in report.records if r.tag == "S"]
+        alert, reply = [r for r in printed_records(report) if r.tag == "S"]
         assert "body=ACCIDENT DETECTED" in alert.text
         assert alert.t_ms - 1040 > CFG.gps_stale_ms
         assert reply.t_ms == alert.t_ms
@@ -417,6 +417,14 @@ class TestCli:
         cfg.write_text("impact_min_high = many\n")
         assert main(["run", "--scenario", str(scenario), "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_run_alcohol_threshold_beyond_the_adc(self, workdir, capsys):
+        tmp, scenario, _ = workdir
+        cfg = tmp / "deaf.cfg"
+        cfg.write_text("alcohol_threshold = 5000\nalcohol_release = 4000\n")
+        assert main(["run", "--scenario", str(scenario), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "alcohol_release" in err and "alcohol_threshold" in err
 
     def test_run_until_too_early(self, workdir, capsys):
         _, scenario, config = workdir
