@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterator
 from enum import IntEnum, Enum
 from math import gcd
 from operator import itemgetter
@@ -264,26 +265,30 @@ class SafetyController:
             return now_ms
         return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
 
-    def sweep(self, now_ms: int, end_ms: int) -> list[tuple[int, str]]:
+    def sweep(self, now_ms: int, end_ms: int) -> Iterator[tuple[int, str]]:
         """The wiper's steps on the ticks strictly between now_ms and
         end_ms, on or off the tick_ms grid, with the last frame's levels
         held: the t_ms and report line of each tick on which step() would
-        emit SET_WIPER. The mode, not OFF, stays; self.wiper ends at the
-        last command. The first tick is compared with the servo as it
-        stands, which a blocked send may have left anywhere; each later
-        tick steps where its walk position's `changes` holds a line."""
+        emit SET_WIPER, as a lazy stream to be read once. The mode, not
+        OFF, stays; self.wiper ends at the last command as soon as this
+        returns. The first tick is compared with the servo as it stands,
+        which a blocked send may have left anywhere; each later tick
+        steps where its walk position's `changes` holds a line. zip
+        reuses its pair while the reader keeps none, so the stream holds
+        no per-step object."""
         tick = self.config.tick_ms
         first = now_ms + tick
         count = -((first - end_ms) // tick)  # ticks from first up to end_ms
         if count <= 0:
-            return []
+            return iter(())
         mode = self.wiper.mode
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
-        angles, texts = cycle.angles, cycle.texts
-        steps = [] if angles[start] == self.wiper.servo_angle_deg else [(first, texts[start])]
+        angles = cycle.angles
         # the positions after start, round the walk as often as it takes
         changes = itertools.islice(itertools.cycle(cycle.changes), start + 1, None)
-        steps += filter(itemgetter(1), zip(range(first + tick, end_ms, tick), changes))
+        steps = filter(itemgetter(1), zip(range(first + tick, end_ms, tick), changes))
+        if angles[start] != self.wiper.servo_angle_deg:
+            steps = itertools.chain(((first, cycle.texts[start]),), steps)
         self.wiper = WiperCommand(mode, angles[(start + count - 1) % cycle.steps])
         return steps
 

@@ -10,9 +10,11 @@ between two visits the levels repeat and only the wiper servo can step;
 the executor records those steps from SafetyController.sweep() without
 sampling, stepping or polling, so the report is byte-identical to
 sampling every tick. The sweep hands over each step's time and report
-line, read from the wiper's cycle table, and the executor formats each
-record once, into its finished report line. Visiting every tick leaves
-no tick between two visits, and the sweep then covers nothing.
+line, read from the wiper's cycle table, as a stream, and the executor
+formats each record once, into its finished report line. The report
+keeps each write batch (one record, or a sweep's steps) as one string
+of such lines. Visiting every tick leaves no tick between two visits,
+and the sweep then covers nothing.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -24,6 +26,7 @@ clock stands, so after a block they are off the tick_ms grid.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -47,14 +50,15 @@ class LogRecord(NamedTuple):
 
 
 class SimReport:
-    """A run's report: `lines` holds each record's finished line,
-    `<tag> t=<t_ms> <text>`, in the order the records were made; the
-    counters, final state and violations are the C, F and V tail."""
+    """A run's report: `body` holds one string per write batch, its
+    records' finished lines `<tag> t=<t_ms> <text>` joined by newlines,
+    in the order the records were made; the counters, final state and
+    violations are the C, F and V tail."""
 
     def __init__(self, tick_ms: int, until_ms: int):
         self.tick_ms = tick_ms
         self.until_ms = until_ms
-        self.lines: list[str] = []
+        self.body: list[str] = []
         self.counters = SimpleNamespace(  # the C lines in printed order; a send counts as it ends
             sentences_parsed=0, checksum_failures=0, sms_sent=0, sms_failed=0, sms_retries=0
         )
@@ -63,8 +67,9 @@ class SimReport:
 
     @property
     def records(self) -> list[LogRecord]:
-        """Each line read back as a record, for readers in this process."""
-        split = (line.split(" ", 2) for line in self.lines)
+        """Each line read back as a record, for readers in this process.
+        Batches split at newlines only, which no record's text holds."""
+        split = (line.split(" ", 2) for batch in self.body for line in batch.split("\n"))
         return [LogRecord(tag, int(t[2:]), text) for tag, t, text in split]
 
     def serialize(self) -> str:
@@ -72,7 +77,7 @@ class SimReport:
         tail = [f"C {name}={value}" for name, value in vars(self.counters).items()]
         tail += [f"F {key}={value}" for key, value in self.final_state]
         tail += [f"V {text}" for text in self.violations]
-        return "\n".join([*head, *self.lines, *tail, ""])
+        return "\n".join([*head, *self.body, *tail, ""])
 
 
 class _Executor:
@@ -96,10 +101,12 @@ class _Executor:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _write(self, tag: str, records: list[tuple[int, str]]) -> None:
-        """Append each (t_ms, text) record's line, checking its time against
-        the last record's; only the first record out of order writes a V line."""
-        lines, last = self.report.lines, self.last_ms
+    def _write(self, tag: str, records: Iterable[tuple[int, str]]) -> None:
+        """Append a batch of (t_ms, text) records, read once as they come,
+        as one string of their lines, checking each time against the last
+        record's; only the first record out of order writes a V line. No
+        per-line string outlives the batch."""
+        lines, last = [], self.last_ms
         for t, text in records:
             if t < last and self.clock_in_order:
                 self.clock_in_order = False
@@ -107,9 +114,11 @@ class _Executor:
             last = t
             lines.append(f"{tag} t={t} {text}")
         self.last_ms = last
+        if lines:
+            self.report.body.append("\n".join(lines))
 
     def _record_action(self, t_ms: int, text: str) -> None:
-        self._write("A", [(t_ms, text)])
+        self._write("A", ((t_ms, text),))
 
     # -- per-tick stages ---------------------------------------------------
 
@@ -154,9 +163,9 @@ class _Executor:
             f"delivered={'yes' if send.delivered else 'no'} attempts={send.attempts}"
             f" reason={send.reason or '-'} {message}"
         )
-        self._write("S", [(t, outcome)])
+        self._write("S", ((t, outcome),))
         if send.delivered:
-            self._write("M", [(t, message)])
+            self._write("M", ((t, message),))
             counters.sms_sent += 1
         else:
             counters.sms_failed += 1

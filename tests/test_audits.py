@@ -67,7 +67,7 @@ def test_clock_order_audit_fires_mid_sweep():
     sweep = SafetyController.sweep
 
     def sweep_with_early_step_inside(self, start_ms, end_ms):
-        steps = sweep(self, start_ms, end_ms)
+        steps = list(sweep(self, start_ms, end_ms))
         return [*steps[:50], (steps[49][0] - 1, "wiper mode=HIGH angle=0.0"), *steps[50:]]
 
     # both sweeps step back; only the first record out of order is reported
@@ -81,7 +81,7 @@ def test_clock_order_audit_fires_on_a_sweeps_first_step():
     sweep = SafetyController.sweep
 
     def sweep_starting_early(self, start_ms, end_ms):
-        steps = sweep(self, start_ms, end_ms)
+        steps = list(sweep(self, start_ms, end_ms))
         return [(start_ms - 5, steps[0][1]), *steps[1:]] if start_ms == 1000 else steps
 
     with mock.patch.object(SafetyController, "sweep", sweep_starting_early):

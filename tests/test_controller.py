@@ -7,6 +7,8 @@ this file.
 
 import hashlib
 import random
+import tracemalloc
+from itertools import islice
 from math import gcd
 from unittest import mock
 
@@ -556,7 +558,7 @@ class TestNextDeadline:
         assert ctl.next_deadline_ms(2005) is None
         mode = WiperMode.INTERMITTENT
         up = servo_angle(mode, 4015)
-        assert ctl.sweep(2005, 4020) == [
+        assert list(ctl.sweep(2005, 4020)) == [
             (2015, wiper_line(mode, 0.0)),
             (4005, wiper_line(mode, servo_angle(mode, 4005))),
             (4015, wiper_line(mode, up)),
@@ -572,8 +574,8 @@ class TestNextDeadline:
         step = (4010, wiper_line(WiperMode.INTERMITTENT, servo_angle(WiperMode.INTERMITTENT, 10)))
         # the steps at 0 and 2000 built the cycle; a sweep only reads it
         with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
-            assert ctl.sweep(2000, 4000) == []
-            assert ctl.sweep(2000, 4020) == [step]
+            assert list(ctl.sweep(2000, 4000)) == []
+            assert list(ctl.sweep(2000, 4020)) == [step]
         assert angle.call_count == 0
 
     def test_pending_alert_is_its_deadline(self):
@@ -625,8 +627,30 @@ class TestSweep:
                     assert angle == servo_angle(mode, t - entry)
                     assert action.text == wiper_line(mode, angle)
                     expected.append((t, action.text))
-        assert swept.sweep(now, end) == expected
+        assert list(swept.sweep(now, end)) == expected
         assert swept.wiper == stepped.wiper
+
+    def test_sweep_is_a_lazy_stream(self):
+        # a sweep of a million ticks, each a step, allocates next to
+        # nothing until it is read, yet moves the servo to its last tick
+        tick = 1001  # coprime to HIGH's period: the servo moves every tick
+        mode, config = WiperMode.HIGH, Config(tick_ms=tick)
+        short, long = SafetyController(config), SafetyController(config)
+        for ctl in (short, long):
+            # builds the cycle the sweeps read
+            ctl.step(SensorFrame(rain_wet=1, rain_intensity=self.INTENSITY[mode]), 0)
+        now, end = 5 * tick, 5 * tick + 10**9
+        expected = list(short.sweep(now, now + 4 * tick))
+        assert len(expected) == 3 and expected[0][0] == now + tick
+        tracemalloc.start()
+        try:
+            steps = long.sweep(now, end)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated < 10_000
+        assert long.wiper == WiperCommand(mode, servo_angle(mode, (end - 1) // tick * tick))
+        assert list(islice(steps, 3)) == expected
 
 
 class TestQueryDispatch:

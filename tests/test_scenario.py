@@ -1,12 +1,14 @@
 """Simulation layer: scenario grammar, virtual devices, executor, CLI."""
 
+import tracemalloc
+
 import pytest
 
 from smartcar.cli import main
 from smartcar.config import Config
 from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import SensorBoard, VirtualGps, VirtualModem
-from smartcar.sim.runner import REPORT_HEADER, run
+from smartcar.sim.runner import REPORT_HEADER, LogRecord, SimReport, run
 from smartcar.sim.scenario import (
     ErrorOnce,
     GpsLine,
@@ -336,6 +338,29 @@ class TestRunner:
         assert reply.t_ms == alert.t_ms
         assert "body=LOC=48.117300,11.516667 " in reply.text
         assert report.violations == []
+
+    def test_report_holds_its_text_about_once(self):
+        # ten minutes of heavy rain: one sweep of 60,000 wiper lines; the
+        # warm-up run builds the wiper's cycle tables, which outlive it
+        scenario = "t=0 rain 1 900\n"
+        run(load_scenario(scenario), CFG, 600_000)
+        events = load_scenario(scenario)
+        tracemalloc.start()
+        try:
+            report = run(events, CFG, 600_000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(report.serialize())
+        assert held <= 1.25 * size
+        assert peak <= 4 * size
+
+    def test_records_split_batches_at_newlines_only(self):
+        report = SimReport(tick_ms=10, until_ms=100)
+        report.body += ["A t=1 a\rb\u2028c", "A t=2 d\nS t=3 e f"]
+        assert report.records == [
+            LogRecord("A", 1, "a\rb\u2028c"), LogRecord("A", 2, "d"), LogRecord("S", 3, "e f")
+        ]
 
     def test_final_state_keys(self):
         report = run([], CFG, 100)
