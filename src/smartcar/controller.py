@@ -177,6 +177,13 @@ class AlcoholInterlock:
 
     The engine-enable line drops when the smoothed value reaches the
     engage threshold and returns only below the release threshold.
+
+    Updates at one level form a stretch, which a flip also ends. At a
+    fixed level smoothed() is monotone in ema, so a stretch's EMAs are
+    monotone, reach a fixed point in finitely many updates and cross
+    each threshold at most once. flips_in() works out once per stretch
+    which update flips the line, and coast() applies the updates before
+    it without a frame.
     """
 
     EMA_ALPHA = 0.2
@@ -186,21 +193,73 @@ class AlcoholInterlock:
         self.release = release
         self.ema: float | None = None
         self.engine_enabled = True
+        self.moving = False  # whether another update at the last level may change ema
+        self._raw: int | None = None  # the stretch's level
+        # updates left until the one that flips the line in this stretch:
+        # None if none does, 0 if not worked out yet
+        self._flip_in: int | None = 0
 
-    def smoothed(self, raw: int) -> float:
-        """The EMA that update(raw) would store."""
-        return raw if self.ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * self.ema
+    def smoothed(self, raw: int, ema: float | None) -> float:
+        """The EMA that an update at raw stores when the EMA stands at ema."""
+        return raw if ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * ema
+
+    def _flips(self, ema: float) -> bool:
+        """Whether storing ema moves the engine-enable line."""
+        return ema >= self.threshold if self.engine_enabled else ema < self.release
 
     def update(self, raw: int) -> bool:
         """Feed one sample; returns whether the engine-enable line changed."""
-        self.ema = self.smoothed(raw)
-        if self.engine_enabled and self.ema >= self.threshold:
-            self.engine_enabled = False
-            return True
-        if not self.engine_enabled and self.ema < self.release:
-            self.engine_enabled = True
+        ema = self.smoothed(raw, self.ema)
+        self.moving = ema != self.ema
+        self.ema = ema
+        if raw != self._raw:
+            self._raw, self._flip_in = raw, 0  # a new stretch
+        elif self._flip_in:
+            self._flip_in -= 1
+        if self._flips(ema):
+            self.engine_enabled = not self.engine_enabled
+            self._flip_in = 0  # a flip starts one too
             return True
         return False
+
+    def flips_in(self) -> int | None:
+        """How many more updates at the last level it takes until one
+        flips the engine-enable line, None if none ever does. Worked out
+        by stepping once per stretch, then counted down, so asking again
+        costs nothing."""
+        if self._flip_in == 0:
+            self._flip_in = self._forecast()
+        return self._flip_in
+
+    def _forecast(self) -> int | None:
+        raw, ema = self._raw, self.ema
+        nxt = self.smoothed(raw, ema)
+        # after any update an enabled line has ema below the threshold
+        # and a dropped one ema at or above the release, so only a rise
+        # can drop the line and only a fall can return it
+        if (nxt > ema) is not self.engine_enabled:
+            return None
+        steps = 1
+        while not self._flips(nxt):
+            if nxt == ema:
+                return None  # the fixed point, short of the threshold
+            ema, nxt = nxt, self.smoothed(raw, nxt)
+            steps += 1
+        return steps
+
+    def coast(self, updates: int) -> None:
+        """Apply updates at the last level, fewer than flips_in(), so none
+        flips the line; stops stepping at the fixed point."""
+        if self._flip_in:
+            self._flip_in -= updates
+        raw, ema = self._raw, self.ema
+        for _ in range(updates):
+            nxt = self.smoothed(raw, ema)
+            if nxt == ema:
+                self.moving = False
+                break
+            ema = nxt
+        self.ema = ema
 
 
 class _PendingAlert(NamedTuple):
@@ -213,8 +272,8 @@ class SafetyController:
     changes.
 
     next_deadline_ms() tells the executor how long everything but the
-    wiper would stay put if the sensor levels held, so those ticks need
-    not be sampled; sweep() gives the wiper's steps on them.
+    wiper servo and the alcohol EMA would stay put if the sensor levels
+    held, so those ticks need not be sampled; sweep() applies them.
     """
 
     def __init__(self, config: Config):
@@ -251,37 +310,50 @@ class SafetyController:
     def next_deadline_ms(self, now_ms: int) -> int | None:
         """Earliest time at which a frame repeating the last frame's levels
         could change state or emit an action other than a wiper step:
-        now_ms while a channel is still moving, None if no such time
-        exists. The wiper's steps until then come from sweep(). Inputs
-        other than the sensor levels (NMEA lines, texts, level changes)
-        are the caller's to schedule; panic acts only on an edge, so it
-        sets no deadline."""
+        now_ms while an impact sample is in the window, the tick on which
+        the alcohol EMA would flip the engine line, a pending alert's
+        deadline, or None if no such time exists. The wiper's steps and
+        the EMA's updates until then come from sweep(). Inputs other
+        than the sensor levels (NMEA lines, texts, level changes) are the
+        caller's to schedule; panic acts only on an edge, so it sets no
+        deadline."""
         frame = self.last_frame
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger
         if frame is None or self.impact.highs:
             return now_ms
-        if self.interlock.smoothed(frame.alcohol_raw) != self.interlock.ema:
-            return now_ms
-        return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
+        deadline = self.pending_alerts[0].deadline_ms if self.pending_alerts else None
+        if self.interlock.moving:
+            flip_in = self.interlock.flips_in()
+            if flip_in is not None:
+                flip_ms = now_ms + flip_in * self.config.tick_ms
+                if deadline is None or flip_ms < deadline:
+                    deadline = flip_ms
+        return deadline
 
     def sweep(self, now_ms: int, end_ms: int) -> Iterator[tuple[int, str]]:
-        """The wiper's steps on the ticks strictly between now_ms and
-        end_ms, on or off the tick_ms grid, with the last frame's levels
-        held: the t_ms and report line of each tick on which step() would
-        emit SET_WIPER, as a lazy stream to be read once. The mode, not
-        OFF, stays; self.wiper ends at the last command as soon as this
-        returns. The first tick is compared with the servo as it stands,
-        which a blocked send may have left anywhere; each later tick
-        steps where its walk position's `changes` holds a line. zip
-        reuses its pair while the reader keeps none, so the stream holds
-        no per-step object."""
+        """The ticks strictly between now_ms and end_ms, on or off the
+        tick_ms grid, with the last frame's levels held: applies the
+        alcohol EMA's update for each, and returns the wiper's steps on
+        them, the t_ms and report line of each tick on which step() would
+        emit SET_WIPER, as a lazy stream to be read once. end_ms lies no
+        later than next_deadline_ms(), so no update flips the engine
+        line. The mode stays, and an OFF wiper has no steps; self.wiper
+        ends at the last command as soon as this returns. The first tick
+        is compared with the servo as it stands, which a blocked send may
+        have left anywhere; each later tick steps where its walk
+        position's `changes` holds a line. zip reuses its pair while the
+        reader keeps none, so the stream holds no per-step object."""
         tick = self.config.tick_ms
         first = now_ms + tick
         count = -((first - end_ms) // tick)  # ticks from first up to end_ms
         if count <= 0:
             return iter(())
+        if self.interlock.moving:
+            self.interlock.coast(count)
         mode = self.wiper.mode
+        if mode is WiperMode.OFF:
+            return iter(())
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
         angles = cycle.angles
         # the positions after start, round the walk as often as it takes

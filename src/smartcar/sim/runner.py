@@ -4,14 +4,17 @@ accumulates the run report.
 
 Time moves in whole ticks of `tick_ms`, as the firmware's polled loop
 does, but the executor visits only the ticks on which something other
-than the wiper can change: the tick of each scripted event, and the
-ticks the controller asks for through next_deadline_ms(). On the ticks
-between two visits the levels repeat and only the wiper servo can step;
-the executor records those steps from SafetyController.sweep() without
-sampling, stepping or polling, so the report is byte-identical to
-sampling every tick. The sweep hands over each step's time and report
-line, read from the wiper's cycle table, as a stream, and the executor
-formats each record once, into its finished report line. The report
+than the wiper servo and the alcohol EMA can change: the tick of each
+scripted event, and the ticks the controller asks for through
+next_deadline_ms(), among them the tick on which the EMA flips the
+engine line. On the ticks between two visits the levels repeat, so only
+the servo can step and the EMA move. SafetyController.sweep() applies
+those ticks without sampling, stepping or polling: it updates the EMA
+once per tick with a visit's arithmetic, and hands over the servo's
+steps, each step's time and report line read from the wiper's cycle
+table, as a stream. So the report is byte-identical to sampling every
+tick. The executor calls it while the wiper is on or the EMA is still
+moving, formats each record once, into its finished report line, and
 keeps each write batch (one record, or a sweep's steps) as one string
 of such lines. Visiting every tick leaves no tick between two visits,
 and the sweep then covers nothing.
@@ -98,6 +101,7 @@ class _Executor:
         self.send_action_count = 0
         self.last_ms = 0  # the time of the last record written
         self.clock_in_order = True
+        self.interlock_held = True
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -196,16 +200,22 @@ class _Executor:
                 continue
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
-    def _sweep_wiper(self, end_ms: int) -> None:
+    def _sweep(self, end_ms: int) -> None:
         self._write("A", self.controller.sweep(self.clock.now_ms, end_ms))
 
     def _check_interlock(self) -> None:
+        """Only the first violation writes a V line. After the run the
+        clock stands past until_ms, and the line names until_ms."""
         interlock = self.controller.interlock
         ema = interlock.ema
-        if ema is not None and ema >= self.config.alcohol_threshold and interlock.engine_enabled:
+        if (
+            ema is not None and ema >= self.config.alcohol_threshold
+            and interlock.engine_enabled and self.interlock_held
+        ):
+            self.interlock_held = False
             self.report.violations.append(
-                f"t={self.clock.now_ms} interlock: engine enabled while ema={ema:.1f}"
-                f" >= {self.config.alcohol_threshold}"
+                f"t={min(self.clock.now_ms, self.report.until_ms)} interlock:"
+                f" engine enabled while ema={ema:.1f} >= {self.config.alcohol_threshold}"
             )
 
     # -- audits ------------------------------------------------------------
@@ -258,9 +268,12 @@ class _Executor:
             self._step_inbound()
             self._check_interlock()
             skip_ms = self._ticks_to_next_visit(next_event_ms) * self.config.tick_ms
-            if self.controller.wiper.mode is not WiperMode.OFF:
-                self._sweep_wiper(min(self.clock.now_ms + skip_ms, until_ms + 1))
+            controller = self.controller
+            if controller.wiper.mode is not WiperMode.OFF or controller.interlock.moving:
+                self._sweep(min(self.clock.now_ms + skip_ms, until_ms + 1))
             self.clock.advance(skip_ms)
+        # the ticks after the last visit may have been coasted
+        self._check_interlock()
         self._check_conservation()
         self._final_state()
         return self.report

@@ -47,6 +47,19 @@ def test_interlock_audit_fires():
     assert v_lines(report) == ["V t=100 interlock: engine enabled while ema=900.0 >= 450"]
 
 
+def _coast_to_the_level(self, updates):
+    """A coast that skips the smoothing and lands on the level itself."""
+    self.ema = float(self._raw)
+
+
+def test_interlock_audit_fires_after_the_last_coast():
+    # the visit at 100 leaves the EMA at 100.0, ten ticks short of its
+    # flip at 200; the ticks up to the end are coasted, and no visit follows
+    with mock.patch.object(AlcoholInterlock, "coast", _coast_to_the_level):
+        report = run(load_scenario("t=0 alcohol 0\nt=100 alcohol 500"), CFG, 150)
+    assert v_lines(report) == ["V t=150 interlock: engine enabled while ema=500.0 >= 450"]
+
+
 def test_clock_order_audit_fires():
     sweep = SafetyController.sweep
 

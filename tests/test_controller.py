@@ -5,6 +5,7 @@ checked against brute-force re-derivations written independently in
 this file.
 """
 
+import copy
 import hashlib
 import random
 import tracemalloc
@@ -13,7 +14,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smartcar.config import Config
 from smartcar.controller import (
@@ -169,6 +170,41 @@ class TestAlcoholInterlock:
         lock.update(0)
         assert not lock.update(1023)  # ema 204.6, nowhere near 450
         assert lock.engine_enabled
+
+    @settings(deadline=None)
+    @given(
+        raw=st.integers(0, 1023),
+        ema=st.floats(0, 1023),
+        enabled=st.booleans(),
+        band=st.tuples(st.integers(1, 1023), st.integers(1, 1023)).filter(lambda b: b[0] != b[1]),
+        coasted=st.integers(0, 4000),
+    )
+    def test_constant_level_flips_at_most_once_where_forecast(self, raw, ema, enabled, band, coasted):
+        # any start the hysteresis allows: an enabled line below the
+        # threshold, a dropped one at or above the release
+        release, threshold = sorted(band)
+        assume(ema < threshold if enabled else ema >= release)
+        lock = AlcoholInterlock(threshold, release)
+        lock.ema, lock.engine_enabled = ema, enabled
+        lock.update(raw)  # starts the stretch at raw
+        flip_in = lock.flips_in()
+        coasting = copy.copy(lock)
+        emas, flips = [lock.ema], []
+        for n in range(1, 5000):
+            if lock.update(raw):
+                flips.append(n)
+            emas.append(lock.ema)
+            if emas[-1] == emas[-2]:
+                break
+        assert emas[-1] == emas[-2], "no fixed point within 5,000 updates"
+        assert emas == sorted(emas) or emas == sorted(emas, reverse=True)
+        assert len(flips) <= 1
+        assert flip_in == (flips[0] if flips else None)
+        # coasting short of the flip lands where as many updates do
+        coasted = min(coasted, flip_in - 1) if flip_in else coasted
+        coasting.coast(coasted)
+        assert coasting.ema == emas[min(coasted, len(emas) - 1)]
+        assert coasting.flips_in() == (flip_in - coasted if flip_in else None)
 
 
 # -- wiper ----------------------------------------------------------------
@@ -519,17 +555,43 @@ class TestNextDeadline:
         ctl.step(SensorFrame(), CFG.impact_window_ms)
         assert ctl.next_deadline_ms(CFG.impact_window_ms) is None
 
-    def test_moving_ema_is_now_until_it_settles(self):
+    def test_moving_ema_is_due_on_the_tick_it_flips_the_line(self):
+        # stepping every tick from the same start finds the flip tick; a
+        # level that settles short of the threshold never flips the line
+        for raw, flips in ((500, True), (300, False)):
+            ctl, stepped = SafetyController(CFG), SafetyController(CFG)
+            for c in (ctl, stepped):
+                c.step(SensorFrame(), 0)
+                c.step(SensorFrame(alcohol_raw=raw), 10)
+            deadline = ctl.next_deadline_ms(10)
+            t, ema = 10, None
+            while stepped.interlock.engine_enabled and ema != stepped.interlock.ema:
+                ema, t = stepped.interlock.ema, t + CFG.tick_ms
+                stepped.step(SensorFrame(alcohol_raw=raw), t)
+            if flips:
+                assert not stepped.interlock.engine_enabled
+                assert deadline == t > 10 + CFG.tick_ms
+            else:
+                assert stepped.interlock.engine_enabled
+                assert deadline is None
+
+    def test_a_visit_in_a_stretch_evaluates_the_ema_once(self):
+        # 449 settles just short of the threshold: the first deadline
+        # steps to the fixed point, and each later visit in the stretch
+        # costs only its own update
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(), 0)
-        t = 10
-        ctl.step(SensorFrame(alcohol_raw=500), t)
-        assert ctl.next_deadline_ms(t) == t
-        while ctl.next_deadline_ms(t) is not None:
-            t += 10
-            ctl.step(SensorFrame(alcohol_raw=500), t)
-        assert ctl.interlock.ema == 500.0
-        assert not ctl.interlock.engine_enabled
+        ctl.step(SensorFrame(alcohol_raw=449), 10)
+        assert ctl.next_deadline_ms(10) is None
+        smoothed = mock.patch.object(
+            AlcoholInterlock, "smoothed", autospec=True, side_effect=AlcoholInterlock.smoothed
+        )
+        with smoothed as calls:
+            for t in range(20, 200, 10):
+                ctl.step(SensorFrame(alcohol_raw=449), t)
+                assert ctl.next_deadline_ms(t) is None
+        assert calls.call_count == len(range(20, 200, 10))
+        assert ctl.interlock.moving
 
     def test_low_and_high_wipers_set_no_deadline(self):
         # a moving servo is sweep()'s to step, not a reason to visit

@@ -1,14 +1,15 @@
 """Next-event time advance against a visit-every-tick reference.
 
 The executor visits only the ticks on which SafetyController.next_deadline_ms
-says something other than the wiper can change, and records the wiper's
-steps on the ticks between two visits from SafetyController.sweep().
-Patching next_deadline_ms to return `now_ms` makes the executor visit
-every tick, as a plain polled loop does: no tick then lies strictly
-between two visits, so the sweep covers nothing and every wiper step
-comes from stepping the full controller. The reference also patches
-sweep to return no steps, so a sweep that strays past its ends differs
-from it. The two runs of one generated scenario must give
+says something other than the wiper servo and the alcohol EMA can
+change, and applies the ticks between two visits with
+SafetyController.sweep(), which updates the EMA and gives the wiper's
+steps. Patching next_deadline_ms to return `now_ms` makes the executor
+visit every tick, as a plain polled loop does: no tick then lies
+strictly between two visits, so the sweep covers nothing and every
+wiper step and EMA update comes from stepping the full controller. The
+reference also patches sweep to do nothing, so a sweep that strays past
+its ends differs from it. The two runs of one generated scenario must give
 byte-identical reports.
 
 Scenarios mix off-grid event times, odd tick lengths, modem faults that
@@ -21,15 +22,17 @@ The default hypothesis profile runs here; `--hypothesis-profile=long`
 (tests/conftest.py) runs many more examples.
 """
 
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from smartcar.config import Config
-from smartcar.controller import WIPER_PERIOD_MS, SafetyController, WiperMode
+from smartcar.cli import DEFAULT_TAIL_MS
+from smartcar.config import Config, load_config_file
+from smartcar.controller import WIPER_PERIOD_MS, AlcoholInterlock, SafetyController, WiperMode
 from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import run
-from smartcar.sim.scenario import load_scenario
+from smartcar.sim.scenario import load_scenario, load_scenario_file
 
 from helpers import printed_records
 
@@ -42,6 +45,7 @@ ALCOHOL_LEVELS = (0, 50, 399, 400, 401, 449, 450, 451, 1023)
 RAIN_LEVELS = (0, 1, 300, 301, 700, 701, 1023)
 BODIES = ("STATUS", "TEMP", "HUM", "LOC", "HELP", "PING")
 HORIZON_MS = 6000
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 times = st.integers(0, HORIZON_MS)
 
@@ -154,3 +158,40 @@ def test_sweeping_wiper_is_not_sampled():
     assert sample.call_count <= 3
     wiper_lines = [r for r in printed_records(report) if r.text.startswith("wiper mode=HIGH ")]
     assert len(wiper_lines) == 60_000 // config.tick_ms + 1  # one step on every tick 0..60,000
+
+
+def test_settling_alcohol_is_not_sampled():
+    # a breath sample over the limit and a sober one: the EMA moves for
+    # hundreds of ticks after each, but only its flips of the engine line
+    # need a visit; the updates in between are coasted
+    config = load_config_file(str(SCENARIOS / "default.cfg"))
+    events = load_scenario_file(str(SCENARIOS / "drunk_start.txt"))
+    counted = mock.patch.object(SensorBoard, "sample", autospec=True, side_effect=SensorBoard.sample)
+    with counted as sample:
+        report = run(events, config, events[-1].t_ms + DEFAULT_TAIL_MS)
+    assert sample.call_count <= 8
+    engine = [r.text for r in printed_records(report) if r.text.startswith("engine ")]
+    assert engine == ["engine enabled=no", "engine enabled=yes"]
+
+
+def test_breath_tests_during_10_hz_gps_evaluate_the_ema_no_more_than_every_tick():
+    # a visit every 100 ms while the EMA moves: a visit must not work the
+    # stretch out again, so skipping evaluates the EMA no more often than
+    # visiting every tick does (the every-tick executor made 8,524 calls)
+    gps = [f"t={t} gps {GPS_LINES[1]}" for t in range(0, 60_000, 100)]
+    breaths = [f"t={t} alcohol {v}" for t, v in ((1000, 1023), (15000, 5), (30000, 700), (45000, 0))]
+    scenario = "\n".join(sorted(gps + breaths, key=lambda line: int(line.split()[0][2:])))
+    config = Config()
+    smoothed = mock.patch.object(
+        AlcoholInterlock, "smoothed", autospec=True, side_effect=AlcoholInterlock.smoothed
+    )
+    with smoothed as skipping_calls:
+        skipping = run(load_scenario(scenario), config, 90_000).serialize()
+    with (
+        smoothed as every_tick_calls,
+        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
+        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
+    ):
+        every_tick = run(load_scenario(scenario), config, 90_000).serialize()
+    assert skipping == every_tick
+    assert skipping_calls.call_count <= every_tick_calls.call_count
