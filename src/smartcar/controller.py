@@ -314,9 +314,12 @@ class SafetyController:
         the alcohol EMA would flip the engine line, a pending alert's
         deadline, or None if no such time exists. The wiper's steps and
         the EMA's updates until then come from sweep(). Inputs other
-        than the sensor levels (NMEA lines, texts, level changes) are the
-        caller's to schedule; panic acts only on an edge, so it sets no
-        deadline."""
+        than the sensor levels (texts, level changes) are the caller's to
+        schedule; panic acts only on an edge, so it sets no deadline. An
+        NMEA sentence needs no visit while no alert is pending: it then
+        emits nothing and changes only the fix, which only a visit reads,
+        so the caller may step it between visits, on the tick it falls
+        due."""
         frame = self.last_frame
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger

@@ -4,20 +4,31 @@ accumulates the run report.
 
 Time moves in whole ticks of `tick_ms`, as the firmware's polled loop
 does, but the executor visits only the ticks on which something other
-than the wiper servo and the alcohol EMA can change: the tick of each
-scripted event, and the ticks the controller asks for through
-next_deadline_ms(), among them the tick on which the EMA flips the
-engine line. On the ticks between two visits the levels repeat, so only
-the servo can step and the EMA move. SafetyController.sweep() applies
-those ticks without sampling, stepping or polling: it updates the EMA
-once per tick with a visit's arithmetic, and hands over the servo's
-steps, each step's time and report line read from the wiper's cycle
-table, as a stream. So the report is byte-identical to sampling every
-tick. The executor calls it while the wiper is on or the EMA is still
-moving, formats each record once, into its finished report line, and
-keeps each write batch (one record, or a sweep's steps) as one string
-of such lines. Visiting every tick leaves no tick between two visits,
-and the sweep then covers nothing.
+than the wiper servo, the alcohol EMA and the GPS fix can change: the
+tick of each scripted event but a GPS line, and the ticks the
+controller asks for through next_deadline_ms(), among them the tick on
+which the EMA flips the engine line. On the ticks between two visits
+the levels repeat, so only the servo can step and the EMA move.
+SafetyController.sweep() applies those ticks without sampling, stepping
+or polling: it updates the EMA once per tick with a visit's arithmetic,
+and hands over the servo's steps, each step's time and report line read
+from the wiper's cycle table, as a stream. So the report is
+byte-identical to sampling every tick. The executor calls it while the
+wiper is on or the EMA is still moving, formats each record once, into
+its finished report line, and keeps each write batch (one record, or a
+slice of a sweep's steps) as one string of such lines.
+
+A GPS line is a scripted event only while an alert is pending, waiting
+for a fix. Otherwise each line whose visit tick (the first tick at or
+after its time, counted from where the clock stands, at least one
+away) lies before the next visit is folded: parsed, counted and
+stepped into the controller on that tick, between the two visits. With
+no alert pending a sentence can emit no action and changes only the
+fix, which only visits read, and alerts are queued and released only
+on visits; the sweep changes only the servo and the EMA. So the fold is
+exact and commutes with the sweep. Lines due on a visit go through the
+virtual GPS feed. Visiting every tick leaves no tick between two
+visits: the sweep then covers nothing, and no line is folded.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -30,11 +41,13 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from itertools import compress, islice
+from operator import not_
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..config import Config
-from ..controller import ActionKind, SafetyController, WiperMode
+from ..controller import Action, ActionKind, SafetyController, WiperMode
 from ..messages import coordinate_text
 from ..modem import ModemError, ModemSession, SendRecord, fetch_inbound, send_sms
 from ..nmea import parse_sentence
@@ -44,6 +57,8 @@ from .clock import SimClock
 from .devices import SensorBoard, VirtualGps, VirtualModem
 
 REPORT_HEADER = "smartcar-report v1"
+# the most wiper steps one write batch holds, so no list holds a whole sweep
+SWEEP_SLICE = 1024
 
 
 class LogRecord(NamedTuple):
@@ -90,7 +105,11 @@ class _Executor:
                 f"until_ms={until_ms} ends before the last event at t={events[-1].t_ms}"
             )
         self.config = config
-        self.events = deque(events)
+        # GPS lines wait in a queue of their own; both keep scenario order.
+        # GpsLine.__instancecheck__ is isinstance(ev, GpsLine), looped in C
+        is_gps = list(map(sc.GpsLine.__instancecheck__, events))
+        self.events = deque(compress(events, map(not_, is_gps)))
+        self.gps_lines = deque(compress(events, is_gps))
         self.clock = SimClock()
         self.modem = VirtualModem(self.clock)
         self.gps_feed = VirtualGps()
@@ -102,14 +121,15 @@ class _Executor:
         self.last_ms = 0  # the time of the last record written
         self.clock_in_order = True
         self.interlock_held = True
+        self.folds_silent = True
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _write(self, tag: str, records: Iterable[tuple[int, str]]) -> None:
+    def _write(self, tag: str, records: Iterable[tuple[int, str]]) -> int:
         """Append a batch of (t_ms, text) records, read once as they come,
         as one string of their lines, checking each time against the last
         record's; only the first record out of order writes a V line. No
-        per-line string outlives the batch."""
+        per-line string outlives the batch. Returns the batch's length."""
         lines, last = [], self.last_ms
         for t, text in records:
             if t < last and self.clock_in_order:
@@ -120,6 +140,7 @@ class _Executor:
         self.last_ms = last
         if lines:
             self.report.body.append("\n".join(lines))
+        return len(lines)
 
     def _record_action(self, t_ms: int, text: str) -> None:
         self._write("A", ((t_ms, text),))
@@ -129,8 +150,6 @@ class _Executor:
     def _apply_event(self, ev: sc.ScenarioEvent) -> None:
         if isinstance(ev, sc.Levels):
             self.board.set_levels(ev.values)
-        elif isinstance(ev, sc.GpsLine):
-            self.gps_feed.push_raw(ev.text)
         elif isinstance(ev, sc.SmsIn):
             self.modem.inject_sms(ev.sender, ev.body)
         elif isinstance(ev, sc.ErrorOnce):
@@ -179,14 +198,38 @@ class _Executor:
         if new != ([(dest, body)] if send.delivered else []):
             self.report.violations.append(f"t={t} conservation: {outcome}, modem recorded {new}")
 
+    def _step_line(self, line: str, now_ms: int) -> list[Action]:
+        """Parse and count one GPS line and step the controller with it."""
+        sentence = parse_sentence(line)
+        if sentence.checksum_ok:
+            self.report.counters.sentences_parsed += 1
+        else:
+            self.report.counters.checksum_failures += 1
+        return self.controller.step(sentence, now_ms)
+
     def _step_gps(self) -> None:
         for line in self.gps_feed.poll():
-            sentence = parse_sentence(line)
-            if sentence.checksum_ok:
-                self.report.counters.sentences_parsed += 1
-            else:
-                self.report.counters.checksum_failures += 1
-            self._interpret(self.controller.step(sentence, self.clock.now_ms))
+            self._interpret(self._step_line(line, self.clock.now_ms))
+
+    def _fold_gps(self, end_ms: int) -> None:
+        """Step each queued GPS line whose visit tick, the first tick at
+        or after its time counted from where the clock stands, lies
+        before end_ms, the next visit, on that tick. While an alert is
+        pending the head line's tick is itself a visit, so this folds
+        nothing; otherwise a sentence can emit no action, and only the
+        first action a fold would drop writes a V line."""
+        lines, now, tick = self.gps_lines, self.clock.now_ms, self.config.tick_ms
+        while lines:
+            # the tick _ticks_to_next_visit gives: on now's grid, at least one tick on
+            t = lines[0].t_ms
+            t = now + tick if t <= now else t + (now - t) % tick
+            if t >= end_ms:
+                break
+            actions = self._step_line(lines.popleft().text, t)
+            if actions and self.folds_silent:
+                self.folds_silent = False
+                kinds = ", ".join(action.kind.name for action in actions)
+                self.report.violations.append(f"t={t} fold: GPS line between visits gave {kinds}")
 
     def _step_frame(self) -> None:
         self._interpret(self.controller.step(self.board.sample(), self.clock.now_ms))
@@ -201,7 +244,10 @@ class _Executor:
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
     def _sweep(self, end_ms: int) -> None:
-        self._write("A", self.controller.sweep(self.clock.now_ms, end_ms))
+        """Write the sweep's steps in batches of at most SWEEP_SLICE."""
+        steps = self.controller.sweep(self.clock.now_ms, end_ms)
+        while self._write("A", islice(steps, SWEEP_SLICE)) == SWEEP_SLICE:
+            pass
 
     def _check_interlock(self) -> None:
         """Only the first violation writes a V line. After the run the
@@ -255,7 +301,8 @@ class _Executor:
         return max(1, -((now - target) // self.config.tick_ms))
 
     def run(self) -> SimReport:
-        events, until_ms = self.events, self.report.until_ms
+        events, lines, until_ms = self.events, self.gps_lines, self.report.until_ms
+        controller = self.controller
         # the head event's time, read once per event; with no event left,
         # the first millisecond after the run
         next_event_ms = events[0].t_ms if events else until_ms + 1
@@ -263,14 +310,22 @@ class _Executor:
             while next_event_ms <= self.clock.now_ms:
                 self._apply_event(events.popleft())
                 next_event_ms = events[0].t_ms if events else until_ms + 1
+            while lines and lines[0].t_ms <= self.clock.now_ms:
+                self.gps_feed.push_raw(lines.popleft().text)
             self._step_gps()
             self._step_frame()
             self._step_inbound()
             self._check_interlock()
-            skip_ms = self._ticks_to_next_visit(next_event_ms) * self.config.tick_ms
-            controller = self.controller
+            due_ms = next_event_ms
+            # a GPS line needs a visit only while an alert waits for a fix
+            if controller.pending_alerts and lines and lines[0].t_ms < due_ms:
+                due_ms = lines[0].t_ms
+            skip_ms = self._ticks_to_next_visit(due_ms) * self.config.tick_ms
+            end_ms = min(self.clock.now_ms + skip_ms, until_ms + 1)
+            if lines:
+                self._fold_gps(end_ms)
             if controller.wiper.mode is not WiperMode.OFF or controller.interlock.moving:
-                self._sweep(min(self.clock.now_ms + skip_ms, until_ms + 1))
+                self._sweep(end_ms)
             self.clock.advance(skip_ms)
         # the ticks after the last visit may have been coasted
         self._check_interlock()

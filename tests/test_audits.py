@@ -10,7 +10,8 @@ from unittest import mock
 
 from smartcar.cli import main
 from smartcar.config import Config
-from smartcar.controller import AlcoholInterlock, SafetyController
+from smartcar.controller import Action, ActionKind, AlcoholInterlock, SafetyController
+from smartcar.nmea import NmeaSentence
 from smartcar.sim.devices import VirtualModem
 from smartcar.sim.runner import _Executor, run
 from smartcar.sim.scenario import load_scenario
@@ -114,6 +115,25 @@ def test_clock_order_audit_fires_on_an_action():
     with mock.patch.object(_Executor, "_check_interlock", check_interlock_then_note_early):
         report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
     assert v_lines(report) == ["V clock: record at t=985 after one at t=1000"]
+
+
+def test_fold_audit_fires():
+    step = SafetyController.step
+
+    def step_asserting_the_airbag_on_a_sentence(self, event, now_ms):
+        actions = step(self, event, now_ms)
+        if isinstance(event, NmeaSentence):
+            actions.append(Action(ActionKind.ASSERT_AIRBAG_LINE))
+        return actions
+
+    # no alert is pending, so both lines are folded between the visit at
+    # 0 and the end; the action each gives has nowhere to go
+    scenario = f"t=1000 gps {RMC_FIX}\nt=1995 gps {RMC_FIX}"
+    with mock.patch.object(SafetyController, "step", step_asserting_the_airbag_on_a_sentence):
+        report = run(load_scenario(scenario), CFG, 3000)
+    assert "\nA " not in report.serialize()
+    assert report.counters.sentences_parsed == 2
+    assert v_lines(report) == ["V t=1000 fold: GPS line between visits gave ASSERT_AIRBAG_LINE"]
 
 
 def test_conservation_audit_fires_per_send_and_at_the_end():

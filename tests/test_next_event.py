@@ -16,7 +16,9 @@ Scenarios mix off-grid event times, odd tick lengths, modem faults that
 move the clock off the tick grid during a send, impact held high past
 the refractory period, alcohol levels at the interlock thresholds, all
 rain bands and alerts that wait out gps_wait_ms without a fix. Timing
-keys are shrunk so a scenario stays short.
+keys are shrunk so a scenario stays short. GPS lines are folded into
+the controller between visits while no alert is pending; a focused
+property drives that path with GPS streams at 1-10 Hz.
 
 The default hypothesis profile runs here; `--hypothesis-profile=long`
 (tests/conftest.py) runs many more examples.
@@ -145,6 +147,54 @@ def test_intermittent_wiper_across_off_grid_sends(rain_ms, level, sends, config,
     # sends are timed from the start of the first intermittent cycle.
     shifted = [[(rain_ms + t, text) for t, text in group] for group in sends]
     assert_skipping_matches_every_tick([[(rain_ms, f"rain 1 {level}")], *shifted], config, tail_ms)
+
+
+@st.composite
+def gps_scenarios(draw):
+    """A GPS stream at 1-10 Hz from an off-grid start, with a fix that
+    goes stale between two lines; impacts and panic presses before its
+    first line, so their alerts wait for a fix or for gps_wait_ms; LOC
+    queries and panic presses just around the tick a line's fix goes
+    stale; and faulted sends anywhere. Returns the groups and a config."""
+    start = draw(st.integers(1, HORIZON_MS))
+    period = draw(st.integers(100, 1000))
+    stale_ms = draw(st.integers(1, period))
+    texts = draw(st.lists(st.sampled_from(GPS_LINES), min_size=1, max_size=HORIZON_MS // period + 1))
+    stream = [(start + k * period, f"gps {text}") for k, text in enumerate(texts)]
+    early = st.integers(0, start - 1)
+    # a line's time, plus its stale window and up to 30 ms
+    going_stale = st.tuples(st.integers(0, len(texts) - 1), st.integers(0, 30)).map(
+        lambda p: start + p[0] * period + stale_ms + p[1]
+    )
+    groups = draw(st.lists(st.one_of(
+        st.tuples(early, st.integers(1, 300)).map(lambda p: [(p[0], "impact 1"), (p[0] + p[1], "impact 0")]),
+        st.tuples(early, st.integers(1, 300)).map(lambda p: [(p[0], "panic 1"), (p[0] + p[1], "panic 0")]),
+        going_stale.map(lambda t: [(t, "sms +15550100 LOC")]),
+        going_stale.map(lambda t: [(t, "panic 1"), (t + 1, "panic 0")]),
+        faulty_send(times),
+    ), max_size=6))
+    config = draw(configs)._replace(gps_stale_ms=stale_ms)
+    return [stream, *groups], config
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=gps_scenarios(), tail_ms=st.integers(0, 2000))
+def test_folding_gps_lines_matches_visiting_every_tick(scenario, tail_ms):
+    # a fix stepped a tick late goes stale a tick late, and a line folded
+    # while an alert waits for it releases the alert late
+    groups, config = scenario
+    assert_skipping_matches_every_tick(groups, config, tail_ms)
+
+
+def test_gps_lines_alone_are_not_sampled():
+    # no alert waits for a fix, so each line is folded into the
+    # controller between visits, on the tick a visit would have had
+    scenario = "\n".join(f"t={t} gps {GPS_LINES[1]}" for t in range(0, 60_000, 100))
+    counted = mock.patch.object(SensorBoard, "sample", autospec=True, side_effect=SensorBoard.sample)
+    with counted as sample:
+        report = run(load_scenario(scenario), Config(), 60_000)
+    assert sample.call_count <= 3
+    assert report.counters.sentences_parsed == 600
 
 
 def test_sweeping_wiper_is_not_sampled():

@@ -340,7 +340,8 @@ class TestRunner:
         assert report.violations == []
 
     def test_report_holds_its_text_about_once(self):
-        # ten minutes of heavy rain: one sweep of 60,000 wiper lines; the
+        # ten minutes of heavy rain: one sweep of 60,000 wiper lines,
+        # written in slices, so the peak is the report and one slice; the
         # warm-up run builds the wiper's cycle tables, which outlive it
         scenario = "t=0 rain 1 900\n"
         run(load_scenario(scenario), CFG, 600_000)
@@ -353,7 +354,7 @@ class TestRunner:
             tracemalloc.stop()
         size = len(report.serialize())
         assert held <= 1.25 * size
-        assert peak <= 4 * size
+        assert peak <= 1.5 * size
 
     def test_records_split_batches_at_newlines_only(self):
         report = SimReport(tick_ms=10, until_ms=100)
