@@ -72,7 +72,6 @@ class Action(NamedTuple):
     alert: AlertKind | None = None
     dest: str = ""
     text: str = ""
-    wiper: WiperCommand | None = None
     engine_enabled: bool = False
 
 
@@ -316,10 +315,10 @@ class SafetyController:
         the EMA's updates until then come from sweep(). Inputs other
         than the sensor levels (texts, level changes) are the caller's to
         schedule; panic acts only on an edge, so it sets no deadline. An
-        NMEA sentence needs no visit while no alert is pending: it then
-        emits nothing and changes only the fix, which only a visit reads,
-        so the caller may step it between visits, on the tick it falls
-        due."""
+        NMEA sentence needs a visit only while an alert is pending:
+        otherwise it emits nothing and changes only the fix, which only a
+        visit reads, so the caller may step it between visits, on the
+        tick a visit would have stepped it."""
         frame = self.last_frame
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger
@@ -400,7 +399,7 @@ class SafetyController:
         angle, text = cycle.angles[position], cycle.texts[position]
         if mode is not self.wiper.mode or angle != self.wiper.servo_angle_deg:
             self.wiper = WiperCommand(mode, angle)
-            actions.append(Action(ActionKind.SET_WIPER, text=text, wiper=self.wiper))
+            actions.append(Action(ActionKind.SET_WIPER, text=text))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:
         frame, frame_ms = self.last_frame, self.last_frame_ms

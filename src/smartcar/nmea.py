@@ -1,4 +1,4 @@
-"""NMEA 0183 sentence handling for the virtual GPS feed.
+"""NMEA 0183 sentence handling for the GPS module's lines.
 
 Only GGA and RMC are decoded; they carry everything the controller needs
 (position and validity). Every other sentence type parses to Unsupported

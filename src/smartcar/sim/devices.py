@@ -2,9 +2,10 @@
 commands, a GPS feed that emits NMEA text, and a sensor board holding
 the analog/digital input levels.
 
-All three are plain state machines driven inline by the executor; the
-modem is the only one that consults the clock, and only to honor a
-scripted silence window.
+The modem and the board are plain state machines driven inline by the
+executor, which steps GPS lines from its own queue; the modem is the
+only one that consults the clock, and only to honor a scripted silence
+window.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class VirtualModem:
 
 class VirtualGps:
     """NMEA text source: push_raw() lines come out of poll() byte-exact, in
-    push order. The executor pushes each line on the tick it is due."""
+    push order. The executor steps GPS lines from its own queue and no
+    program code calls this; the benchmark's tracer wraps poll()."""
 
     def __init__(self):
         self._raw: list[str] = []

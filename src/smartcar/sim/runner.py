@@ -18,17 +18,18 @@ wiper is on or the EMA is still moving, formats each record once, into
 its finished report line, and keeps each write batch (one record, or a
 slice of a sweep's steps) as one string of such lines.
 
-A GPS line is a scripted event only while an alert is pending, waiting
-for a fix. Otherwise each line whose visit tick (the first tick at or
-after its time, counted from where the clock stands, at least one
-away) lies before the next visit is folded: parsed, counted and
-stepped into the controller on that tick, between the two visits. With
-no alert pending a sentence can emit no action and changes only the
-fix, which only visits read, and alerts are queued and released only
-on visits; the sweep changes only the servo and the EMA. So the fold is
-exact and commutes with the sweep. Lines due on a visit go through the
-virtual GPS feed. Visiting every tick leaves no tick between two
-visits: the sweep then covers nothing, and no line is folded.
+GPS lines wait in their own queue, and a visit steps each line due by
+its start straight from it. A line is a scripted event only while an
+alert is pending, waiting for a fix. Otherwise each line whose visit
+tick (the first tick at or after its time, counted from where the
+clock stands, at least one away) lies before the next visit is folded:
+parsed, counted and stepped into the controller on that tick, between
+the two visits. With no alert pending a sentence can emit no action
+and changes only the fix, which only visits read, and alerts are
+queued and released only on visits; the sweep changes only the servo
+and the EMA. So the fold is exact and commutes with the sweep. Visiting
+every tick leaves no tick between two visits: the sweep then covers
+nothing, and no line is folded.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -54,7 +55,7 @@ from ..nmea import parse_sentence
 from ..types import ScenarioError
 from . import scenario as sc
 from .clock import SimClock
-from .devices import SensorBoard, VirtualGps, VirtualModem
+from .devices import SensorBoard, VirtualModem
 
 REPORT_HEADER = "smartcar-report v1"
 # the most wiper steps one write batch holds, so no list holds a whole sweep
@@ -112,7 +113,6 @@ class _Executor:
         self.gps_lines = deque(compress(events, is_gps))
         self.clock = SimClock()
         self.modem = VirtualModem(self.clock)
-        self.gps_feed = VirtualGps()
         self.board = SensorBoard()
         self.session = ModemSession(transport=self.modem, clock=self.clock)
         self.controller = SafetyController(config)
@@ -207,22 +207,21 @@ class _Executor:
             self.report.counters.checksum_failures += 1
         return self.controller.step(sentence, now_ms)
 
-    def _step_gps(self) -> None:
-        for line in self.gps_feed.poll():
-            self._interpret(self._step_line(line, self.clock.now_ms))
+    def _tick_at(self, t_ms: int) -> int:
+        """The first tick at or after t_ms, counted from where the clock
+        stands, and at least one tick on."""
+        now, tick = self.clock.now_ms, self.config.tick_ms
+        return now + tick if t_ms <= now else t_ms + (now - t_ms) % tick
 
     def _fold_gps(self, end_ms: int) -> None:
-        """Step each queued GPS line whose visit tick, the first tick at
-        or after its time counted from where the clock stands, lies
+        """Step each queued GPS line whose visit tick (_tick_at) lies
         before end_ms, the next visit, on that tick. While an alert is
         pending the head line's tick is itself a visit, so this folds
         nothing; otherwise a sentence can emit no action, and only the
         first action a fold would drop writes a V line."""
-        lines, now, tick = self.gps_lines, self.clock.now_ms, self.config.tick_ms
+        lines = self.gps_lines
         while lines:
-            # the tick _ticks_to_next_visit gives: on now's grid, at least one tick on
-            t = lines[0].t_ms
-            t = now + tick if t <= now else t + (now - t) % tick
+            t = self._tick_at(lines[0].t_ms)
             if t >= end_ms:
                 break
             actions = self._step_line(lines.popleft().text, t)
@@ -290,16 +289,6 @@ class _Executor:
             ("pending_alerts", str(len(self.controller.pending_alerts))),
         ]
 
-    def _ticks_to_next_visit(self, next_event_ms: int) -> int:
-        """Whole ticks from now to the first tick at or after
-        next_event_ms or the controller's deadline, whichever is sooner.
-        At least one."""
-        now = self.clock.now_ms
-        target = self.controller.next_deadline_ms(now)
-        if target is None or next_event_ms < target:
-            target = next_event_ms
-        return max(1, -((now - target) // self.config.tick_ms))
-
     def run(self) -> SimReport:
         events, lines, until_ms = self.events, self.gps_lines, self.report.until_ms
         controller = self.controller
@@ -307,12 +296,13 @@ class _Executor:
         # the first millisecond after the run
         next_event_ms = events[0].t_ms if events else until_ms + 1
         while self.clock.now_ms <= until_ms:
-            while next_event_ms <= self.clock.now_ms:
+            start_ms = self.clock.now_ms
+            while next_event_ms <= start_ms:
                 self._apply_event(events.popleft())
                 next_event_ms = events[0].t_ms if events else until_ms + 1
-            while lines and lines[0].t_ms <= self.clock.now_ms:
-                self.gps_feed.push_raw(lines.popleft().text)
-            self._step_gps()
+            # a line due during a send that blocks here waits for the next tick
+            while lines and lines[0].t_ms <= start_ms:
+                self._interpret(self._step_line(lines.popleft().text, self.clock.now_ms))
             self._step_frame()
             self._step_inbound()
             self._check_interlock()
@@ -320,13 +310,15 @@ class _Executor:
             # a GPS line needs a visit only while an alert waits for a fix
             if controller.pending_alerts and lines and lines[0].t_ms < due_ms:
                 due_ms = lines[0].t_ms
-            skip_ms = self._ticks_to_next_visit(due_ms) * self.config.tick_ms
-            end_ms = min(self.clock.now_ms + skip_ms, until_ms + 1)
-            if lines:
-                self._fold_gps(end_ms)
+            deadline_ms = controller.next_deadline_ms(self.clock.now_ms)
+            if deadline_ms is not None and deadline_ms < due_ms:
+                due_ms = deadline_ms
+            visit_ms = self._tick_at(due_ms)
+            end_ms = min(visit_ms, until_ms + 1)
+            self._fold_gps(end_ms)
             if controller.wiper.mode is not WiperMode.OFF or controller.interlock.moving:
                 self._sweep(end_ms)
-            self.clock.advance(skip_ms)
+            self.clock.advance(visit_ms - self.clock.now_ms)
         # the ticks after the last visit may have been coasted
         self._check_interlock()
         self._check_conservation()

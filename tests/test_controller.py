@@ -517,18 +517,19 @@ class TestWiperFlow:
         ctl = SafetyController(CFG)
         a0 = ctl.step(SensorFrame(rain_wet=1, rain_intensity=500), 1000)
         assert kinds(a0) == [ActionKind.SET_WIPER]
-        assert a0[0].wiper.mode is WiperMode.LOW
-        assert a0[0].wiper.servo_angle_deg == 0.0  # phase restarts on entry
+        assert ctl.wiper.mode is WiperMode.LOW
+        assert ctl.wiper.servo_angle_deg == 0.0  # phase restarts on entry
         a1 = ctl.step(SensorFrame(rain_wet=1, rain_intensity=500), 1010)
-        assert a1[0].wiper.servo_angle_deg == 1.7
+        assert kinds(a1) == [ActionKind.SET_WIPER]
+        assert ctl.wiper.servo_angle_deg == 1.7
 
     def test_dry_parks_once(self):
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=900), 1000)
         a = ctl.step(SensorFrame(rain_wet=0), 1010)
         assert kinds(a) == [ActionKind.SET_WIPER]
-        assert a[0].wiper.mode is WiperMode.OFF
-        assert a[0].wiper.servo_angle_deg == 0.0
+        assert ctl.wiper.mode is WiperMode.OFF
+        assert ctl.wiper.servo_angle_deg == 0.0
         assert not ctl.step(SensorFrame(rain_wet=0), 1020)
 
 
@@ -685,7 +686,7 @@ class TestSweep:
         for t in range(now + tick_ms, end, tick_ms):
             for action in stepped.step(SensorFrame(**levels), t):
                 if action.kind is ActionKind.SET_WIPER:
-                    angle = action.wiper.servo_angle_deg
+                    angle = stepped.wiper.servo_angle_deg
                     assert angle == servo_angle(mode, t - entry)
                     assert action.text == wiper_line(mode, angle)
                     expected.append((t, action.text))

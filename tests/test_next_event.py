@@ -197,6 +197,28 @@ def test_gps_lines_alone_are_not_sampled():
     assert report.counters.sentences_parsed == 600
 
 
+def test_gps_line_due_during_a_blocked_send_waits_for_the_next_tick():
+    # the accident alert waits for the 2 s fix, and its send blocks on a
+    # silent modem until t=28000, past the 3 s line; that line is due
+    # during the block, so it is stepped on the next tick, 28010, and its
+    # fix is still fresh for the LOC query at 33005 (gps_stale_ms=5000).
+    # Stepped at 28000, inside the visit whose send blocked, the fix
+    # would be 5005 ms old and the reply LOC=UNKNOWN.
+    scenario = "\n".join([
+        "t=0 impact 1",
+        "t=100 impact 0",
+        "t=1000 modem_fault silent_for 30000",
+        f"t=2000 gps {GPS_LINES[0]}",
+        f"t=3000 gps {GPS_LINES[0]}",
+        "t=33005 sms +15550100 LOC",
+    ])
+    config = load_config_file(str(SCENARIOS / "default.cfg"))
+    records = printed_records(run(load_scenario(scenario), config, 40_000))
+    assert ("S", 28000) in [(r.tag, r.t_ms) for r in records]
+    replies = [r for r in records if r.tag == "A" and r.text.startswith("reply ")]
+    assert [(r.t_ms, r.text.split()[2]) for r in replies] == [(33010, "body=LOC=48.117300,11.516667")]
+
+
 def test_sweeping_wiper_is_not_sampled():
     # the report cannot tell a swept tick from a visited one, so count
     # the visits: a wiper moving alone must not make the executor sample

@@ -1,0 +1,147 @@
+"""Check the pinned report digests on each given Python, without pytest.
+
+    python3 tools/crosscheck.py
+    python3 tools/crosscheck.py python3.10 python3.12 /usr/bin/python3
+
+With no argument it checks the interpreter that runs it. For each
+interpreter a `python -I -B` child imports the program from src/ (and
+bench/workloads.py by path), so neither the environment, site-packages
+nor an installed copy of the program is seen, and no file is written.
+The child runs:
+
+- each bundled scenario with scenarios/default.cfg, as `smartcar run`
+  does;
+- each benchmark drive of bench/workloads.py at each pinned seed;
+- the hour of rain at each pinned tick length.
+
+It hashes each serialized report. The digests it must give are read
+from the tests with `ast.literal_eval`, so each digest has one home:
+GOLDEN_SHA256 and WORKLOAD_SHA256 in tests/test_golden_reports.py and
+HOUR_OF_RAIN_SHA256 in tests/test_controller.py. The result is one
+table, a row per report and a column per interpreter; the exit status
+is 1 if any digest differs or any child fails, else 0. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# tests/test_controller.py's test_cache_stays_bounded_over_long_drives
+HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
+
+
+def _child() -> None:
+    """Print each job's report digest; the jobs come as JSON on stdin."""
+    import hashlib
+    import importlib.util
+
+    job = json.load(sys.stdin)
+    sys.path.insert(0, str(ROOT / "src"))
+    from smartcar.cli import DEFAULT_TAIL_MS
+    from smartcar.config import Config, load_config, load_config_file
+    from smartcar.sim.runner import run
+    from smartcar.sim.scenario import load_scenario, load_scenario_file
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+
+    def digest(events, config, until_ms) -> str:
+        return hashlib.sha256(run(events, config, until_ms).serialize().encode("utf-8")).hexdigest()
+
+    out = {}
+    default = load_config_file(ROOT / "scenarios" / "default.cfg")
+    for name in job["bundled"]:
+        events = load_scenario_file(ROOT / "scenarios" / f"{name}.txt")
+        out[f"bundled {name}"] = digest(events, default, events[-1].t_ms + DEFAULT_TAIL_MS)
+    for seed, names in job["workloads"].items():
+        for name in names:
+            w = workloads.GENERATORS[name](int(seed))
+            out[f"workload {name} seed={seed}"] = digest(
+                load_scenario(w.scenario), load_config(w.config), w.until_ms
+            )
+    scenario, until_ms = HOUR_OF_RAIN
+    for tick_ms in job["hour_of_rain"]:
+        out[f"hour of rain tick_ms={tick_ms}"] = digest(
+            load_scenario(scenario), Config(tick_ms=int(tick_ms)), until_ms
+        )
+    print(json.dumps({"version": sys.version.split()[0], "digests": out}))
+
+
+def pinned(path: Path, *names: str) -> list:
+    """The literal assigned to each of names in the Python file at path,
+    wherever the assignment stands, in the order of names."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                found[target.id] = ast.literal_eval(node.value)
+    return [found[name] for name in names]
+
+
+def expected() -> tuple[dict[str, str], dict]:
+    """Each report's label and the digest the tests pin for it, and the
+    child's jobs."""
+    golden, workloads = pinned(ROOT / "tests" / "test_golden_reports.py", "GOLDEN_SHA256", "WORKLOAD_SHA256")
+    (hour_of_rain,) = pinned(ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN_SHA256")
+    out = {f"bundled {name}": digest for name, digest in sorted(golden.items())}
+    for seed, digests in sorted(workloads.items()):
+        out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
+    out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
+    return out, {
+        "bundled": sorted(golden),
+        "workloads": {seed: sorted(digests) for seed, digests in workloads.items()},
+        "hour_of_rain": sorted(hour_of_rain),
+    }
+
+
+def check(python: str, job: dict) -> tuple[str, dict[str, str]]:
+    """Run one child; returns its version and digests, or an error line
+    and no digests."""
+    try:
+        proc = subprocess.run(
+            [python, "-I", "-B", __file__, "--child"],
+            input=json.dumps(job), capture_output=True, text=True,
+        )
+    except OSError as exc:
+        return f"error: {exc}", {}
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
+        return f"error: {last}", {}
+    result = json.loads(proc.stdout)
+    return result["version"], result["digests"]
+
+
+def main(argv: list[str]) -> int:
+    pythons = argv or [sys.executable]
+    want, job = expected()
+    columns = [check(python, job) for python in pythons]
+    ok = True
+    rows = [["report", *(version if digests else "error" for version, digests in columns)]]
+    for label, digest in want.items():
+        cells = [
+            "ok" if digests.get(label) == digest else "MISMATCH" if digests else "-"
+            for _, digests in columns
+        ]
+        ok = ok and all(cell == "ok" for cell in cells)
+        rows.append([label, *cells])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    for python, (version, digests) in zip(pythons, columns):
+        print(f"{python}: {version}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        _child()
+    else:
+        sys.exit(main(sys.argv[1:]))
