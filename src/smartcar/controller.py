@@ -318,7 +318,10 @@ class SafetyController:
         NMEA sentence needs a visit only while an alert is pending:
         otherwise it emits nothing and changes only the fix, which only a
         visit reads, so the caller may step it between visits, on the
-        tick a visit would have stepped it."""
+        tick a visit would have stepped it. A sentence the fix accepts
+        replaces it outright, so of the sentences between two visits the
+        caller need step only the newest ones, back to the first that
+        sets the fix."""
         frame = self.last_frame
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger

@@ -80,25 +80,31 @@ def to_decimal_degrees(raw: str, hemisphere: str) -> float:
     return sign * (degrees + minutes / 60.0)
 
 
-def parse_sentence(line: str | bytes) -> NmeaSentence:
-    """Split a line into kind + fields. Total: garbage decodes to Unsupported.
+def split_frame(line: str | bytes) -> tuple[str, bool]:
+    """A line's body and whether its checksum holds. Total over str and
+    bytes (bytes read as latin-1).
 
-    Trailing CR/LF is ignored. checksum_ok holds iff the line is an ASCII
-    $...*hh frame whose XOR-fold matches the two hex digits; NMEA 0183 is
-    ASCII, so any other character (a byte >= 0x80, a non-ASCII digit)
-    fails the checksum.
+    Trailing CR/LF is ignored. The body is the text between '$' and '*'
+    (or all of it, without a '$'). checksum_ok holds iff the line is an
+    ASCII $...*hh frame whose XOR-fold matches the two hex digits; NMEA
+    0183 is ASCII, so any other character (a byte >= 0x80, a non-ASCII
+    digit) fails the checksum.
     """
     if isinstance(line, (bytes, bytearray)):
         line = line.decode("latin-1")
     text = line.rstrip("\r\n")
-    body, checksum_ok = text, False
-    if text.startswith("$"):
-        head, star, suffix = text[1:].rpartition("*")
-        if star:
-            body = head
-            checksum_ok = text.isascii() and _CHECKSUM_VALUE.get(suffix) == xor_checksum(head)
-        else:
-            body = text[1:]
+    if not text.startswith("$"):
+        return text, False
+    head, star, suffix = text[1:].rpartition("*")
+    if not star:
+        return text[1:], False
+    return head, text.isascii() and _CHECKSUM_VALUE.get(suffix) == xor_checksum(head)
+
+
+def parse_sentence(line: str | bytes) -> NmeaSentence:
+    """Split a line into kind + fields. Total: garbage decodes to
+    Unsupported. The framing and checksum are split_frame's."""
+    body, checksum_ok = split_frame(line)
     fields = tuple(body.split(","))
     kind = _KIND_BY_TALKER.get(fields[0], SentenceKind.UNSUPPORTED)
     return NmeaSentence(kind=kind, raw_fields=fields, checksum_ok=checksum_ok)

@@ -20,16 +20,19 @@ slice of a sweep's steps) as one string of such lines.
 
 GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
-alert is pending, waiting for a fix. Otherwise each line whose visit
+alert is pending, waiting for a fix. Otherwise the lines whose visit
 tick (the first tick at or after its time, counted from where the
-clock stands, at least one away) lies before the next visit is folded:
-parsed, counted and stepped into the controller on that tick, between
-the two visits. With no alert pending a sentence can emit no action
-and changes only the fix, which only visits read, and alerts are
-queued and released only on visits; the sweep changes only the servo
-and the EMA. So the fold is exact and commutes with the sweep. Visiting
-every tick leaves no tick between two visits: the sweep then covers
-nothing, and no line is folded.
+clock stands, at least one away) lies before the next visit are
+folded, between the two visits: stepped into the controller newest
+first, each on its own tick, until one sets the fix, while the older
+ones only have their checksums counted. A sentence the fix accepts
+replaces it outright, so the older ones could not have changed it.
+With no alert pending a sentence can emit no action and changes only
+the fix, which only visits read, and alerts are queued and released
+only on visits; the sweep changes only the servo and the EMA. So the
+fold is exact and commutes with the sweep. Visiting every tick leaves
+no tick between two visits: the sweep then covers nothing, and no line
+is folded.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -51,7 +54,7 @@ from ..config import Config
 from ..controller import Action, ActionKind, SafetyController, WiperMode
 from ..messages import coordinate_text
 from ..modem import ModemError, ModemSession, SendRecord, fetch_inbound, send_sms
-from ..nmea import parse_sentence
+from ..nmea import parse_sentence, split_frame
 from ..types import ScenarioError
 from . import scenario as sc
 from .clock import SimClock
@@ -214,21 +217,34 @@ class _Executor:
         return now + tick if t_ms <= now else t_ms + (now - t_ms) % tick
 
     def _fold_gps(self, end_ms: int) -> None:
-        """Step each queued GPS line whose visit tick (_tick_at) lies
-        before end_ms, the next visit, on that tick. While an alert is
-        pending the head line's tick is itself a visit, so this folds
-        nothing; otherwise a sentence can emit no action, and only the
-        first action a fold would drop writes a V line."""
-        lines = self.gps_lines
-        while lines:
-            t = self._tick_at(lines[0].t_ms)
-            if t >= end_ms:
-                break
-            actions = self._step_line(lines.popleft().text, t)
+        """Fold the queued GPS lines whose visit tick (_tick_at) lies
+        before end_ms, the next visit: step them newest first, each on its
+        tick, until update_fix accepts one, and only count the checksums
+        of the older ones. An accepted sentence replaces the fix outright,
+        so the older ones could not have changed what a visit reads. While
+        an alert is pending the head line's tick is itself a visit, so
+        this folds nothing; otherwise a sentence can emit no action, and
+        only the first action a fold would drop writes a V line."""
+        lines, folded = self.gps_lines, []
+        while lines and self._tick_at(lines[0].t_ms) < end_ms:
+            folded.append(lines.popleft())
+        if not folded:
+            return
+        controller = self.controller
+        while folded:
+            line = folded.pop()
+            t, gps = self._tick_at(line.t_ms), controller.gps
+            actions = self._step_line(line.text, t)
             if actions and self.folds_silent:
                 self.folds_silent = False
                 kinds = ", ".join(action.kind.name for action in actions)
                 self.report.violations.append(f"t={t} fold: GPS line between visits gave {kinds}")
+            if controller.gps is not gps:
+                break
+        counters = self.report.counters
+        valid = sum(split_frame(line.text)[1] for line in folded)
+        counters.sentences_parsed += valid
+        counters.checksum_failures += len(folded) - valid
 
     def _step_frame(self) -> None:
         self._interpret(self.controller.step(self.board.sample(), self.clock.now_ms))

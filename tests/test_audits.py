@@ -127,13 +127,15 @@ def test_fold_audit_fires():
         return actions
 
     # no alert is pending, so both lines are folded between the visit at
-    # 0 and the end; the action each gives has nowhere to go
+    # 0 and the end, newest first: the 1995 line, stepped on tick 2000,
+    # sets the fix, so the 1000 line is only counted; the action the
+    # stepped line gives has nowhere to go
     scenario = f"t=1000 gps {RMC_FIX}\nt=1995 gps {RMC_FIX}"
     with mock.patch.object(SafetyController, "step", step_asserting_the_airbag_on_a_sentence):
         report = run(load_scenario(scenario), CFG, 3000)
     assert "\nA " not in report.serialize()
     assert report.counters.sentences_parsed == 2
-    assert v_lines(report) == ["V t=1000 fold: GPS line between visits gave ASSERT_AIRBAG_LINE"]
+    assert v_lines(report) == ["V t=2000 fold: GPS line between visits gave ASSERT_AIRBAG_LINE"]
 
 
 def test_conservation_audit_fires_per_send_and_at_the_end():

@@ -42,6 +42,10 @@ GPS_LINES = (
     "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
     "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47",
     "$GPRMC,123519,V,,,,,,,230394,,*00",  # bad checksum
+    # checksums hold, but update_fix rejects each: void, no fix, unsupported
+    "$GPRMC,123519,V,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*7D",
+    "$GPGGA,123519,4807.038,N,01131.000,E,0,00,,,M,,M,,*52",
+    "$GPGSV,1,1,01,01,40,083,46*44",
 )
 ALCOHOL_LEVELS = (0, 50, 399, 400, 401, 449, 450, 451, 1023)
 RAIN_LEVELS = (0, 1, 300, 301, 700, 701, 1023)
@@ -195,6 +199,21 @@ def test_gps_lines_alone_are_not_sampled():
         report = run(load_scenario(scenario), Config(), 60_000)
     assert sample.call_count <= 3
     assert report.counters.sentences_parsed == 600
+
+
+def test_fold_walks_past_a_rejected_newest_line_to_the_fix():
+    # both lines are folded before the query's visit, newest first: the
+    # void RMC passes its checksum but sets no fix, so the fold must step
+    # on to the older line rather than stop at the first valid checksum
+    scenario = "\n".join([
+        f"t=1000 gps {GPS_LINES[0]}",
+        f"t=1500 gps {GPS_LINES[3]}",
+        "t=2000 sms +15550100 LOC",
+    ])
+    report = run(load_scenario(scenario), Config(), 3000)
+    text = report.serialize()
+    assert "A t=2000 reply dest=+15550100 body=LOC=48.117300,11.516667 " in text
+    assert "\nC sentences_parsed=2\n" in text
 
 
 def test_gps_line_due_during_a_blocked_send_waits_for_the_next_tick():
