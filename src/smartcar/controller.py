@@ -180,9 +180,8 @@ class AlcoholInterlock:
     Updates at one level form a stretch, which a flip also ends. At a
     fixed level smoothed() is monotone in ema, so a stretch's EMAs are
     monotone, reach a fixed point in finitely many updates and cross
-    each threshold at most once. flips_in() works out once per stretch
-    which update flips the line, and coast() applies the updates before
-    it without a frame.
+    each threshold at most once. coast() applies a stretch's updates
+    without a frame, up to the one that would flip the line.
     """
 
     EMA_ALPHA = 0.2
@@ -193,10 +192,7 @@ class AlcoholInterlock:
         self.ema: float | None = None
         self.engine_enabled = True
         self.moving = False  # whether another update at the last level may change ema
-        self._raw: int | None = None  # the stretch's level
-        # updates left until the one that flips the line in this stretch:
-        # None if none does, 0 if not worked out yet
-        self._flip_in: int | None = 0
+        self._raw: int | None = None  # the last level
 
     def smoothed(self, raw: int, ema: float | None) -> float:
         """The EMA that an update at raw stores when the EMA stands at ema."""
@@ -210,55 +206,29 @@ class AlcoholInterlock:
         """Feed one sample; returns whether the engine-enable line changed."""
         ema = self.smoothed(raw, self.ema)
         self.moving = ema != self.ema
-        self.ema = ema
-        if raw != self._raw:
-            self._raw, self._flip_in = raw, 0  # a new stretch
-        elif self._flip_in:
-            self._flip_in -= 1
+        self.ema, self._raw = ema, raw
         if self._flips(ema):
             self.engine_enabled = not self.engine_enabled
-            self._flip_in = 0  # a flip starts one too
             return True
         return False
 
-    def flips_in(self) -> int | None:
-        """How many more updates at the last level it takes until one
-        flips the engine-enable line, None if none ever does. Worked out
-        by stepping once per stretch, then counted down, so asking again
-        costs nothing."""
-        if self._flip_in == 0:
-            self._flip_in = self._forecast()
-        return self._flip_in
-
-    def _forecast(self) -> int | None:
+    def coast(self, updates: int) -> int | None:
+        """Apply up to updates at the last level, with update()'s
+        arithmetic, stopping at the fixed point or before the first
+        update that would flip the line. Returns that update's number
+        (1 = the next), None if none of them flips."""
         raw, ema = self._raw, self.ema
-        nxt = self.smoothed(raw, ema)
-        # after any update an enabled line has ema below the threshold
-        # and a dropped one ema at or above the release, so only a rise
-        # can drop the line and only a fall can return it
-        if (nxt > ema) is not self.engine_enabled:
-            return None
-        steps = 1
-        while not self._flips(nxt):
-            if nxt == ema:
-                return None  # the fixed point, short of the threshold
-            ema, nxt = nxt, self.smoothed(raw, nxt)
-            steps += 1
-        return steps
-
-    def coast(self, updates: int) -> None:
-        """Apply updates at the last level, fewer than flips_in(), so none
-        flips the line; stops stepping at the fixed point."""
-        if self._flip_in:
-            self._flip_in -= updates
-        raw, ema = self._raw, self.ema
-        for _ in range(updates):
+        for n in range(1, updates + 1):
             nxt = self.smoothed(raw, ema)
             if nxt == ema:
                 self.moving = False
                 break
+            if self._flips(nxt):
+                self.ema = ema
+                return n
             ema = nxt
         self.ema = ema
+        return None
 
 
 class _PendingAlert(NamedTuple):
@@ -267,12 +237,14 @@ class _PendingAlert(NamedTuple):
 
 
 class SafetyController:
-    """Owns the controller state; step() and sweep() are the only ways it
-    changes.
+    """Owns the controller state; step(), coast() and sweep() are the
+    only ways it changes.
 
     next_deadline_ms() tells the executor how long everything but the
     wiper servo and the alcohol EMA would stay put if the sensor levels
-    held, so those ticks need not be sampled; sweep() applies them.
+    held, so those ticks need not be sampled. coast() moves the EMA
+    across them and names the tick on which it would flip the engine
+    line, which then needs a visit; sweep() steps the servo across them.
     """
 
     def __init__(self, config: Config):
@@ -308,56 +280,50 @@ class SafetyController:
 
     def next_deadline_ms(self, now_ms: int) -> int | None:
         """Earliest time at which a frame repeating the last frame's levels
-        could change state or emit an action other than a wiper step:
-        now_ms while an impact sample is in the window, the tick on which
-        the alcohol EMA would flip the engine line, a pending alert's
-        deadline, or None if no such time exists. The wiper's steps and
-        the EMA's updates until then come from sweep(). Inputs other
-        than the sensor levels (texts, level changes) are the caller's to
-        schedule; panic acts only on an edge, so it sets no deadline. An
-        NMEA sentence needs a visit only while an alert is pending:
-        otherwise it emits nothing and changes only the fix, which only a
-        visit reads, so the caller may step it between visits, on the
-        tick a visit would have stepped it. A sentence the fix accepts
-        replaces it outright, so of the sentences between two visits the
-        caller need step only the newest ones, back to the first that
-        sets the fix."""
-        frame = self.last_frame
+        could change state or emit an action other than a wiper step or
+        an EMA flip: now_ms while an impact sample is in the window, a
+        pending alert's deadline, or None if no such time exists. The
+        EMA's flip tick comes from coast(), the wiper's steps from
+        sweep(). Inputs other than the sensor levels (texts, level
+        changes) are the caller's to schedule; panic acts only on an
+        edge, so it sets no deadline. An NMEA sentence needs a visit only
+        while an alert is pending: otherwise it emits nothing and changes
+        only the fix, which only a visit reads, so the caller may step it
+        between visits, on the tick a visit would have stepped it. A
+        sentence the fix accepts replaces it outright, so of the
+        sentences between two visits the caller need step only the newest
+        ones, back to the first that sets the fix."""
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger
-        if frame is None or self.impact.highs:
+        if self.last_frame is None or self.impact.highs:
             return now_ms
-        deadline = self.pending_alerts[0].deadline_ms if self.pending_alerts else None
-        if self.interlock.moving:
-            flip_in = self.interlock.flips_in()
-            if flip_in is not None:
-                flip_ms = now_ms + flip_in * self.config.tick_ms
-                if deadline is None or flip_ms < deadline:
-                    deadline = flip_ms
-        return deadline
+        return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
+
+    def coast(self, now_ms: int, end_ms: int) -> int | None:
+        """Apply the alcohol EMA's updates on the ticks strictly between
+        now_ms and end_ms, with the last frame's level held, up to the
+        first that would flip the engine line. Returns that update's
+        tick, which a visit must step, or None if none flips."""
+        tick = self.config.tick_ms
+        flip = self.interlock.coast(-((now_ms + tick - end_ms) // tick))
+        return None if flip is None else now_ms + flip * tick
 
     def sweep(self, now_ms: int, end_ms: int) -> Iterator[tuple[int, str]]:
         """The ticks strictly between now_ms and end_ms, on or off the
-        tick_ms grid, with the last frame's levels held: applies the
-        alcohol EMA's update for each, and returns the wiper's steps on
-        them, the t_ms and report line of each tick on which step() would
-        emit SET_WIPER, as a lazy stream to be read once. end_ms lies no
-        later than next_deadline_ms(), so no update flips the engine
-        line. The mode stays, and an OFF wiper has no steps; self.wiper
-        ends at the last command as soon as this returns. The first tick
-        is compared with the servo as it stands, which a blocked send may
+        tick_ms grid, with the last frame's levels held: the wiper's
+        steps on them, the t_ms and report line of each tick on which
+        step() would emit SET_WIPER, as a lazy stream to be read once.
+        The mode stays, and an OFF wiper has no steps; self.wiper ends at
+        the last command as soon as this returns. The first tick is
+        compared with the servo as it stands, which a blocked send may
         have left anywhere; each later tick steps where its walk
         position's `changes` holds a line. zip reuses its pair while the
         reader keeps none, so the stream holds no per-step object."""
         tick = self.config.tick_ms
         first = now_ms + tick
         count = -((first - end_ms) // tick)  # ticks from first up to end_ms
-        if count <= 0:
-            return iter(())
-        if self.interlock.moving:
-            self.interlock.coast(count)
         mode = self.wiper.mode
-        if mode is WiperMode.OFF:
+        if count <= 0 or mode is WiperMode.OFF:
             return iter(())
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
         angles = cycle.angles

@@ -113,8 +113,8 @@ def decode_stream(buffer: bytes) -> tuple[list[AtEvent], bytes]:
         rest = buf[end + 2 :]
         if text == "OK":
             events.append(_OK)
-        elif text == "ERROR":
-            events.append(_ERROR)
+        elif text == "ERROR" or text.startswith(("+CMS ERROR:", "+CME ERROR:")):
+            events.append(_ERROR)  # the code of a 27.005 / 27.007 error is dropped
         elif (m := _CMTI_RE.match(text)) is not None:
             events.append(AtEvent(EventKind.SMS_ARRIVED, index=int(m.group(1))))
         elif text.startswith("+CMGR:"):

@@ -5,18 +5,19 @@ accumulates the run report.
 Time moves in whole ticks of `tick_ms`, as the firmware's polled loop
 does, but the executor visits only the ticks on which something other
 than the wiper servo, the alcohol EMA and the GPS fix can change: the
-tick of each scripted event but a GPS line, and the ticks the
-controller asks for through next_deadline_ms(), among them the tick on
-which the EMA flips the engine line. On the ticks between two visits
-the levels repeat, so only the servo can step and the EMA move.
-SafetyController.sweep() applies those ticks without sampling, stepping
-or polling: it updates the EMA once per tick with a visit's arithmetic,
-and hands over the servo's steps, each step's time and report line read
+tick of each scripted event but a GPS line, the ticks the controller
+asks for through next_deadline_ms(), and the tick on which the EMA
+flips the engine line. On the ticks between two visits the levels
+repeat, so only the servo can step and the EMA move, and both are
+applied without sampling, stepping or polling. While the EMA moves,
+SafetyController.coast() updates it once per tick with a visit's
+arithmetic, up to the update that would flip the line, whose tick then
+becomes the next visit. While the wiper is on, SafetyController.sweep()
+hands over the servo's steps, each step's time and report line read
 from the wiper's cycle table, as a stream. So the report is
-byte-identical to sampling every tick. The executor calls it while the
-wiper is on or the EMA is still moving, formats each record once, into
-its finished report line, and keeps each write batch (one record, or a
-slice of a sweep's steps) as one string of such lines.
+byte-identical to sampling every tick. The executor formats each record
+once, into its finished report line, and keeps each write batch (one
+record, or a slice of a sweep's steps) as one string of such lines.
 
 GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
@@ -29,10 +30,10 @@ ones only have their checksums counted. A sentence the fix accepts
 replaces it outright, so the older ones could not have changed it.
 With no alert pending a sentence can emit no action and changes only
 the fix, which only visits read, and alerts are queued and released
-only on visits; the sweep changes only the servo and the EMA. So the
-fold is exact and commutes with the sweep. Visiting every tick leaves
-no tick between two visits: the sweep then covers nothing, and no line
-is folded.
+only on visits; the coast and the sweep change only the EMA and the
+servo. So the fold is exact and commutes with both. Visiting every tick
+leaves no tick between two visits: the coast and the sweep then cover
+nothing, and no line is folded.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -331,8 +332,13 @@ class _Executor:
                 due_ms = deadline_ms
             visit_ms = self._tick_at(due_ms)
             end_ms = min(visit_ms, until_ms + 1)
+            if controller.interlock.moving:
+                # an EMA flip in the gap is the next visit
+                flip_ms = controller.coast(self.clock.now_ms, end_ms)
+                if flip_ms is not None:
+                    visit_ms = end_ms = flip_ms
             self._fold_gps(end_ms)
-            if controller.wiper.mode is not WiperMode.OFF or controller.interlock.moving:
+            if controller.wiper.mode is not WiperMode.OFF:
                 self._sweep(end_ms)
             self.clock.advance(visit_ms - self.clock.now_ms)
         # the ticks after the last visit may have been coasted

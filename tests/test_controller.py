@@ -179,7 +179,7 @@ class TestAlcoholInterlock:
         band=st.tuples(st.integers(1, 1023), st.integers(1, 1023)).filter(lambda b: b[0] != b[1]),
         coasted=st.integers(0, 4000),
     )
-    def test_constant_level_flips_at_most_once_where_forecast(self, raw, ema, enabled, band, coasted):
+    def test_constant_level_flips_at_most_once_where_coast_stops(self, raw, ema, enabled, band, coasted):
         # any start the hysteresis allows: an enabled line below the
         # threshold, a dropped one at or above the release
         release, threshold = sorted(band)
@@ -187,7 +187,6 @@ class TestAlcoholInterlock:
         lock = AlcoholInterlock(threshold, release)
         lock.ema, lock.engine_enabled = ema, enabled
         lock.update(raw)  # starts the stretch at raw
-        flip_in = lock.flips_in()
         coasting = copy.copy(lock)
         emas, flips = [lock.ema], []
         for n in range(1, 5000):
@@ -199,12 +198,12 @@ class TestAlcoholInterlock:
         assert emas[-1] == emas[-2], "no fixed point within 5,000 updates"
         assert emas == sorted(emas) or emas == sorted(emas, reverse=True)
         assert len(flips) <= 1
-        assert flip_in == (flips[0] if flips else None)
-        # coasting short of the flip lands where as many updates do
-        coasted = min(coasted, flip_in - 1) if flip_in else coasted
-        coasting.coast(coasted)
-        assert coasting.ema == emas[min(coasted, len(emas) - 1)]
-        assert coasting.flips_in() == (flip_in - coasted if flip_in else None)
+        # a coast names the flip if it lies in range and stops short of
+        # it, landing where as many updates do
+        stop = coasting.coast(coasted)
+        assert stop == (flips[0] if flips and flips[0] <= coasted else None)
+        applied = coasted if stop is None else stop - 1
+        assert coasting.ema == emas[min(applied, len(emas) - 1)]
 
 
 # -- wiper ----------------------------------------------------------------
@@ -556,30 +555,37 @@ class TestNextDeadline:
         ctl.step(SensorFrame(), CFG.impact_window_ms)
         assert ctl.next_deadline_ms(CFG.impact_window_ms) is None
 
-    def test_moving_ema_is_due_on_the_tick_it_flips_the_line(self):
+    def test_coast_names_the_tick_it_flips_the_line(self):
         # stepping every tick from the same start finds the flip tick; a
-        # level that settles short of the threshold never flips the line
+        # level that settles short of the threshold never flips the line.
+        # Either way the moving EMA sets no deadline: the flip is coast()'s
         for raw, flips in ((500, True), (300, False)):
             ctl, stepped = SafetyController(CFG), SafetyController(CFG)
             for c in (ctl, stepped):
                 c.step(SensorFrame(), 0)
                 c.step(SensorFrame(alcohol_raw=raw), 10)
-            deadline = ctl.next_deadline_ms(10)
-            t, ema = 10, None
+            flip_ms = ctl.coast(10, 10**6)
+            t, ema, emas = 10, None, {}
             while stepped.interlock.engine_enabled and ema != stepped.interlock.ema:
                 ema, t = stepped.interlock.ema, t + CFG.tick_ms
+                emas[t - CFG.tick_ms] = ema
                 stepped.step(SensorFrame(alcohol_raw=raw), t)
             if flips:
                 assert not stepped.interlock.engine_enabled
-                assert deadline == t > 10 + CFG.tick_ms
+                assert flip_ms == t > 10 + CFG.tick_ms
+                # the coast stops on the tick before the flip, unflipped
+                assert ctl.interlock.engine_enabled
+                assert ctl.interlock.ema == emas[t - CFG.tick_ms]
             else:
                 assert stepped.interlock.engine_enabled
-                assert deadline is None
+                assert flip_ms is None
+                assert ctl.interlock.ema == stepped.interlock.ema
+                assert not ctl.interlock.moving
+            assert ctl.next_deadline_ms(10) is None
 
     def test_a_visit_in_a_stretch_evaluates_the_ema_once(self):
-        # 449 settles just short of the threshold: the first deadline
-        # steps to the fixed point, and each later visit in the stretch
-        # costs only its own update
+        # 449 settles just short of the threshold: next_deadline_ms reads
+        # no EMA, so each visit in the stretch costs only its own update
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(), 0)
         ctl.step(SensorFrame(alcohol_raw=449), 10)

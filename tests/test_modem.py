@@ -269,10 +269,21 @@ class TestDecodeStream:
         events, _ = decode_stream(b"\r\n+CSQ: 18,0\r\n")
         assert typed(events) == typed([AtEvent(EventKind.LINE)])
 
+    def test_cms_and_cme_errors_decode_as_error(self):
+        # the final result codes of a failed SMS (3GPP TS 27.005) or
+        # equipment (27.007) command, split at every byte
+        stream = b"\r\n+CMS ERROR: 500\r\n\r\n+CME ERROR: 10\r\n\r\n+CMS ERROR:305\r\n"
+        for cut in range(len(stream) + 1):
+            first, rest = decode_stream(stream[:cut])
+            second, rest = decode_stream(rest + stream[cut:])
+            assert typed(first + second) == typed([AtEvent(EventKind.ERROR)] * 3)
+            assert rest == b""
+
     @given(st.lists(st.one_of(
         st.binary(max_size=24),
         st.sampled_from((b"\r\nOK\r\n", b"\r\n> ", b">", b"\r", b"\n", b"+CMGR:",
-                         b'\r\n+CMGR: "REC UNREAD","+1",""\r\n', b"BODY\r\n")),
+                         b'\r\n+CMGR: "REC UNREAD","+1",""\r\n', b"BODY\r\n",
+                         b"\r\n+CMS ERROR: 500\r\n", b"+CME ERROR:")),
     ), max_size=12))
     def test_remainder_decodes_to_nothing_and_itself(self, chunks):
         # what lets ModemSession skip decoding when no new byte arrived
@@ -347,6 +358,18 @@ class TestSendSms:
             outcome = send_sms(session, "+1", "X", cfg)
             assert outcome.delivered == (armed <= cfg.sms_retry_max)
             assert outcome.attempts == min(armed + 1, cfg.sms_retry_max + 1)
+
+    @pytest.mark.parametrize("error", [b"\r\n+CMS ERROR: 500\r\n", b"\r\n+CME ERROR: 10\r\n"])
+    def test_error_code_at_the_header_retries_without_a_timeout(self, error):
+        # each attempt's AT+CMGS meets the code: every retry follows the
+        # backoff at once, and the send ends on an error, not a timeout
+        cfg = Config()
+        transport = Scripted(*[b"\r\nOK\r\n", error] * (cfg.sms_retry_max + 1))
+        clock = SimClock()
+        outcome = send_sms(ModemSession(transport=transport, clock=clock), "+15550001", "HELLO", cfg)
+        assert outcome == SendRecord(cfg.sms_retry_max + 1, "error")
+        assert clock.now_ms == cfg.sms_retry_max * cfg.sms_retry_backoff_ms
+        assert not any(CTRL_Z in data for data in transport.written)
 
     def test_oversize_body_rejected_before_wire(self):
         modem = VirtualModem(SimClock())
@@ -444,7 +467,8 @@ class TestUnsolicited:
         lines=st.lists(st.one_of(
             st.integers(0, 999),
             st.sampled_from((b"\r\nOK\r\n", b"\r\nERROR\r\n", b"\r\n> ", b"\r\n+CSQ: 18,0\r\n",
-                             b"\r\nRING\r\n", b"\r\n+CMGS: 7\r\n", b"\r\n>x\r\n")),
+                             b"\r\nRING\r\n", b"\r\n+CMGS: 7\r\n", b"\r\n>x\r\n",
+                             b"\r\n+CMS ERROR: 500\r\n", b"\r\n+CME ERROR: 10\r\n")),
         ), max_size=40),
         calls=st.lists(st.sampled_from(("poll", "send", "fetch")), max_size=12),
         data=st.data(),

@@ -2,12 +2,14 @@
 
 The executor visits only the ticks on which SafetyController.next_deadline_ms
 says something other than the wiper servo and the alcohol EMA can
-change, and applies the ticks between two visits with
-SafetyController.sweep(), which updates the EMA and gives the wiper's
-steps. Patching next_deadline_ms to return `now_ms` makes the executor
-visit every tick, as a plain polled loop does: no tick then lies
-strictly between two visits, so the sweep covers nothing and every
-wiper step and EMA update comes from stepping the full controller. The
+change, and the tick on which SafetyController.coast() finds the EMA
+would flip the engine line. It applies the ticks between two visits
+with coast(), which updates the EMA, and sweep(), which gives the
+wiper's steps. Patching next_deadline_ms to return `now_ms` makes the
+executor visit every tick, as a plain polled loop does: no tick then
+lies strictly between two visits, so the coast and the sweep cover
+nothing and every wiper step and EMA update comes from stepping the full
+controller. The
 reference also patches sweep to do nothing, so a sweep that strays past
 its ends differs from it. The two runs of one generated scenario must give
 byte-identical reports.
@@ -286,3 +288,34 @@ def test_breath_tests_during_10_hz_gps_evaluate_the_ema_no_more_than_every_tick(
         every_tick = run(load_scenario(scenario), config, 90_000).serialize()
     assert skipping == every_tick
     assert skipping_calls.call_count <= every_tick_calls.call_count
+
+
+def test_a_settling_stretch_evaluates_each_update_once():
+    # 449 settles just short of the threshold, so the coast after the
+    # visit at 100 runs to the fixed point and no flip ends it: each
+    # update the every-tick reference makes that changes the EMA is
+    # evaluated once, and each visit adds its own
+    scenario, config = "t=0 alcohol 0\nt=100 alcohol 449", Config()
+    smoothed = mock.patch.object(
+        AlcoholInterlock, "smoothed", autospec=True, side_effect=AlcoholInterlock.smoothed
+    )
+    sampled = mock.patch.object(SensorBoard, "sample", autospec=True, side_effect=SensorBoard.sample)
+    with smoothed as calls, sampled as visits:
+        skipping = run(load_scenario(scenario), config, 60_000).serialize()
+    update, changes = AlcoholInterlock.update, []
+
+    def counting_update(self, raw):
+        ema = self.ema
+        flipped = update(self, raw)
+        changes.append(self.ema != ema)
+        return flipped
+
+    with (
+        mock.patch.object(AlcoholInterlock, "update", counting_update),
+        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
+        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
+    ):
+        every_tick = run(load_scenario(scenario), config, 60_000).serialize()
+    assert skipping == every_tick
+    assert len(changes) == 60_000 // config.tick_ms + 1
+    assert calls.call_count <= sum(changes) + visits.call_count

@@ -6,20 +6,23 @@
 With no argument it checks the interpreter that runs it. For each
 interpreter a `python -I -B` child imports the program from src/ (and
 bench/workloads.py by path), so neither the environment, site-packages
-nor an installed copy of the program is seen, and no file is written.
-The child runs:
+nor an installed copy of the program is seen, and no file is written
+outside a temporary directory the child removes. The child runs:
 
 - each bundled scenario with scenarios/default.cfg, as `smartcar run`
   does;
 - each benchmark drive of bench/workloads.py at each pinned seed;
-- the hour of rain at each pinned tick length.
+- the hour of rain at each pinned tick length;
+- `smartcar check` and `smartcar run` on each malformed scenario of
+  MALFORMED, and `smartcar run` on each malformed config.
 
 It hashes each serialized report. The digests it must give are read
 from the tests with `ast.literal_eval`, so each digest has one home:
 GOLDEN_SHA256 and WORKLOAD_SHA256 in tests/test_golden_reports.py and
-HOUR_OF_RAIN_SHA256 in tests/test_controller.py. The result is one
-table, a row per report and a column per interpreter; the exit status
-is 1 if any digest differs or any child fails, else 0. Stdlib only.
+HOUR_OF_RAIN_SHA256 in tests/test_controller.py. Each malformed input
+must exit 1. The result is one table, a row per report or command and a
+column per interpreter; the exit status is 1 if any digest or exit code
+differs or any child fails, else 0. Stdlib only.
 """
 
 from __future__ import annotations
@@ -33,6 +36,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # tests/test_controller.py's test_cache_stays_bounded_over_long_drives
 HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
+# (file kind, its bytes): inputs that tests/test_scenario.py's TestCli and
+# tests/test_config.py pin as rejected with a named line or key
+MALFORMED = (
+    ("scenario", b"t=10 impact 5\n"),
+    ("scenario", b"t=+3 panic 1\n"),
+    ("scenario", b"t=100 alcohol 1_000\n"),
+    ("scenario", "t=1000 sms +1555\u20ac STATUS\n".encode()),
+    ("scenario", b"t=1000 impact 1\n# caf\xe9\n"),
+    ("config", b"impact_min_high = many\n"),
+    ("config", b"alcohol_threshold = 5000\nalcohol_release = 4000\n"),
+    ("config", b"tick_ms = +1_0\n"),
+    ("config", b"tick_ms = 10\n\xff\n"),
+)
 
 
 def _child() -> None:
@@ -71,7 +87,42 @@ def _child() -> None:
         out[f"hour of rain tick_ms={tick_ms}"] = digest(
             load_scenario(scenario), Config(tick_ms=int(tick_ms)), until_ms
         )
-    print(json.dumps({"version": sys.version.split()[0], "digests": out}))
+    out.update(_exit_codes())
+    print(json.dumps({"version": sys.version.split()[0], "results": out}))
+
+
+def _exit_codes() -> dict[str, int]:
+    """The exit code of each command on each MALFORMED input, from
+    smartcar.cli.main with its output swallowed."""
+    import contextlib
+    import io
+    import tempfile
+
+    from smartcar.cli import main
+
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        good = {"scenario": Path(tmp) / "good.txt", "config": Path(tmp) / "good.cfg"}
+        good["scenario"].write_text("t=0 impact 0\n")
+        good["config"].write_text("")
+        for label, command, kind, data in _exit_cases():
+            paths = dict(good, **{kind: Path(tmp) / f"bad.{kind}"})
+            paths[kind].write_bytes(data)
+            argv = [command, "--scenario", str(paths["scenario"])]
+            if command == "run":
+                argv += ["--config", str(paths["config"])]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes[label] = main(argv)
+    return codes
+
+
+def _exit_cases():
+    """Each row's label, command, file kind and bytes: a malformed
+    scenario under check and run, a malformed config under run alone,
+    since check reads no config."""
+    for kind, data in MALFORMED:
+        for command in ("check", "run") if kind == "scenario" else ("run",):
+            yield f"exit {command} {kind} {data!r}", command, kind, data
 
 
 def pinned(path: Path, *names: str) -> list:
@@ -86,15 +137,16 @@ def pinned(path: Path, *names: str) -> list:
     return [found[name] for name in names]
 
 
-def expected() -> tuple[dict[str, str], dict]:
-    """Each report's label and the digest the tests pin for it, and the
-    child's jobs."""
+def expected() -> tuple[dict[str, str | int], dict]:
+    """Each report's label and the digest the tests pin for it, each
+    command's label and the exit code it must give, and the child's jobs."""
     golden, workloads = pinned(ROOT / "tests" / "test_golden_reports.py", "GOLDEN_SHA256", "WORKLOAD_SHA256")
     (hour_of_rain,) = pinned(ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN_SHA256")
     out = {f"bundled {name}": digest for name, digest in sorted(golden.items())}
     for seed, digests in sorted(workloads.items()):
         out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
     out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
+    out.update({label: 1 for label, *_ in _exit_cases()})
     return out, {
         "bundled": sorted(golden),
         "workloads": {seed: sorted(digests) for seed, digests in workloads.items()},
@@ -102,9 +154,9 @@ def expected() -> tuple[dict[str, str], dict]:
     }
 
 
-def check(python: str, job: dict) -> tuple[str, dict[str, str]]:
-    """Run one child; returns its version and digests, or an error line
-    and no digests."""
+def check(python: str, job: dict) -> tuple[str, dict[str, str | int]]:
+    """Run one child; returns its version and results, or an error line
+    and no results."""
     try:
         proc = subprocess.run(
             [python, "-I", "-B", __file__, "--child"],
@@ -116,7 +168,7 @@ def check(python: str, job: dict) -> tuple[str, dict[str, str]]:
         last = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]
         return f"error: {last}", {}
     result = json.loads(proc.stdout)
-    return result["version"], result["digests"]
+    return result["version"], result["results"]
 
 
 def main(argv: list[str]) -> int:
@@ -124,18 +176,18 @@ def main(argv: list[str]) -> int:
     want, job = expected()
     columns = [check(python, job) for python in pythons]
     ok = True
-    rows = [["report", *(version if digests else "error" for version, digests in columns)]]
-    for label, digest in want.items():
+    rows = [["report", *(version if results else "error" for version, results in columns)]]
+    for label, result in want.items():
         cells = [
-            "ok" if digests.get(label) == digest else "MISMATCH" if digests else "-"
-            for _, digests in columns
+            "ok" if results.get(label) == result else "MISMATCH" if results else "-"
+            for _, results in columns
         ]
         ok = ok and all(cell == "ok" for cell in cells)
         rows.append([label, *cells])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    for python, (version, digests) in zip(pythons, columns):
+    for python, (version, _) in zip(pythons, columns):
         print(f"{python}: {version}")
     return 0 if ok else 1
 
