@@ -185,18 +185,26 @@ class AlcoholInterlock:
     """
 
     EMA_ALPHA = 0.2
+    EMA_KEEP = 1 - EMA_ALPHA  # the old EMA's share, worked out once
+    # an update at level 0 stores 0.0 once the EMA is below this: 0.8 * ema
+    # is then under half an ulp of 0.2 * raw for any raw >= 1, so later
+    # updates store what they would have, and clean air settles in ~200
+    # updates, not in ~3,350 through the subnormals
+    EMA_FLOOR = 2.0**-60
 
     def __init__(self, threshold: int, release: int):
         self.threshold = threshold
         self.release = release
         self.ema: float | None = None
         self.engine_enabled = True
-        self.moving = False  # whether another update at the last level may change ema
-        self._raw: int | None = None  # the last level
 
     def smoothed(self, raw: int, ema: float | None) -> float:
         """The EMA that an update at raw stores when the EMA stands at ema."""
-        return raw if ema is None else self.EMA_ALPHA * raw + (1 - self.EMA_ALPHA) * ema
+        if ema is None:
+            return raw
+        if not raw and ema < self.EMA_FLOOR:
+            return 0.0
+        return self.EMA_ALPHA * raw + self.EMA_KEEP * ema
 
     def _flips(self, ema: float) -> bool:
         """Whether storing ema moves the engine-enable line."""
@@ -204,24 +212,21 @@ class AlcoholInterlock:
 
     def update(self, raw: int) -> bool:
         """Feed one sample; returns whether the engine-enable line changed."""
-        ema = self.smoothed(raw, self.ema)
-        self.moving = ema != self.ema
-        self.ema, self._raw = ema, raw
+        ema = self.ema = self.smoothed(raw, self.ema)
         if self._flips(ema):
             self.engine_enabled = not self.engine_enabled
             return True
         return False
 
-    def coast(self, updates: int) -> int | None:
-        """Apply up to updates at the last level, with update()'s
-        arithmetic, stopping at the fixed point or before the first
-        update that would flip the line. Returns that update's number
-        (1 = the next), None if none of them flips."""
-        raw, ema = self._raw, self.ema
+    def coast(self, raw: int, updates: int) -> int | None:
+        """Apply up to updates at level raw, with update()'s arithmetic,
+        stopping at the fixed point or before the first update that
+        would flip the line. Returns that update's number (1 = the
+        next), None if none of them flips."""
+        ema = self.ema
         for n in range(1, updates + 1):
             nxt = self.smoothed(raw, ema)
             if nxt == ema:
-                self.moving = False
                 break
             if self._flips(nxt):
                 self.ema = ema
@@ -284,15 +289,9 @@ class SafetyController:
         an EMA flip: now_ms while an impact sample is in the window, a
         pending alert's deadline, or None if no such time exists. The
         EMA's flip tick comes from coast(), the wiper's steps from
-        sweep(). Inputs other than the sensor levels (texts, level
-        changes) are the caller's to schedule; panic acts only on an
-        edge, so it sets no deadline. An NMEA sentence needs a visit only
-        while an alert is pending: otherwise it emits nothing and changes
-        only the fix, which only a visit reads, so the caller may step it
-        between visits, on the tick a visit would have stepped it. A
-        sentence the fix accepts replaces it outright, so of the
-        sentences between two visits the caller need step only the newest
-        ones, back to the first that sets the fix."""
+        sweep(). Inputs other than the sensor levels (texts, NMEA
+        sentences, level changes) are the caller's to schedule; panic
+        acts only on an edge, so it sets no deadline."""
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger
         if self.last_frame is None or self.impact.highs:
@@ -305,7 +304,8 @@ class SafetyController:
         first that would flip the engine line. Returns that update's
         tick, which a visit must step, or None if none flips."""
         tick = self.config.tick_ms
-        flip = self.interlock.coast(-((now_ms + tick - end_ms) // tick))
+        updates = -((now_ms + tick - end_ms) // tick)
+        flip = self.interlock.coast(self.last_frame.alcohol_raw, updates)
         return None if flip is None else now_ms + flip * tick
 
     def sweep(self, now_ms: int, end_ms: int) -> Iterator[tuple[int, str]]:
@@ -313,18 +313,19 @@ class SafetyController:
         tick_ms grid, with the last frame's levels held: the wiper's
         steps on them, the t_ms and report line of each tick on which
         step() would emit SET_WIPER, as a lazy stream to be read once.
-        The mode stays, and an OFF wiper has no steps; self.wiper ends at
-        the last command as soon as this returns. The first tick is
-        compared with the servo as it stands, which a blocked send may
-        have left anywhere; each later tick steps where its walk
-        position's `changes` holds a line. zip reuses its pair while the
-        reader keeps none, so the stream holds no per-step object."""
+        The mode stays, and OFF's one walk position rests at 0, so an OFF
+        wiper has no steps; self.wiper ends at the last command as soon
+        as this returns. The first tick is compared with the servo as it
+        stands, which a blocked send may have left anywhere; each later
+        tick steps where its walk position's `changes` holds a line. zip
+        reuses its pair while the reader keeps none, so the stream holds
+        no per-step object."""
         tick = self.config.tick_ms
         first = now_ms + tick
         count = -((first - end_ms) // tick)  # ticks from first up to end_ms
-        mode = self.wiper.mode
-        if count <= 0 or mode is WiperMode.OFF:
+        if count <= 0:
             return iter(())
+        mode = self.wiper.mode
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
         angles = cycle.angles
         # the positions after start, round the walk as often as it takes

@@ -9,9 +9,9 @@ tick of each scripted event but a GPS line, the ticks the controller
 asks for through next_deadline_ms(), and the tick on which the EMA
 flips the engine line. On the ticks between two visits the levels
 repeat, so only the servo can step and the EMA move, and both are
-applied without sampling, stepping or polling. While the EMA moves,
-SafetyController.coast() updates it once per tick with a visit's
-arithmetic, up to the update that would flip the line, whose tick then
+applied without sampling, stepping or polling. SafetyController.coast()
+updates the EMA once per tick with a visit's arithmetic, up to its
+fixed point or the update that would flip the line, whose tick then
 becomes the next visit. While the wiper is on, SafetyController.sweep()
 hands over the servo's steps, each step's time and report line read
 from the wiper's cycle table, as a stream. So the report is
@@ -46,8 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from itertools import compress, islice
-from operator import not_
+from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -110,11 +109,9 @@ class _Executor:
                 f"until_ms={until_ms} ends before the last event at t={events[-1].t_ms}"
             )
         self.config = config
-        # GPS lines wait in a queue of their own; both keep scenario order.
-        # GpsLine.__instancecheck__ is isinstance(ev, GpsLine), looped in C
-        is_gps = list(map(sc.GpsLine.__instancecheck__, events))
-        self.events = deque(compress(events, map(not_, is_gps)))
-        self.gps_lines = deque(compress(events, is_gps))
+        # GPS lines wait in a queue of their own; both keep scenario order
+        self.events = deque([ev for ev in events if type(ev) is not sc.GpsLine])
+        self.gps_lines = deque([ev for ev in events if type(ev) is sc.GpsLine])
         self.clock = SimClock()
         self.modem = VirtualModem(self.clock)
         self.board = SensorBoard()
@@ -123,11 +120,15 @@ class _Executor:
         self.report = SimReport(tick_ms=config.tick_ms, until_ms=until_ms)
         self.send_action_count = 0
         self.last_ms = 0  # the time of the last record written
-        self.clock_in_order = True
-        self.interlock_held = True
-        self.folds_silent = True
+        self.flagged: set[str] = set()  # the audits that have written their V line
 
     # -- bookkeeping -----------------------------------------------------
+
+    def _flag(self, audit: str, text: str) -> None:
+        """Write text as a V line if it is audit's first violation."""
+        if audit not in self.flagged:
+            self.flagged.add(audit)
+            self.report.violations.append(text)
 
     def _write(self, tag: str, records: Iterable[tuple[int, str]]) -> int:
         """Append a batch of (t_ms, text) records, read once as they come,
@@ -136,9 +137,8 @@ class _Executor:
         per-line string outlives the batch. Returns the batch's length."""
         lines, last = [], self.last_ms
         for t, text in records:
-            if t < last and self.clock_in_order:
-                self.clock_in_order = False
-                self.report.violations.append(f"clock: record at t={t} after one at t={last}")
+            if t < last:
+                self._flag("clock", f"clock: record at t={t} after one at t={last}")
             last = t
             lines.append(f"{tag} t={t} {text}")
         self.last_ms = last
@@ -236,10 +236,9 @@ class _Executor:
             line = folded.pop()
             t, gps = self._tick_at(line.t_ms), controller.gps
             actions = self._step_line(line.text, t)
-            if actions and self.folds_silent:
-                self.folds_silent = False
+            if actions:
                 kinds = ", ".join(action.kind.name for action in actions)
-                self.report.violations.append(f"t={t} fold: GPS line between visits gave {kinds}")
+                self._flag("fold", f"t={t} fold: GPS line between visits gave {kinds}")
             if controller.gps is not gps:
                 break
         counters = self.report.counters
@@ -270,14 +269,11 @@ class _Executor:
         clock stands past until_ms, and the line names until_ms."""
         interlock = self.controller.interlock
         ema = interlock.ema
-        if (
-            ema is not None and ema >= self.config.alcohol_threshold
-            and interlock.engine_enabled and self.interlock_held
-        ):
-            self.interlock_held = False
-            self.report.violations.append(
+        if ema is not None and ema >= self.config.alcohol_threshold and interlock.engine_enabled:
+            self._flag(
+                "interlock",
                 f"t={min(self.clock.now_ms, self.report.until_ms)} interlock:"
-                f" engine enabled while ema={ema:.1f} >= {self.config.alcohol_threshold}"
+                f" engine enabled while ema={ema:.1f} >= {self.config.alcohol_threshold}",
             )
 
     # -- audits ------------------------------------------------------------
@@ -332,11 +328,10 @@ class _Executor:
                 due_ms = deadline_ms
             visit_ms = self._tick_at(due_ms)
             end_ms = min(visit_ms, until_ms + 1)
-            if controller.interlock.moving:
-                # an EMA flip in the gap is the next visit
-                flip_ms = controller.coast(self.clock.now_ms, end_ms)
-                if flip_ms is not None:
-                    visit_ms = end_ms = flip_ms
+            # an EMA flip in the gap is the next visit
+            flip_ms = controller.coast(self.clock.now_ms, end_ms)
+            if flip_ms is not None:
+                visit_ms = end_ms = flip_ms
             self._fold_gps(end_ms)
             if controller.wiper.mode is not WiperMode.OFF:
                 self._sweep(end_ms)

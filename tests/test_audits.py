@@ -48,9 +48,9 @@ def test_interlock_audit_fires():
     assert v_lines(report) == ["V t=100 interlock: engine enabled while ema=900.0 >= 450"]
 
 
-def _coast_to_the_level(self, updates):
+def _coast_to_the_level(self, raw, updates):
     """A coast that skips the smoothing and lands on the level itself."""
-    self.ema = float(self._raw)
+    self.ema = float(raw)
 
 
 def test_interlock_audit_fires_after_the_last_coast():

@@ -55,6 +55,15 @@ class TestValidation:
             with pytest.raises(TypeError):
                 build()
 
+    @pytest.mark.parametrize("angle", [-0.1, 170.1])
+    def test_wiper_angle_stays_in_the_servo_range(self, angle):
+        with pytest.raises(ValueError, match="servo angle out of range"):
+            WiperCommand(WiperMode.HIGH, angle)
+
+    def test_values_repr_their_fields(self):
+        assert repr(GeoFix(48.1, 11.5)) == "GeoFix(48.1, 11.5)"
+        assert repr(WiperCommand(WiperMode.OFF, 0.0)) == f"WiperCommand({WiperMode.OFF!r}, 0.0)"
+
     def test_release_must_sit_below_threshold(self):
         with pytest.raises(ConfigError, match="alcohol_release"):
             Config(alcohol_threshold=400, alcohol_release=400)

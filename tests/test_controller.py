@@ -7,6 +7,7 @@ this file.
 
 import copy
 import hashlib
+import math
 import random
 import tracemalloc
 from itertools import islice
@@ -171,6 +172,30 @@ class TestAlcoholInterlock:
         assert not lock.update(1023)  # ema 204.6, nowhere near 450
         assert lock.engine_enabled
 
+    def test_clean_air_settles_at_zero_not_in_the_subnormals(self):
+        lock = AlcoholInterlock(450, 400)
+        lock.update(700)
+        updates = 0
+        while lock.smoothed(0, lock.ema) != lock.ema:
+            lock.update(0)
+            updates += 1
+        assert lock.ema == 0.0 and updates < 250  # ~3,350 through the subnormals
+        # an EMA below the floor adds under half an ulp to any level's update
+        below = math.nextafter(AlcoholInterlock.EMA_FLOOR, 0)
+        assert all(lock.smoothed(raw, below) == lock.smoothed(raw, 0.0) for raw in range(1, 1024))
+
+    def test_clean_air_coasts_a_few_hundred_updates(self):
+        # 700 drops the line, clean air returns it and settles, 30 settles
+        # again: 384 updates in all, against 2,664 that settled at 5e-324
+        scenario = load_scenario("t=0 alcohol 700\nt=5000 alcohol 0\nt=30000 alcohol 30")
+        smoothed = mock.patch.object(
+            AlcoholInterlock, "smoothed", autospec=True, side_effect=AlcoholInterlock.smoothed
+        )
+        with smoothed as calls:
+            report = run(scenario, CFG, 90_000)
+        assert calls.call_count == 384
+        assert "\nF alcohol_ema=30.000\n" in report.serialize()
+
     @settings(deadline=None)
     @given(
         raw=st.integers(0, 1023),
@@ -200,7 +225,7 @@ class TestAlcoholInterlock:
         assert len(flips) <= 1
         # a coast names the flip if it lies in range and stops short of
         # it, landing where as many updates do
-        stop = coasting.coast(coasted)
+        stop = coasting.coast(raw, coasted)
         assert stop == (flips[0] if flips and flips[0] <= coasted else None)
         applied = coasted if stop is None else stop - 1
         assert coasting.ema == emas[min(applied, len(emas) - 1)]
@@ -580,7 +605,7 @@ class TestNextDeadline:
                 assert stepped.interlock.engine_enabled
                 assert flip_ms is None
                 assert ctl.interlock.ema == stepped.interlock.ema
-                assert not ctl.interlock.moving
+                assert ctl.interlock.smoothed(raw, ctl.interlock.ema) == ctl.interlock.ema
             assert ctl.next_deadline_ms(10) is None
 
     def test_a_visit_in_a_stretch_evaluates_the_ema_once(self):
@@ -598,7 +623,7 @@ class TestNextDeadline:
                 ctl.step(SensorFrame(alcohol_raw=449), t)
                 assert ctl.next_deadline_ms(t) is None
         assert calls.call_count == len(range(20, 200, 10))
-        assert ctl.interlock.moving
+        assert ctl.interlock.smoothed(449, ctl.interlock.ema) != ctl.interlock.ema
 
     def test_low_and_high_wipers_set_no_deadline(self):
         # a moving servo is sweep()'s to step, not a reason to visit

@@ -1,5 +1,6 @@
 """Simulation layer: scenario grammar, virtual devices, executor, CLI."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -23,6 +24,12 @@ from smartcar.types import ScenarioError, SensorFrame
 from helpers import printed_records, typed
 
 CFG = Config()
+# test_report_holds_its_text_about_once's drive and its bounds on the
+# memory held after it and at its peak, as multiples of the report's size;
+# tools/crosscheck.py reads all three from here
+TEN_MINUTES_OF_RAIN = ("t=0 rain 1 900\n", 600_000)
+HELD_PER_REPORT = 1.25
+PEAK_PER_REPORT = 1.5
 
 
 def impact(t_ms, level):
@@ -205,7 +212,15 @@ class TestVirtualGps:
         assert gps.poll() == []
 
 
-# -- virtual modem extras ------------------------------------------------------
+# -- clock and virtual modem extras --------------------------------------------
+
+
+def test_clock_refuses_to_move_backwards():
+    clock = SimClock()
+    clock.advance(10)
+    with pytest.raises(ValueError, match="backwards"):
+        clock.advance(-1)
+    assert clock.now_ms == 10
 
 
 class TestVirtualModemFaults:
@@ -239,6 +254,17 @@ class TestVirtualModemFaults:
         # a dead link, not a deaf listener: a parsed header would leave the
         # modem waiting for a body, and this AT would not be answered
         modem.write(b"AT\r")
+        assert modem.read() == b"\r\nOK\r\n"
+
+    def test_error_armed_before_the_body_refuses_it(self):
+        modem = VirtualModem(SimClock())
+        modem.write(b'AT+CMGS="+1"\r')
+        assert modem.read() == b"\r\n> "
+        modem.arm_error_once()
+        modem.write(b"HI\x1a")
+        assert modem.read() == b"\r\nERROR\r\n"
+        assert modem.deliveries == []
+        modem.write(b"AT\r")  # back to commands
         assert modem.read() == b"\r\nOK\r\n"
 
     def test_error_once_is_one_shot(self):
@@ -343,18 +369,18 @@ class TestRunner:
         # ten minutes of heavy rain: one sweep of 60,000 wiper lines,
         # written in slices, so the peak is the report and one slice; the
         # warm-up run builds the wiper's cycle tables, which outlive it
-        scenario = "t=0 rain 1 900\n"
-        run(load_scenario(scenario), CFG, 600_000)
+        scenario, until_ms = TEN_MINUTES_OF_RAIN
+        run(load_scenario(scenario), CFG, until_ms)
         events = load_scenario(scenario)
         tracemalloc.start()
         try:
-            report = run(events, CFG, 600_000)
+            report = run(events, CFG, until_ms)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         size = len(report.serialize())
-        assert held <= 1.25 * size
-        assert peak <= 1.5 * size
+        assert held <= HELD_PER_REPORT * size
+        assert peak <= PEAK_PER_REPORT * size
 
     def test_records_split_batches_at_newlines_only(self):
         report = SimReport(tick_ms=10, until_ms=100)
@@ -419,6 +445,19 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_run_into_a_closed_pipe_exits_0(self, workdir, monkeypatch):
+        # a reader such as head that hangs up early is not an error
+        class HungUp:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                pass
+
+        _, scenario, config = workdir
+        monkeypatch.setattr(sys, "stdout", HungUp())
+        assert main(["run", "--scenario", str(scenario), "--config", str(config)]) == 0
 
     def test_non_ascii_digits_in_a_sentence_are_no_position(self, workdir, capsys):
         # Arabic-Indic digits pass str.isdigit, and folded as code points

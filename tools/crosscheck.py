@@ -14,15 +14,21 @@ outside a temporary directory the child removes. The child runs:
 - each benchmark drive of bench/workloads.py at each pinned seed;
 - the hour of rain at each pinned tick length;
 - `smartcar check` and `smartcar run` on each malformed scenario of
-  MALFORMED, and `smartcar run` on each malformed config.
+  MALFORMED, and `smartcar run` on each malformed config;
+- the ten minutes of rain of test_report_holds_its_text_about_once
+  under `tracemalloc`, as that test does.
 
 It hashes each serialized report. The digests it must give are read
 from the tests with `ast.literal_eval`, so each digest has one home:
 GOLDEN_SHA256 and WORKLOAD_SHA256 in tests/test_golden_reports.py and
 HOUR_OF_RAIN_SHA256 in tests/test_controller.py. Each malformed input
-must exit 1. The result is one table, a row per report or command and a
-column per interpreter; the exit status is 1 if any digest or exit code
-differs or any child fails, else 0. Stdlib only.
+must exit 1. The memory held after the drive and its peak, as multiples
+of the report's size, must not exceed HELD_PER_REPORT and
+PEAK_PER_REPORT, read with the drive from tests/test_scenario.py. The
+result is one table, a row per report, command or ratio and a column
+per interpreter; the exit status is 1 if any digest or exit code
+differs, any ratio exceeds its bound or any child fails, else 0.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # tests/test_controller.py's test_cache_stays_bounded_over_long_drives
 HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
+MEMORY_HELD, MEMORY_PEAK = "memory held / report size", "memory peak / report size"
 # (file kind, its bytes): inputs that tests/test_scenario.py's TestCli and
 # tests/test_config.py pin as rejected with a named line or key
 MALFORMED = (
@@ -88,7 +95,30 @@ def _child() -> None:
             load_scenario(scenario), Config(tick_ms=int(tick_ms)), until_ms
         )
     out.update(_exit_codes())
+    out.update(_report_memory(*job["report_memory"]))
     print(json.dumps({"version": sys.version.split()[0], "results": out}))
+
+
+def _report_memory(scenario: str, until_ms: int) -> dict[str, float]:
+    """The memory held after the drive and its peak under tracemalloc,
+    each divided by the report's size; a warm-up drive first builds the
+    wiper's cycle tables, which outlive it."""
+    import tracemalloc
+
+    from smartcar.config import Config
+    from smartcar.sim.runner import run
+    from smartcar.sim.scenario import load_scenario
+
+    run(load_scenario(scenario), Config(), until_ms)
+    events = load_scenario(scenario)
+    tracemalloc.start()
+    try:
+        report = run(events, Config(), until_ms)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(report.serialize())
+    return {MEMORY_HELD: held / size, MEMORY_PEAK: peak / size}
 
 
 def _exit_codes() -> dict[str, int]:
@@ -137,24 +167,39 @@ def pinned(path: Path, *names: str) -> list:
     return [found[name] for name in names]
 
 
-def expected() -> tuple[dict[str, str | int], dict]:
+def expected() -> tuple[dict[str, str | int | float], dict]:
     """Each report's label and the digest the tests pin for it, each
-    command's label and the exit code it must give, and the child's jobs."""
+    command's label and the exit code it must give, each memory ratio's
+    label and its bound, and the child's jobs."""
     golden, workloads = pinned(ROOT / "tests" / "test_golden_reports.py", "GOLDEN_SHA256", "WORKLOAD_SHA256")
     (hour_of_rain,) = pinned(ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN_SHA256")
+    drive, held, peak = pinned(
+        ROOT / "tests" / "test_scenario.py", "TEN_MINUTES_OF_RAIN", "HELD_PER_REPORT", "PEAK_PER_REPORT"
+    )
     out = {f"bundled {name}": digest for name, digest in sorted(golden.items())}
     for seed, digests in sorted(workloads.items()):
         out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
     out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
     out.update({label: 1 for label, *_ in _exit_cases()})
+    out.update({MEMORY_HELD: held, MEMORY_PEAK: peak})
     return out, {
         "bundled": sorted(golden),
         "workloads": {seed: sorted(digests) for seed, digests in workloads.items()},
         "hour_of_rain": sorted(hour_of_rain),
+        "report_memory": drive,
     }
 
 
-def check(python: str, job: dict) -> tuple[str, dict[str, str | int]]:
+def _cell(want: str | int | float, got) -> str:
+    """One child's cell in a row: a digest or an exit code must equal
+    the pinned one; a memory ratio must not exceed its bound (a float),
+    and the cell shows it."""
+    if isinstance(want, float) and isinstance(got, float):
+        return f"{'ok' if got <= want else 'OVER'} {got:.3f}"
+    return "ok" if got == want else "MISMATCH"
+
+
+def check(python: str, job: dict) -> tuple[str, dict[str, str | int | float]]:
     """Run one child; returns its version and results, or an error line
     and no results."""
     try:
@@ -178,11 +223,8 @@ def main(argv: list[str]) -> int:
     ok = True
     rows = [["report", *(version if results else "error" for version, results in columns)]]
     for label, result in want.items():
-        cells = [
-            "ok" if results.get(label) == result else "MISMATCH" if results else "-"
-            for _, results in columns
-        ]
-        ok = ok and all(cell == "ok" for cell in cells)
+        cells = [_cell(result, results.get(label)) if results else "-" for _, results in columns]
+        ok = ok and all(cell.startswith("ok") for cell in cells)
         rows.append([label, *cells])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
