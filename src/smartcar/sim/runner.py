@@ -13,11 +13,13 @@ applied without sampling, stepping or polling. SafetyController.coast()
 updates the EMA once per tick with a visit's arithmetic, up to its
 fixed point or the update that would flip the line, whose tick then
 becomes the next visit. While the wiper is on, SafetyController.sweep()
-hands over the servo's steps, each step's time and report line read
-from the wiper's cycle table, as a stream. So the report is
-byte-identical to sampling every tick. The executor formats each record
-once, into its finished report line, and keeps each write batch (one
-record, or a slice of a sweep's steps) as one string of such lines.
+hands over the servo's steps as a stream of batches of finished report
+lines, at most a second of the clock each, read from the wiper's cycle
+table. So the report is byte-identical to sampling every tick. The
+executor formats each other record once, into its finished report line,
+and keeps each write batch (one record, or a sweep's batch) as one
+string. It checks each batch's first time against the last record
+written; a batch's own times rise by construction.
 
 GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
@@ -45,8 +47,6 @@ clock stands, so after a block they are off the tick_ms grid.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
-from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -61,8 +61,6 @@ from .clock import SimClock
 from .devices import SensorBoard, VirtualModem
 
 REPORT_HEADER = "smartcar-report v1"
-# the most wiper steps one write batch holds, so no list holds a whole sweep
-SWEEP_SLICE = 1024
 
 
 class LogRecord(NamedTuple):
@@ -130,24 +128,18 @@ class _Executor:
             self.flagged.add(audit)
             self.report.violations.append(text)
 
-    def _write(self, tag: str, records: Iterable[tuple[int, str]]) -> int:
-        """Append a batch of (t_ms, text) records, read once as they come,
-        as one string of their lines, checking each time against the last
-        record's; only the first record out of order writes a V line. No
-        per-line string outlives the batch. Returns the batch's length."""
-        lines, last = [], self.last_ms
-        for t, text in records:
-            if t < last:
-                self._flag("clock", f"clock: record at t={t} after one at t={last}")
-            last = t
-            lines.append(f"{tag} t={t} {text}")
-        self.last_ms = last
-        if lines:
-            self.report.body.append("\n".join(lines))
-        return len(lines)
+    def _write(self, first_ms: int, last_ms: int, text: str) -> None:
+        """Append a batch of finished report lines, joined by newlines,
+        whose times rise from first_ms to last_ms, checking first_ms
+        against the last record's; only the first record out of order
+        writes a V line."""
+        if first_ms < self.last_ms:
+            self._flag("clock", f"clock: record at t={first_ms} after one at t={self.last_ms}")
+        self.last_ms = last_ms
+        self.report.body.append(text)
 
     def _record_action(self, t_ms: int, text: str) -> None:
-        self._write("A", ((t_ms, text),))
+        self._write(t_ms, t_ms, f"A t={t_ms} {text}")
 
     # -- per-tick stages ---------------------------------------------------
 
@@ -190,9 +182,9 @@ class _Executor:
             f"delivered={'yes' if send.delivered else 'no'} attempts={send.attempts}"
             f" reason={send.reason or '-'} {message}"
         )
-        self._write("S", ((t, outcome),))
+        self._write(t, t, f"S t={t} {outcome}")
         if send.delivered:
-            self._write("M", ((t, message),))
+            self._write(t, t, f"M t={t} {message}")
             counters.sms_sent += 1
         else:
             counters.sms_failed += 1
@@ -259,10 +251,9 @@ class _Executor:
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
     def _sweep(self, end_ms: int) -> None:
-        """Write the sweep's steps in batches of at most SWEEP_SLICE."""
-        steps = self.controller.sweep(self.clock.now_ms, end_ms)
-        while self._write("A", islice(steps, SWEEP_SLICE)) == SWEEP_SLICE:
-            pass
+        """Write the sweep's batches, a second of the clock at most each."""
+        for first_ms, last_ms, text in self.controller.sweep(self.clock.now_ms, end_ms):
+            self._write(first_ms, last_ms, text)
 
     def _check_interlock(self) -> None:
         """Only the first violation writes a V line. After the run the

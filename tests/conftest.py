@@ -4,9 +4,26 @@ Collects acceptance-test outcomes and prints one PASS/FAIL line per
 criterion in the terminal summary, so the gate is readable at a glance.
 Registers the `long` hypothesis profile for a long run of the property
 tests (`--hypothesis-profile=long`).
+
+Hypothesis imports its failure-patch helper, and with it libcst, the
+first time a property fails. Where libcst's import warns (a
+DeprecationWarning from mypy_extensions), `-W error` turned that into
+an INTERNALERROR that ended the session instead of one failed test. The
+helper is imported once here with that warning ignored, so a failing
+property is reported as a failure; no warning the program or a test
+raises is ignored.
 """
 
+import warnings
+
 from hypothesis import settings
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile("long", max_examples=2000)
 

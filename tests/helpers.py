@@ -1,5 +1,7 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and by tools/crosscheck.py,
+which imports this file by path."""
 
+import random
 from typing import NamedTuple
 
 
@@ -27,3 +29,18 @@ def typed(values):
     the same fields (ErrorOnce(8000) == (8000,)), so lists of events are
     compared through this to still fail on a value of the wrong type."""
     return [(type(value), value) for value in values]
+
+
+def rain_spells(seed, drive_ms=10 * 60 * 1000):
+    """drive_ms of rain spells of 1-6 s at random phases: each spell sets
+    a new intensity in any wiper band, or, one time in ten, dry, so a
+    wiper sweep starts at a new offset within its second every few
+    seconds. Returns the scenario text, a pure function of the seed and
+    drive_ms, and the run's until_ms, 3 s after the last spell ends."""
+    rng = random.Random(f"rain_spells:{seed}")
+    lines, t = [], rng.randint(0, 999)
+    while t < drive_ms:
+        wet = rng.random() >= 0.1
+        lines.append(f"t={t} rain {int(wet)} {rng.randint(1, 1023) if wet else 0}")
+        t += rng.randint(1000, 6000)
+    return "\n".join(lines) + "\n", t + 3000

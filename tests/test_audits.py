@@ -61,11 +61,16 @@ def test_interlock_audit_fires_after_the_last_coast():
     assert v_lines(report) == ["V t=150 interlock: engine enabled while ema=500.0 >= 450"]
 
 
+def early_batch(t_ms):
+    """A sweep's batch of one wiper line at t_ms."""
+    return t_ms, t_ms, f"A t={t_ms} wiper mode=HIGH angle=0.0"
+
+
 def test_clock_order_audit_fires():
     sweep = SafetyController.sweep
 
     def sweep_with_early_step(self, start_ms, end_ms):
-        return [*sweep(self, start_ms, end_ms), (start_ms - 1, "wiper mode=HIGH angle=0.0")]
+        return [*sweep(self, start_ms, end_ms), early_batch(start_ms - 1)]
 
     with mock.patch.object(SafetyController, "sweep", sweep_with_early_step):
         report = run(load_scenario("t=0 rain 1 900"), CFG, 2000)
@@ -81,22 +86,23 @@ def test_clock_order_audit_fires_mid_sweep():
     sweep = SafetyController.sweep
 
     def sweep_with_early_step_inside(self, start_ms, end_ms):
-        steps = list(sweep(self, start_ms, end_ms))
-        return [*steps[:50], (steps[49][0] - 1, "wiper mode=HIGH angle=0.0"), *steps[50:]]
+        # the first tick's batch, then the rest of the sweep's
+        first, *rest = sweep(self, start_ms, end_ms)
+        return [first, early_batch(first[0] - 1), *rest]
 
     # both sweeps step back; only the first record out of order is reported
     with mock.patch.object(SafetyController, "sweep", sweep_with_early_step_inside):
         report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
-    assert "\nA t=1499 wiper mode=HIGH angle=0.0\n" in report.serialize()
-    assert v_lines(report) == ["V clock: record at t=499 after one at t=500"]
+    assert "\nA t=1009 wiper mode=HIGH angle=0.0\nA t=1020 wiper " in report.serialize()
+    assert v_lines(report) == ["V clock: record at t=9 after one at t=10"]
 
 
 def test_clock_order_audit_fires_on_a_sweeps_first_step():
     sweep = SafetyController.sweep
 
     def sweep_starting_early(self, start_ms, end_ms):
-        steps = list(sweep(self, start_ms, end_ms))
-        return [(start_ms - 5, steps[0][1]), *steps[1:]] if start_ms == 1000 else steps
+        batches = list(sweep(self, start_ms, end_ms))
+        return [early_batch(start_ms - 5), *batches[1:]] if start_ms == 1000 else batches
 
     with mock.patch.object(SafetyController, "sweep", sweep_starting_early):
         report = run(load_scenario(TWO_SWEEPS), CFG, 2000)

@@ -317,6 +317,12 @@ def cycle_angle(mode, tick_ms, phase_ms):
     return cycle.angles[position], cycle.texts[position]
 
 
+def batch(*steps):
+    """A sweep's batch of (t_ms, text) steps: their report lines joined
+    by newlines, with the first and last step's time."""
+    return steps[0][0], steps[-1][0], "\n".join(f"A t={t} {text}" for t, text in steps)
+
+
 # the tick lengths TestSweep draws from
 SWEEP_TICKS_MS = (1, 7, 10, 25, 300, 1000, 1500)
 
@@ -653,9 +659,8 @@ class TestNextDeadline:
         mode = WiperMode.INTERMITTENT
         up = servo_angle(mode, 4015)
         assert list(ctl.sweep(2005, 4020)) == [
-            (2015, wiper_line(mode, 0.0)),
-            (4005, wiper_line(mode, servo_angle(mode, 4005))),
-            (4015, wiper_line(mode, up)),
+            batch((2015, wiper_line(mode, 0.0))),
+            batch((4005, wiper_line(mode, servo_angle(mode, 4005))), (4015, wiper_line(mode, up))),
         ]
         assert ctl.wiper == WiperCommand(mode, up)
 
@@ -669,7 +674,7 @@ class TestNextDeadline:
         # the steps at 0 and 2000 built the cycle; a sweep only reads it
         with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
             assert list(ctl.sweep(2000, 4000)) == []
-            assert list(ctl.sweep(2000, 4020)) == [step]
+            assert list(ctl.sweep(2000, 4020)) == [batch(step)]
         assert angle.call_count == 0
 
     def test_pending_alert_is_its_deadline(self):
@@ -679,6 +684,35 @@ class TestNextDeadline:
         (pending,) = ctl.pending_alerts
         ctl.step(SensorFrame(), 5200)
         assert ctl.next_deadline_ms(5200) == pending.deadline_ms == 5040 + CFG.gps_wait_ms
+
+
+def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, end):
+    """Sweep from now to end after visits at entry, where the mode was
+    entered, and at visit, with its levels held, and step a controller
+    with those levels on every tick the sweep covers: the batches' text,
+    joined, is the stepped SET_WIPER lines, byte for byte, each batch's
+    first and last times are its lines', and both end at one command."""
+    levels = {"rain_wet": 1, "rain_intensity": TestSweep.INTENSITY[mode]}
+    config = Config(tick_ms=tick_ms)
+    swept, stepped = SafetyController(config), SafetyController(config)
+    for ctl in (swept, stepped):
+        ctl.step(SensorFrame(**levels), entry)
+        ctl.step(SensorFrame(**levels), visit)
+    expected = []
+    for t in range(now + tick_ms, end, tick_ms):
+        for action in stepped.step(SensorFrame(**levels), t):
+            if action.kind is ActionKind.SET_WIPER:
+                angle = stepped.wiper.servo_angle_deg
+                assert angle == servo_angle(mode, t - entry)
+                assert action.text == wiper_line(mode, angle)
+                expected.append(f"A t={t} {action.text}")
+    batches = list(swept.sweep(now, end))
+    assert "\n".join(text for _, _, text in batches) == "\n".join(expected)
+    for first, last, text in batches:
+        times = [int(line.split(" ", 2)[1][2:]) for line in text.split("\n")]
+        assert (first, last) == (times[0], times[-1])
+    assert swept.wiper == stepped.wiper
+    return batches
 
 
 class TestSweep:
@@ -704,25 +738,10 @@ class TestSweep:
         # in any coset; a send that blocked after the visit can leave
         # the clock off the grid too, possibly in a rest phase with the
         # servo still up
-        levels = {"rain_wet": 1, "rain_intensity": self.INTENSITY[mode]}
         visit = visit_ticks * tick_ms
         entry = entry_draw % (visit + 1)
-        now, end = visit + blocked_ms, visit + blocked_ms + span_ms
-        config = Config(tick_ms=tick_ms)
-        swept, stepped = SafetyController(config), SafetyController(config)
-        for ctl in (swept, stepped):
-            ctl.step(SensorFrame(**levels), entry)
-            ctl.step(SensorFrame(**levels), visit)
-        expected = []
-        for t in range(now + tick_ms, end, tick_ms):
-            for action in stepped.step(SensorFrame(**levels), t):
-                if action.kind is ActionKind.SET_WIPER:
-                    angle = stepped.wiper.servo_angle_deg
-                    assert angle == servo_angle(mode, t - entry)
-                    assert action.text == wiper_line(mode, angle)
-                    expected.append((t, action.text))
-        assert list(swept.sweep(now, end)) == expected
-        assert swept.wiper == stepped.wiper
+        now = visit + blocked_ms
+        assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, now + span_ms)
 
     def test_sweep_is_a_lazy_stream(self):
         # a sweep of a million ticks, each a step, allocates next to
@@ -745,6 +764,56 @@ class TestSweep:
         assert allocated < 10_000
         assert long.wiper == WiperCommand(mode, servo_angle(mode, (end - 1) // tick * tick))
         assert list(islice(steps, 3)) == expected
+
+
+class TestSweepSeconds:
+    """The edges of a sweep's seconds, each against stepping every tick:
+    a whole second from 1,000 ms on is one join of its pieces, the rest
+    is written line by line."""
+
+    @pytest.mark.parametrize("mode", sorted(TestSweep.INTENSITY))
+    def test_first_second_is_unpadded(self, mode):
+        # 920..990 print their times unpadded, 1000 on as hi and lo
+        batches = assert_sweep_matches_stepping(mode, 10, 0, 900, 900, 2500)
+        assert [first for first, _, _ in batches] == [910, 920, 1000, 2000]
+        assert batches[1][2].startswith("A t=920 wiper ")
+        assert batches[2][2].startswith("A t=1000 wiper ")
+
+    @pytest.mark.parametrize("now", [8_500, 98_500])
+    def test_whole_seconds_gain_a_digit(self, now):
+        # the seconds before 10,000 and 100,000 and the ones from there
+        batches = assert_sweep_matches_stepping(WiperMode.HIGH, 10, 0, now, now, now + 3_000)
+        assert [first for first, _, _ in batches] == [now + 10, now + 20, *range(now + 500, now + 3_000, 1000)]
+
+    def test_sweep_from_mid_second(self):
+        # the rest of the first tick's second is a whole second's tail,
+        # pieces at an offset of 250
+        batches = assert_sweep_matches_stepping(WiperMode.LOW, 10, 0, 1230, 1230, 4_000)
+        assert batches[1][0] == 1250
+
+    @pytest.mark.parametrize("mode", sorted(TestSweep.INTENSITY))
+    def test_sweep_from_an_off_grid_clock(self, mode):
+        # a send blocked from the visit at 1000 to 2237: each second's
+        # first tick lies 7 ms past its start
+        batches = assert_sweep_matches_stepping(mode, 10, 0, 1000, 2237, 7_500)
+        assert {first % 1000 for first, _, _ in batches[2:]} <= {7}
+
+    def test_intermittent_rest_second_has_no_batch(self):
+        # the servo reaches 0 at 2000 and rests there until 4010
+        mode = WiperMode.INTERMITTENT
+        batches = assert_sweep_matches_stepping(mode, 10, 0, 0, 0, 9_000)
+        assert [(first, last) for first, last, _ in batches] == [
+            (10, 10), (20, 990), (1000, 1990), (2000, 2000),
+            (4010, 4990), (5000, 5990), (6000, 6000), (8010, 8990),
+        ]
+
+    @pytest.mark.parametrize("mode", sorted(TestSweep.INTENSITY))
+    @pytest.mark.parametrize("tick_ms,span_ms", [(7, 9_000), (1001, 1_010_000), (1500, 60_000)])
+    def test_tick_lengths_that_do_not_divide_a_second(self, mode, tick_ms, span_ms):
+        # the first tick's offset drifts from second to second; at 1001
+        # and 1500 a second holds one tick or none
+        now = 3 * tick_ms + 5
+        assert_sweep_matches_stepping(mode, tick_ms, 1, 3 * tick_ms, now, now + span_ms)
 
 
 class TestQueryDispatch:

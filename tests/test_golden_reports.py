@@ -1,6 +1,6 @@
 """Golden reports: the byte-exact `smartcar-report v1` of each bundled
-scenario and of each benchmark drive at seeds 201 and 202, pinned by
-SHA-256.
+scenario, of each benchmark drive at seeds 201 and 202 and of a drive
+of short rain spells at two tick lengths, pinned by SHA-256.
 
 The report is the contract of the simulator, so any change to the
 program that alters one of these digests changes behaviour. A change
@@ -20,6 +20,8 @@ from smartcar.cli import DEFAULT_TAIL_MS, main
 from smartcar.config import Config, load_config, load_config_file
 from smartcar.sim.runner import REPORT_HEADER, run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
+
+from helpers import rain_spells
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -125,4 +127,22 @@ def test_records_view_keeps_spaces_and_t_inside_a_text():
     assert ("A", 1000, "note inbound-read-failed: failed to fetch stored SMS at index 1") in records
     assert ("A", 5000, "reply dest=+15550101 body=TEMP=20.0C") in records
     assert ("M", 5000, "dest=+15550101 body=TEMP=20.0C") in records
+    assert_records_match_text(report)
+
+
+# the ten minutes of 1-6 s rain spells of tests/helpers.py's rain_spells
+# at SPELLS_SEED, by tick length: a wiper sweep starts at a new offset
+# within its second every few seconds
+SPELLS_SEED = 201
+SPELLS_SHA256 = {
+    7: "c914b1b973a6982a0113da86773ebf48ae85815401064f4622947bbb6d0b3d4d",
+    10: "2070c7af696e3cc42691c47c249d3055ef21f860378636e37867a9a268cdb4ae",
+}
+
+
+@pytest.mark.parametrize("tick_ms", sorted(SPELLS_SHA256))
+def test_rain_spells_match_golden_digest(tick_ms):
+    scenario, until_ms = rain_spells(SPELLS_SEED)
+    report = run(load_scenario(scenario), Config(tick_ms=tick_ms), until_ms)
+    assert hashlib.sha256(report.serialize().encode()).hexdigest() == SPELLS_SHA256[tick_ms]
     assert_records_match_text(report)

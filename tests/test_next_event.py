@@ -29,6 +29,7 @@ The default hypothesis profile runs here; `--hypothesis-profile=long`
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smartcar.cli import DEFAULT_TAIL_MS
@@ -38,7 +39,8 @@ from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
-from helpers import printed_records
+from helpers import printed_records, rain_spells
+from test_golden_reports import SPELLS_SEED, SPELLS_SHA256
 
 GPS_LINES = (
     "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
@@ -117,15 +119,21 @@ configs = st.builds(
 )
 
 
-def assert_skipping_matches_every_tick(groups, config, tail_ms):
-    scenario = "\n".join(f"t={t} {text}" for group in groups for t, text in group)
-    until_ms = max((t for group in groups for t, _ in group), default=0) + tail_ms
+def run_skipping_and_every_tick(scenario, config, until_ms):
+    """The report of scenario as run, and as run visiting every tick."""
     skipping = run(load_scenario(scenario), config, until_ms).serialize()
     with (
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
         mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
     ):
         every_tick = run(load_scenario(scenario), config, until_ms).serialize()
+    return skipping, every_tick
+
+
+def assert_skipping_matches_every_tick(groups, config, tail_ms):
+    scenario = "\n".join(f"t={t} {text}" for group in groups for t, text in group)
+    until_ms = max((t for group in groups for t, _ in group), default=0) + tail_ms
+    skipping, every_tick = run_skipping_and_every_tick(scenario, config, until_ms)
     assert skipping == every_tick
 
 
@@ -190,6 +198,19 @@ def test_folding_gps_lines_matches_visiting_every_tick(scenario, tail_ms):
     # while an alert waits for it releases the alert late
     groups, config = scenario
     assert_skipping_matches_every_tick(groups, config, tail_ms)
+
+
+@pytest.mark.parametrize("tick_ms", sorted(SPELLS_SHA256))
+def test_rain_spells_match_visiting_every_tick(tick_ms):
+    # ten minutes of 1-6 s spells: each starts a sweep at a new offset
+    # within its second, and most write whole seconds as one join
+    scenario, until_ms = rain_spells(SPELLS_SEED)
+    skipping, every_tick = run_skipping_and_every_tick(scenario, Config(tick_ms=tick_ms), until_ms)
+    # name the first lines that differ: a diff of two whole reports of
+    # ~2 MB takes pytest minutes
+    lines = zip(skipping.split("\n"), every_tick.split("\n"))
+    assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
+    assert skipping == every_tick
 
 
 def test_gps_lines_alone_are_not_sampled():

@@ -13,6 +13,8 @@ outside a temporary directory the child removes. The child runs:
   does;
 - each benchmark drive of bench/workloads.py at each pinned seed;
 - the hour of rain at each pinned tick length;
+- the drive of short rain spells of tests/helpers.py (imported by path)
+  at each pinned tick length;
 - `smartcar check` and `smartcar run` on each malformed scenario of
   MALFORMED, and `smartcar run` on each malformed config;
 - the ten minutes of rain of test_report_holds_its_text_about_once
@@ -20,8 +22,9 @@ outside a temporary directory the child removes. The child runs:
 
 It hashes each serialized report. The digests it must give are read
 from the tests with `ast.literal_eval`, so each digest has one home:
-GOLDEN_SHA256 and WORKLOAD_SHA256 in tests/test_golden_reports.py and
-HOUR_OF_RAIN_SHA256 in tests/test_controller.py. Each malformed input
+GOLDEN_SHA256, WORKLOAD_SHA256 and SPELLS_SHA256 (with SPELLS_SEED) in
+tests/test_golden_reports.py and HOUR_OF_RAIN_SHA256 in
+tests/test_controller.py. Each malformed input
 must exit 1. The memory held after the drive and its peak, as multiples
 of the report's size, must not exceed HELD_PER_REPORT and
 PEAK_PER_REPORT, read with the drive from tests/test_scenario.py. The
@@ -74,6 +77,9 @@ def _child() -> None:
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
+    spec = importlib.util.spec_from_file_location("test_helpers", ROOT / "tests" / "helpers.py")
+    helpers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(helpers)
 
     def digest(events, config, until_ms) -> str:
         return hashlib.sha256(run(events, config, until_ms).serialize().encode("utf-8")).hexdigest()
@@ -93,6 +99,11 @@ def _child() -> None:
     for tick_ms in job["hour_of_rain"]:
         out[f"hour of rain tick_ms={tick_ms}"] = digest(
             load_scenario(scenario), Config(tick_ms=int(tick_ms)), until_ms
+        )
+    spells, until_ms = helpers.rain_spells(job["spells_seed"])
+    for tick_ms in job["spells"]:
+        out[f"rain spells tick_ms={tick_ms}"] = digest(
+            load_scenario(spells), Config(tick_ms=int(tick_ms)), until_ms
         )
     out.update(_exit_codes())
     out.update(_report_memory(*job["report_memory"]))
@@ -171,7 +182,10 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
     """Each report's label and the digest the tests pin for it, each
     command's label and the exit code it must give, each memory ratio's
     label and its bound, and the child's jobs."""
-    golden, workloads = pinned(ROOT / "tests" / "test_golden_reports.py", "GOLDEN_SHA256", "WORKLOAD_SHA256")
+    golden, workloads, spells_seed, spells = pinned(
+        ROOT / "tests" / "test_golden_reports.py",
+        "GOLDEN_SHA256", "WORKLOAD_SHA256", "SPELLS_SEED", "SPELLS_SHA256",
+    )
     (hour_of_rain,) = pinned(ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN_SHA256")
     drive, held, peak = pinned(
         ROOT / "tests" / "test_scenario.py", "TEN_MINUTES_OF_RAIN", "HELD_PER_REPORT", "PEAK_PER_REPORT"
@@ -180,12 +194,15 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
     for seed, digests in sorted(workloads.items()):
         out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
     out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
+    out.update({f"rain spells tick_ms={tick}": d for tick, d in sorted(spells.items())})
     out.update({label: 1 for label, *_ in _exit_cases()})
     out.update({MEMORY_HELD: held, MEMORY_PEAK: peak})
     return out, {
         "bundled": sorted(golden),
         "workloads": {seed: sorted(digests) for seed, digests in workloads.items()},
         "hour_of_rain": sorted(hour_of_rain),
+        "spells_seed": spells_seed,
+        "spells": sorted(spells),
         "report_memory": drive,
     }
 
