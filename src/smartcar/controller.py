@@ -10,13 +10,9 @@ transcript exactly.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from collections.abc import Iterator
 from enum import IntEnum, Enum
-from functools import cache
 from math import gcd
-from operator import itemgetter
 from typing import NamedTuple
 
 from .config import Config
@@ -146,35 +142,6 @@ class WiperCycle:
 _WIPER_CYCLES: dict[tuple[WiperMode, int, int], WiperCycle] = {}
 
 
-# where one report line of a sweep's second ends and the next begins
-_NEXT_LINE = "\nA t="
-
-
-@cache
-def _second_labels() -> list[str]:
-    """The `<lo:03d> ` label of each millisecond, built on first use."""
-    return [f"{lo:03d} " for lo in range(1000)]
-
-
-def _walk(changes: list[str | None], k: int, n: int) -> Iterator[str | None]:
-    """The `changes` entries from walk position k on, round the walk as
-    often as it takes; the first n are sliced out, not skipped to."""
-    return itertools.chain(changes[k:k + n], itertools.cycle(changes))
-
-
-def _block(labels: list[str], walk: Iterator[str | None]) -> tuple[int, int, list[str]] | None:
-    """The pieces of a whole second whose ticks carry these labels and
-    these `changes` entries, `["A t=", "<lo> <text>\\nA t=", ...,
-    "<lo> <text>"]`, with the offsets of its first and last step; None
-    if it has no step."""
-    steps = filter(itemgetter(1), zip(labels, walk, itertools.repeat(_NEXT_LINE)))
-    pieces = ["A t=", *map("".join, steps)]
-    if len(pieces) == 1:
-        return None
-    pieces[-1] = pieces[-1][: -len(_NEXT_LINE)]
-    return int(pieces[1][:3]), int(pieces[-1][:3]), pieces
-
-
 class ImpactDebouncer:
     """Count-in-window debounce for the bouncy impact line.
 
@@ -279,7 +246,8 @@ class SafetyController:
     wiper servo and the alcohol EMA would stay put if the sensor levels
     held, so those ticks need not be sampled. coast() moves the EMA
     across them and names the tick on which it would flip the engine
-    line, which then needs a visit; sweep() steps the servo across them.
+    line, which then needs a visit; sweep() steps the servo across them
+    and returns the walk it took, whose report lines the executor writes.
     """
 
     def __init__(self, config: Config):
@@ -338,63 +306,24 @@ class SafetyController:
         flip = self.interlock.coast(self.last_frame.alcohol_raw, updates)
         return None if flip is None else now_ms + flip * tick
 
-    def sweep(self, now_ms: int, end_ms: int) -> Iterator[tuple[int, int, str]]:
-        """The wiper's steps on the ticks strictly between now_ms and
+    def sweep(self, now_ms: int, end_ms: int) -> tuple[list[str | None], int, str | None] | None:
+        """Move the servo across the ticks strictly between now_ms and
         end_ms, on or off the tick_ms grid, with the last frame's levels
-        held: a lazy stream, read once, of batches (first t_ms, last
-        t_ms, text) of the `A t=<t_ms> <text>` lines of the ticks on
-        which step() would emit SET_WIPER, joined by newlines. The mode
-        stays, and an OFF wiper has no steps; self.wiper ends at the last
-        command as soon as this returns. The first tick is compared with
-        the servo as it stands, which a blocked send may have left
-        anywhere, and is a batch of its own; each later tick steps where
-        its walk position's `changes` holds a line."""
+        held, and return its walk: None if no tick lies there, else the
+        cycle's `changes`, the first tick's walk position, and its line
+        if it moves the servo from where it stands (a blocked send may
+        have left it anywhere), else None. Each later tick steps where
+        its own position's `changes` entry holds a line."""
         tick = self.config.tick_ms
         first = now_ms + tick
         count = -((first - end_ms) // tick)  # ticks from first up to end_ms
         if count <= 0:
-            return iter(())
+            return None
         mode = self.wiper.mode
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
         moved = cycle.angles[start] != self.wiper.servo_angle_deg
         self.wiper = WiperCommand(mode, cycle.angles[(start + count - 1) % cycle.steps])
-        return self._sweep_batches(cycle, start, moved, first, end_ms)
-
-    def _sweep_batches(
-        self, cycle: WiperCycle, start: int, moved: bool, first: int, end_ms: int
-    ) -> Iterator[tuple[int, int, str]]:
-        """sweep()'s batches, one per second of the clock that holds a
-        step. From 1,000 ms on, a whole second's lines all read
-        `A t=<hi><lo:03d> <text>`, so its batch is one str(hi).join of
-        pieces that depend only on its first tick's walk position, kept
-        for the sweep; the first second, unpadded, and a partial last
-        one are formatted line by line."""
-        if moved:
-            yield first, first, f"A t={first} {cycle.texts[start]}"
-        tick, changes, steps = self.config.tick_ms, cycle.changes, cycle.steps
-        labels = _second_labels()
-        # by the first tick's walk position, which fixes its offset in
-        # the second too, since every period is whole seconds
-        blocks: dict[int, tuple[int, int, list[str]] | None] = {}
-        t, k = first + tick, (start + 1) % steps  # the next tick and its walk position
-        while t < end_ms:
-            hi, lo = divmod(t, 1000)
-            second_end = t - lo + 1000
-            stop = min(end_ms, second_end)
-            n = -((t - stop) // tick)  # the second's ticks from t
-            if hi and stop == second_end:
-                block = blocks.get(k, False)
-                if block is False:
-                    block = blocks[k] = _block(labels[lo::tick], _walk(changes, k, n))
-                if block is not None:
-                    first_lo, last_lo, pieces = block
-                    yield t - lo + first_lo, t - lo + last_lo, str(hi).join(pieces)
-            else:
-                found = [*filter(itemgetter(1), zip(range(t, stop, tick), _walk(changes, k, n)))]
-                if found:
-                    text = "\n".join([f"A t={s} {line}" for s, line in found])
-                    yield found[0][0], found[-1][0], text
-            t, k = t + n * tick, (k + n) % steps
+        return cycle.changes, start, cycle.texts[start] if moved else None
 
     # -- sub-operations -------------------------------------------------
 

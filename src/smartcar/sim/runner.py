@@ -13,13 +13,13 @@ applied without sampling, stepping or polling. SafetyController.coast()
 updates the EMA once per tick with a visit's arithmetic, up to its
 fixed point or the update that would flip the line, whose tick then
 becomes the next visit. While the wiper is on, SafetyController.sweep()
-hands over the servo's steps as a stream of batches of finished report
-lines, at most a second of the clock each, read from the wiper's cycle
-table. So the report is byte-identical to sampling every tick. The
-executor formats each other record once, into its finished report line,
-and keeps each write batch (one record, or a sweep's batch) as one
-string. It checks each batch's first time against the last record
-written; a batch's own times rise by construction.
+moves the servo across them along the wiper's cycle table, and
+sweep_lines() writes that walk as batches of report lines, at most a
+second of the clock each. So the report is byte-identical to sampling
+every tick. The executor formats each other record once, into its
+finished line, and keeps each write batch (one record, or a sweep's
+batch) as one string. It checks each batch's first time against the
+last record written; a batch's own times rise by construction.
 
 GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
@@ -47,6 +47,10 @@ clock stands, so after a block they are off the tick_ms grid.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
+from functools import cache
+from itertools import chain, cycle, repeat
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -98,6 +102,64 @@ class SimReport:
         tail += [f"F {key}={value}" for key, value in self.final_state]
         tail += [f"V {text}" for text in self.violations]
         return "\n".join([*head, *self.body, *tail, ""])
+
+
+# where one report line of a sweep's second ends and the next begins
+_NEXT_LINE = "\nA t="
+
+
+@cache
+def _second_labels() -> list[str]:
+    """The `<lo:03d> ` label of each millisecond, built on first use."""
+    return [f"{lo:03d} " for lo in range(1000)]
+
+
+def _block(labels: list[str], walk: Iterator[str | None]) -> tuple[int, int, list[str]] | None:
+    """The pieces of a whole second whose ticks carry these labels and
+    these `changes` entries, `["A t=", "<lo> <text>\\nA t=", ...,
+    "<lo> <text>"]`, with the offsets of its first and last step; None
+    if it has no step."""
+    steps = filter(itemgetter(1), zip(labels, walk, repeat(_NEXT_LINE)))
+    pieces = ["A t=", *map("".join, steps)]
+    if len(pieces) == 1:
+        return None
+    pieces[-1] = pieces[-1][: -len(_NEXT_LINE)]
+    return int(pieces[1][:3]), int(pieces[-1][:3]), pieces
+
+
+def sweep_lines(
+    changes: list[str | None], k: int, t_ms: int, end_ms: int, tick_ms: int
+) -> Iterator[tuple[int, int, str]]:
+    """The `A t=<t_ms> <text>` lines of the ticks from t_ms up to end_ms,
+    tick_ms apart, at walk positions k on: a lazy stream of batches
+    (first t_ms, last t_ms, lines joined by newlines), one per second of
+    the clock that holds a step. From 1,000 ms on a whole second is one
+    str(hi).join of pieces kept by its first tick's walk position, which
+    also fixes its offset, as every period is whole seconds; the first
+    second, unpadded, and a partial last one go line by line."""
+    steps, labels = len(changes), _second_labels()
+    blocks: dict[int, tuple[int, int, list[str]] | None] = {}
+    while t_ms < end_ms:
+        k %= steps
+        hi, lo = divmod(t_ms, 1000)
+        second_end = t_ms - lo + 1000
+        stop = min(end_ms, second_end)
+        n = -((t_ms - stop) // tick_ms)  # the second's ticks from t_ms
+        if hi and stop == second_end:
+            block = blocks.get(k, False)
+            if block is False:
+                # the walk's first n entries are sliced: a skip through cycle() costs k steps
+                block = blocks[k] = _block(labels[lo::tick_ms], chain(changes[k:k + n], cycle(changes)))
+            if block is not None:
+                first_lo, last_lo, pieces = block
+                yield t_ms - lo + first_lo, t_ms - lo + last_lo, str(hi).join(pieces)
+        else:
+            walk = chain(changes[k:k + n], cycle(changes))
+            found = [*filter(itemgetter(1), zip(range(t_ms, stop, tick_ms), walk))]
+            if found:
+                text = "\n".join([f"A t={t} {line}" for t, line in found])
+                yield found[0][0], found[-1][0], text
+        t_ms, k = t_ms + n * tick_ms, k + n
 
 
 class _Executor:
@@ -251,9 +313,16 @@ class _Executor:
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
     def _sweep(self, end_ms: int) -> None:
-        """Write the sweep's batches, a second of the clock at most each."""
-        for first_ms, last_ms, text in self.controller.sweep(self.clock.now_ms, end_ms):
-            self._write(first_ms, last_ms, text)
+        """Write the sweep up to end_ms: the first tick if it moved the servo, then the rest."""
+        now, tick = self.clock.now_ms, self.config.tick_ms
+        walk = self.controller.sweep(now, end_ms)
+        if walk is None:
+            return
+        changes, start, first_line = walk
+        if first_line is not None:
+            self._record_action(now + tick, first_line)
+        for first, last, text in sweep_lines(changes, start + 1, now + 2 * tick, end_ms, tick):
+            self._write(first, last, text)
 
     def _check_interlock(self) -> None:
         """Only the first violation writes a V line. After the run the

@@ -309,6 +309,16 @@ def test_panic_press_during_a_blocked_send_is_not_lost():
     assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+def test_panic_press_between_two_samples_is_not_lost():
+    # the press rises at 5,001 and falls at 5,005, both before the sample
+    # at 5,010, which reads the button released
+    scenario = f"t=1000 gps {RMC_FIX}\nt=5001 panic 1\nt=5005 panic 0\n"
+    report = run_text(scenario, 20000)
+    alerts = [r.text for r in printed_records(report) if r.text.startswith("alert kind=")]
+    assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts
+
+
 # the first read of slot 1 meets the armed ERROR; slot 2 arrives later
 UNREAD_SCENARIO = (
     "t=1000 modem_fault error_once\n"

@@ -13,7 +13,7 @@ from smartcar.config import Config
 from smartcar.controller import Action, ActionKind, AlcoholInterlock, SafetyController
 from smartcar.nmea import NmeaSentence
 from smartcar.sim.devices import VirtualModem
-from smartcar.sim.runner import _Executor, run
+from smartcar.sim.runner import _Executor, run, sweep_lines
 from smartcar.sim.scenario import load_scenario
 
 CFG = Config()
@@ -67,12 +67,10 @@ def early_batch(t_ms):
 
 
 def test_clock_order_audit_fires():
-    sweep = SafetyController.sweep
+    def sweep_with_early_step(changes, k, t_ms, end_ms, tick_ms):
+        return [*sweep_lines(changes, k, t_ms, end_ms, tick_ms), early_batch(t_ms - 1)]
 
-    def sweep_with_early_step(self, start_ms, end_ms):
-        return [*sweep(self, start_ms, end_ms), early_batch(start_ms - 1)]
-
-    with mock.patch.object(SafetyController, "sweep", sweep_with_early_step):
+    with mock.patch("smartcar.sim.runner.sweep_lines", sweep_with_early_step):
         report = run(load_scenario("t=0 rain 1 900"), CFG, 2000)
     [line] = v_lines(report)
     assert line.startswith("V clock: record at t=")
@@ -83,31 +81,30 @@ TWO_SWEEPS = "t=0 rain 1 900\nt=1000 cabin 21 50"
 
 
 def test_clock_order_audit_fires_mid_sweep():
-    sweep = SafetyController.sweep
-
-    def sweep_with_early_step_inside(self, start_ms, end_ms):
-        # the first tick's batch, then the rest of the sweep's
-        first, *rest = sweep(self, start_ms, end_ms)
-        return [first, early_batch(first[0] - 1), *rest]
+    def sweep_with_early_step_inside(changes, k, t_ms, end_ms, tick_ms):
+        # after the first tick's line, which the executor writes, a step
+        # just before it, then the rest of the sweep's batches
+        rest = sweep_lines(changes, k, t_ms, end_ms, tick_ms)
+        return [early_batch(t_ms - tick_ms - 1), *rest]
 
     # both sweeps step back; only the first record out of order is reported
-    with mock.patch.object(SafetyController, "sweep", sweep_with_early_step_inside):
+    with mock.patch("smartcar.sim.runner.sweep_lines", sweep_with_early_step_inside):
         report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
     assert "\nA t=1009 wiper mode=HIGH angle=0.0\nA t=1020 wiper " in report.serialize()
     assert v_lines(report) == ["V clock: record at t=9 after one at t=10"]
 
 
 def test_clock_order_audit_fires_on_a_sweeps_first_step():
-    sweep = SafetyController.sweep
+    def sweep_starting_early(changes, k, t_ms, end_ms, tick_ms):
+        # after the visit at 1000 the executor writes the first tick's
+        # line (1010); the stream's first batch then steps back
+        batches = list(sweep_lines(changes, k, t_ms, end_ms, tick_ms))
+        return [early_batch(995), *batches[1:]] if t_ms == 1020 else batches
 
-    def sweep_starting_early(self, start_ms, end_ms):
-        batches = list(sweep(self, start_ms, end_ms))
-        return [early_batch(start_ms - 5), *batches[1:]] if start_ms == 1000 else batches
-
-    with mock.patch.object(SafetyController, "sweep", sweep_starting_early):
+    with mock.patch("smartcar.sim.runner.sweep_lines", sweep_starting_early):
         report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
     assert "\nA t=1000 wiper mode=HIGH " in report.serialize()
-    assert v_lines(report) == ["V clock: record at t=995 after one at t=1000"]
+    assert v_lines(report) == ["V clock: record at t=995 after one at t=1010"]
 
 
 def test_clock_order_audit_fires_on_an_action():

@@ -10,7 +10,7 @@ import hashlib
 import math
 import random
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from unittest import mock
 
@@ -34,7 +34,7 @@ from smartcar.controller import (
 )
 from smartcar.messages import NO_FIX_TEXT
 from smartcar.nmea import parse_sentence
-from smartcar.sim.runner import run
+from smartcar.sim.runner import run, sweep_lines
 from smartcar.sim.scenario import load_scenario
 from smartcar.types import AlertKind, InboundSms, SensorFrame
 
@@ -323,6 +323,19 @@ def batch(*steps):
     return steps[0][0], steps[-1][0], "\n".join(f"A t={t} {text}" for t, text in steps)
 
 
+def sweep_batches(ctl, now, end):
+    """The batches of ctl.sweep(now, end) as the executor writes them,
+    lazily: the first tick's line if it moves the servo, then the
+    runner's sweep_lines over the rest of the walk."""
+    walk = ctl.sweep(now, end)
+    if walk is None:
+        return iter(())
+    changes, start, first_line = walk
+    tick = ctl.config.tick_ms
+    head = [] if first_line is None else [batch((now + tick, first_line))]
+    return chain(head, sweep_lines(changes, start + 1, now + 2 * tick, end, tick))
+
+
 # the tick lengths TestSweep draws from
 SWEEP_TICKS_MS = (1, 7, 10, 25, 300, 1000, 1500)
 
@@ -372,7 +385,8 @@ class TestServoAngleCache:
                     else:
                         assert cycle.changes[k] is None
 
-    # an hour of heavy rain, t=0 rain 1 900, at two tick lengths
+    # an hour of heavy rain, and its report's digest at two tick lengths
+    HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
     HOUR_OF_RAIN_SHA256 = {
         7: "e8b276a2039ef9c87954f0a69dc45e4fae9cba0e654e043554f19ffc03b08b12",
         10: "810ddc48647282ceeab3c3de4f472b5c4b060ab43ca720c501e411260fbc2ee7",
@@ -380,8 +394,9 @@ class TestServoAngleCache:
 
     def test_cache_stays_bounded_over_long_drives(self):
         _WIPER_CYCLES.clear()
+        scenario, until_ms = self.HOUR_OF_RAIN
         for tick_ms, digest in self.HOUR_OF_RAIN_SHA256.items():
-            report = run(load_scenario("t=0 rain 1 900\n"), Config(tick_ms=tick_ms), 3_600_000)
+            report = run(load_scenario(scenario), Config(tick_ms=tick_ms), until_ms)
             assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest, tick_ms
         # the cosets of one mode and tick length split its period between them
         positions = {}
@@ -658,7 +673,7 @@ class TestNextDeadline:
         assert ctl.next_deadline_ms(2005) is None
         mode = WiperMode.INTERMITTENT
         up = servo_angle(mode, 4015)
-        assert list(ctl.sweep(2005, 4020)) == [
+        assert list(sweep_batches(ctl, 2005, 4020)) == [
             batch((2015, wiper_line(mode, 0.0))),
             batch((4005, wiper_line(mode, servo_angle(mode, 4005))), (4015, wiper_line(mode, up))),
         ]
@@ -673,8 +688,8 @@ class TestNextDeadline:
         step = (4010, wiper_line(WiperMode.INTERMITTENT, servo_angle(WiperMode.INTERMITTENT, 10)))
         # the steps at 0 and 2000 built the cycle; a sweep only reads it
         with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
-            assert list(ctl.sweep(2000, 4000)) == []
-            assert list(ctl.sweep(2000, 4020)) == [batch(step)]
+            assert list(sweep_batches(ctl, 2000, 4000)) == []
+            assert list(sweep_batches(ctl, 2000, 4020)) == [batch(step)]
         assert angle.call_count == 0
 
     def test_pending_alert_is_its_deadline(self):
@@ -706,7 +721,7 @@ def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, end):
                 assert angle == servo_angle(mode, t - entry)
                 assert action.text == wiper_line(mode, angle)
                 expected.append(f"A t={t} {action.text}")
-    batches = list(swept.sweep(now, end))
+    batches = list(sweep_batches(swept, now, end))
     assert "\n".join(text for _, _, text in batches) == "\n".join(expected)
     for first, last, text in batches:
         times = [int(line.split(" ", 2)[1][2:]) for line in text.split("\n")]
@@ -744,8 +759,9 @@ class TestSweep:
         assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, now + span_ms)
 
     def test_sweep_is_a_lazy_stream(self):
-        # a sweep of a million ticks, each a step, allocates next to
-        # nothing until it is read, yet moves the servo to its last tick
+        # a sweep of a million ticks, each a step: the controller's walk
+        # and the runner's stream over it allocate next to nothing until
+        # the stream is read, yet the servo moves to its last tick
         tick = 1001  # coprime to HIGH's period: the servo moves every tick
         mode, config = WiperMode.HIGH, Config(tick_ms=tick)
         short, long = SafetyController(config), SafetyController(config)
@@ -753,11 +769,11 @@ class TestSweep:
             # builds the cycle the sweeps read
             ctl.step(SensorFrame(rain_wet=1, rain_intensity=self.INTENSITY[mode]), 0)
         now, end = 5 * tick, 5 * tick + 10**9
-        expected = list(short.sweep(now, now + 4 * tick))
+        expected = list(sweep_batches(short, now, now + 4 * tick))
         assert len(expected) == 3 and expected[0][0] == now + tick
         tracemalloc.start()
         try:
-            steps = long.sweep(now, end)
+            steps = sweep_batches(long, now, end)
             allocated = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

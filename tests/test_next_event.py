@@ -124,7 +124,7 @@ def run_skipping_and_every_tick(scenario, config, until_ms):
     skipping = run(load_scenario(scenario), config, until_ms).serialize()
     with (
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
+        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: None),
     ):
         every_tick = run(load_scenario(scenario), config, until_ms).serialize()
     return skipping, every_tick
@@ -304,7 +304,7 @@ def test_breath_tests_during_10_hz_gps_evaluate_the_ema_no_more_than_every_tick(
     with (
         smoothed as every_tick_calls,
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
+        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: None),
     ):
         every_tick = run(load_scenario(scenario), config, 90_000).serialize()
     assert skipping == every_tick
@@ -334,7 +334,7 @@ def test_a_settling_stretch_evaluates_each_update_once():
     with (
         mock.patch.object(AlcoholInterlock, "update", counting_update),
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: []),
+        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: None),
     ):
         every_tick = run(load_scenario(scenario), config, 60_000).serialize()
     assert skipping == every_tick

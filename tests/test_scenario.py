@@ -367,7 +367,7 @@ class TestRunner:
 
     def test_report_holds_its_text_about_once(self):
         # ten minutes of heavy rain: one sweep of 60,000 wiper lines,
-        # written in slices, so the peak is the report and one slice; the
+        # which the body holds as one string per swept second; the
         # warm-up run builds the wiper's cycle tables, which outlive it
         scenario, until_ms = TEN_MINUTES_OF_RAIN
         run(load_scenario(scenario), CFG, until_ms)

@@ -23,8 +23,8 @@ outside a temporary directory the child removes. The child runs:
 It hashes each serialized report. The digests it must give are read
 from the tests with `ast.literal_eval`, so each digest has one home:
 GOLDEN_SHA256, WORKLOAD_SHA256 and SPELLS_SHA256 (with SPELLS_SEED) in
-tests/test_golden_reports.py and HOUR_OF_RAIN_SHA256 in
-tests/test_controller.py. Each malformed input
+tests/test_golden_reports.py and HOUR_OF_RAIN_SHA256 (with the drive,
+HOUR_OF_RAIN) in tests/test_controller.py. Each malformed input
 must exit 1. The memory held after the drive and its peak, as multiples
 of the report's size, must not exceed HELD_PER_REPORT and
 PEAK_PER_REPORT, read with the drive from tests/test_scenario.py. The
@@ -43,8 +43,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# tests/test_controller.py's test_cache_stays_bounded_over_long_drives
-HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
 MEMORY_HELD, MEMORY_PEAK = "memory held / report size", "memory peak / report size"
 # (file kind, its bytes): inputs that tests/test_scenario.py's TestCli and
 # tests/test_config.py pin as rejected with a named line or key
@@ -95,7 +93,7 @@ def _child() -> None:
             out[f"workload {name} seed={seed}"] = digest(
                 load_scenario(w.scenario), load_config(w.config), w.until_ms
             )
-    scenario, until_ms = HOUR_OF_RAIN
+    scenario, until_ms = job["hour_of_rain_drive"]
     for tick_ms in job["hour_of_rain"]:
         out[f"hour of rain tick_ms={tick_ms}"] = digest(
             load_scenario(scenario), Config(tick_ms=int(tick_ms)), until_ms
@@ -186,7 +184,9 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
         ROOT / "tests" / "test_golden_reports.py",
         "GOLDEN_SHA256", "WORKLOAD_SHA256", "SPELLS_SEED", "SPELLS_SHA256",
     )
-    (hour_of_rain,) = pinned(ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN_SHA256")
+    hour_drive, hour_of_rain = pinned(
+        ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN", "HOUR_OF_RAIN_SHA256"
+    )
     drive, held, peak = pinned(
         ROOT / "tests" / "test_scenario.py", "TEN_MINUTES_OF_RAIN", "HELD_PER_REPORT", "PEAK_PER_REPORT"
     )
@@ -200,6 +200,7 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
     return out, {
         "bundled": sorted(golden),
         "workloads": {seed: sorted(digests) for seed, digests in workloads.items()},
+        "hour_of_rain_drive": hour_drive,
         "hour_of_rain": sorted(hour_of_rain),
         "spells_seed": spells_seed,
         "spells": sorted(spells),
