@@ -245,9 +245,10 @@ class SafetyController:
     next_deadline_ms() tells the executor how long everything but the
     wiper servo and the alcohol EMA would stay put if the sensor levels
     held, so those ticks need not be sampled. coast() moves the EMA
-    across them and names the tick on which it would flip the engine
-    line, which then needs a visit; sweep() steps the servo across them
-    and returns the walk it took, whose report lines the executor writes.
+    across them and names the update on which it would flip the engine
+    line, whose tick then needs a visit; sweep() steps the servo across
+    them and returns the walk it took, whose report lines the executor
+    writes.
     """
 
     def __init__(self, config: Config):
@@ -296,33 +297,26 @@ class SafetyController:
             return now_ms
         return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
 
-    def coast(self, now_ms: int, end_ms: int) -> int | None:
-        """Apply the alcohol EMA's updates on the ticks strictly between
-        now_ms and end_ms, with the last frame's level held, up to the
-        first that would flip the engine line. Returns that update's
-        tick, which a visit must step, or None if none flips."""
-        tick = self.config.tick_ms
-        updates = -((now_ms + tick - end_ms) // tick)
-        flip = self.interlock.coast(self.last_frame.alcohol_raw, updates)
-        return None if flip is None else now_ms + flip * tick
+    def coast(self, ticks: int) -> int | None:
+        """Apply the alcohol EMA's updates on the gap's ticks, with the
+        last frame's level held, up to the first that would flip the
+        engine line. Returns that update's number (1 = the next tick),
+        whose tick a visit must step, or None if none flips."""
+        return self.interlock.coast(self.last_frame.alcohol_raw, ticks)
 
-    def sweep(self, now_ms: int, end_ms: int) -> tuple[list[str | None], int, str | None] | None:
-        """Move the servo across the ticks strictly between now_ms and
-        end_ms, on or off the tick_ms grid, with the last frame's levels
-        held, and return its walk: None if no tick lies there, else the
-        cycle's `changes`, the first tick's walk position, and its line
-        if it moves the servo from where it stands (a blocked send may
-        have left it anywhere), else None. Each later tick steps where
-        its own position's `changes` entry holds a line."""
+    def sweep(self, now_ms: int, ticks: int) -> tuple[list[str | None], int, str | None]:
+        """Move the servo across a gap of ticks (at least one) after
+        now_ms, with the last frame's levels held, and return its walk:
+        the cycle's `changes`, the first tick's walk position, and its
+        line if it moves the servo from where it stands (a blocked send
+        may have left it anywhere), else None. Each later tick steps
+        where its own position's `changes` entry holds a line."""
         tick = self.config.tick_ms
         first = now_ms + tick
-        count = -((first - end_ms) // tick)  # ticks from first up to end_ms
-        if count <= 0:
-            return None
         mode = self.wiper.mode
         cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
         moved = cycle.angles[start] != self.wiper.servo_angle_deg
-        self.wiper = WiperCommand(mode, cycle.angles[(start + count - 1) % cycle.steps])
+        self.wiper = WiperCommand(mode, cycle.angles[(start + ticks - 1) % cycle.steps])
         return cycle.changes, start, cycle.texts[start] if moved else None
 
     # -- sub-operations -------------------------------------------------

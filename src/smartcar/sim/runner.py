@@ -7,50 +7,52 @@ does, but the executor visits only the ticks on which something other
 than the wiper servo, the alcohol EMA and the GPS fix can change: the
 tick of each scripted event but a GPS line, the ticks the controller
 asks for through next_deadline_ms(), and the tick on which the EMA
-flips the engine line. On the ticks between two visits the levels
-repeat, so only the servo can step and the EMA move, and both are
-applied without sampling, stepping or polling. SafetyController.coast()
-updates the EMA once per tick with a visit's arithmetic, up to its
-fixed point or the update that would flip the line, whose tick then
-becomes the next visit. While the wiper is on, SafetyController.sweep()
-moves the servo across them along the wiper's cycle table, and
-sweep_lines() writes that walk as batches of report lines, at most a
-second of the clock each. So the report is byte-identical to sampling
-every tick. The executor formats each other record once, into its
-finished line, and keeps each write batch (one record, or a sweep's
-batch) as one string. It checks each batch's first time against the
-last record written; a batch's own times rise by construction.
+flips the engine line. The tick of a time is the first tick at or
+after it, counted from where the clock stands, and at least one on
+(_tick_at). The gap of a visit is the ticks strictly between it and
+the next visit, up to until_ms: run() counts them once, and an EMA
+flip in the gap shortens it. On a gap's ticks the levels repeat, so
+three things are applied without sampling, stepping or polling, in
+this order. SafetyController.coast() updates the EMA once per tick
+with a visit's arithmetic, up to its fixed point or the update that
+would flip the line, whose tick then becomes the next visit. The fold
+steps the queued GPS lines whose tick lies in the gap, which are the
+lines up to its last tick. While the wiper is on,
+SafetyController.sweep() moves the servo across the gap along the
+wiper's cycle table, and sweep_lines() writes that walk as batches of
+report lines, a second of the clock each. So the report is
+byte-identical to sampling every tick, which leaves every gap empty.
+The executor formats each other record once, into its finished line,
+and keeps each write batch (one record, or a sweep's batch) as one
+string. It checks each batch's first time against the last record
+written; a batch's own times rise by construction.
 
 GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
-alert is pending, waiting for a fix. Otherwise the lines whose visit
-tick (the first tick at or after its time, counted from where the
-clock stands, at least one away) lies before the next visit are
-folded, between the two visits: stepped into the controller newest
-first, each on its own tick, until one sets the fix, while the older
-ones only have their checksums counted. A sentence the fix accepts
-replaces it outright, so the older ones could not have changed it.
-With no alert pending a sentence can emit no action and changes only
-the fix, which only visits read, and alerts are queued and released
-only on visits; the coast and the sweep change only the EMA and the
-servo. So the fold is exact and commutes with both. Visiting every tick
-leaves no tick between two visits: the coast and the sweep then cover
-nothing, and no line is folded.
+alert is pending, waiting for a fix. Otherwise a gap's lines are
+folded: stepped into the controller newest first, each on its own
+tick, until one sets the fix, while the older ones only have their
+checksums counted. A sentence the fix accepts replaces it outright, so
+the older ones could not have changed it. With no alert pending a
+sentence can emit no action and changes only the fix, which only
+visits read, and alerts are queued and released only on visits; the
+coast and the sweep change only the EMA and the servo. So the fold is
+exact and commutes with both.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
 firmware busy-waiting on the modem; events falling due during the block
 are delivered at the next tick. Ticks are counted from wherever the
-clock stands, so after a block they are off the tick_ms grid.
+clock stands, so after a block they are off the tick_ms grid, and a
+block that ends past until_ms leaves an empty gap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import chain, cycle, repeat
-from operator import itemgetter
+from itertools import compress, repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -114,51 +116,52 @@ def _second_labels() -> list[str]:
     return [f"{lo:03d} " for lo in range(1000)]
 
 
-def _block(labels: list[str], walk: Iterator[str | None]) -> tuple[int, int, list[str]] | None:
-    """The pieces of a whole second whose ticks carry these labels and
-    these `changes` entries, `["A t=", "<lo> <text>\\nA t=", ...,
-    "<lo> <text>"]`, with the offsets of its first and last step; None
-    if it has no step."""
-    steps = filter(itemgetter(1), zip(labels, walk, repeat(_NEXT_LINE)))
-    pieces = ["A t=", *map("".join, steps)]
-    if len(pieces) == 1:
+def _block(
+    offsets: range, labels: Iterable[str], walk: list[str | None]
+) -> tuple[int, int, list[str]] | None:
+    """The pieces of the ticks of one second at these offsets, with these
+    labels and `changes` entries, `["A t=", "<lo> <text>\\nA t=", ...,
+    "<lo> <text>"]`, and the offsets of its first and last step; None if
+    it has no step."""
+    first = next(compress(offsets, walk), None)
+    if first is None:
         return None
+    last = next(compress(reversed(offsets), reversed(walk)))
+    pieces = ["A t=", *map("".join, compress(zip(labels, walk, repeat(_NEXT_LINE)), walk))]
     pieces[-1] = pieces[-1][: -len(_NEXT_LINE)]
-    return int(pieces[1][:3]), int(pieces[-1][:3]), pieces
+    return first, last, pieces
 
 
 def sweep_lines(
-    changes: list[str | None], k: int, t_ms: int, end_ms: int, tick_ms: int
+    changes: list[str | None], k: int, t_ms: int, count: int, tick_ms: int
 ) -> Iterator[tuple[int, int, str]]:
-    """The `A t=<t_ms> <text>` lines of the ticks from t_ms up to end_ms,
-    tick_ms apart, at walk positions k on: a lazy stream of batches
-    (first t_ms, last t_ms, lines joined by newlines), one per second of
-    the clock that holds a step. From 1,000 ms on a whole second is one
-    str(hi).join of pieces kept by its first tick's walk position, which
-    also fixes its offset, as every period is whole seconds; the first
-    second, unpadded, and a partial last one go line by line."""
-    steps, labels = len(changes), _second_labels()
-    blocks: dict[int, tuple[int, int, list[str]] | None] = {}
+    """The `A t=<t_ms> <text>` lines of count ticks from t_ms on, tick_ms
+    apart, at walk positions k on: a lazy stream of batches (first t_ms,
+    last t_ms, lines joined by newlines), one per second of the clock
+    that holds a step. Each second is one join of its pieces with
+    str(hi) between them, or "" in the first second, whose labels are
+    unpadded. The pieces are kept by the second's first walk position,
+    which also fixes its offset, as every period is whole seconds, its
+    tick count and whether it is the first second."""
+    steps, padded = len(changes), _second_labels()
+    blocks: dict[tuple[int, int, bool], tuple[int, int, list[str]] | None] = {}
+    end_ms = t_ms + count * tick_ms
     while t_ms < end_ms:
         k %= steps
         hi, lo = divmod(t_ms, 1000)
-        second_end = t_ms - lo + 1000
-        stop = min(end_ms, second_end)
-        n = -((t_ms - stop) // tick_ms)  # the second's ticks from t_ms
-        if hi and stop == second_end:
-            block = blocks.get(k, False)
-            if block is False:
-                # the walk's first n entries are sliced: a skip through cycle() costs k steps
-                block = blocks[k] = _block(labels[lo::tick_ms], chain(changes[k:k + n], cycle(changes)))
-            if block is not None:
-                first_lo, last_lo, pieces = block
-                yield t_ms - lo + first_lo, t_ms - lo + last_lo, str(hi).join(pieces)
-        else:
-            walk = chain(changes[k:k + n], cycle(changes))
-            found = [*filter(itemgetter(1), zip(range(t_ms, stop, tick_ms), walk))]
-            if found:
-                text = "\n".join([f"A t={t} {line}" for t, line in found])
-                yield found[0][0], found[-1][0], text
+        n = -((t_ms - min(end_ms, t_ms - lo + 1000)) // tick_ms)  # the second's ticks from t_ms
+        key = (k, n, not hi)
+        block = blocks.get(key, False)
+        if block is False:
+            # a second is shorter than any period, so its walk wraps at most once
+            walk = changes[k:k + n]
+            walk += changes[: n - len(walk)]
+            offsets = range(lo, lo + n * tick_ms, tick_ms)
+            labels = padded[lo::tick_ms] if hi else map("{} ".format, offsets)
+            block = blocks[key] = _block(offsets, labels, walk)
+        if block is not None:
+            first_lo, last_lo, pieces = block
+            yield t_ms - lo + first_lo, t_ms - lo + last_lo, (str(hi) if hi else "").join(pieces)
         t_ms, k = t_ms + n * tick_ms, k + n
 
 
@@ -266,22 +269,17 @@ class _Executor:
         return self.controller.step(sentence, now_ms)
 
     def _tick_at(self, t_ms: int) -> int:
-        """The first tick at or after t_ms, counted from where the clock
-        stands, and at least one tick on."""
+        """The tick of t_ms: the first at or after it, at least one on."""
         now, tick = self.clock.now_ms, self.config.tick_ms
         return now + tick if t_ms <= now else t_ms + (now - t_ms) % tick
 
-    def _fold_gps(self, end_ms: int) -> None:
-        """Fold the queued GPS lines whose visit tick (_tick_at) lies
-        before end_ms, the next visit: step them newest first, each on its
-        tick, until update_fix accepts one, and only count the checksums
-        of the older ones. An accepted sentence replaces the fix outright,
-        so the older ones could not have changed what a visit reads. While
-        an alert is pending the head line's tick is itself a visit, so
-        this folds nothing; otherwise a sentence can emit no action, and
-        only the first action a fold would drop writes a V line."""
+    def _fold_gps(self, last_ms: int) -> None:
+        """Fold the queued GPS lines of a gap whose last tick is last_ms:
+        step them newest first, each on its tick, until update_fix
+        accepts one, and only count the checksums of the older ones. Only
+        the first action a fold would drop writes a V line."""
         lines, folded = self.gps_lines, []
-        while lines and self._tick_at(lines[0].t_ms) < end_ms:
+        while lines and lines[0].t_ms <= last_ms:
             folded.append(lines.popleft())
         if not folded:
             return
@@ -312,16 +310,13 @@ class _Executor:
                 continue
             self._interpret(self.controller.step(sms, self.clock.now_ms))
 
-    def _sweep(self, end_ms: int) -> None:
-        """Write the sweep up to end_ms: the first tick if it moved the servo, then the rest."""
+    def _sweep(self, ticks: int) -> None:
+        """Write a gap's sweep: the first tick if it moved the servo, then the rest."""
         now, tick = self.clock.now_ms, self.config.tick_ms
-        walk = self.controller.sweep(now, end_ms)
-        if walk is None:
-            return
-        changes, start, first_line = walk
+        changes, start, first_line = self.controller.sweep(now, ticks)
         if first_line is not None:
             self._record_action(now + tick, first_line)
-        for first, last, text in sweep_lines(changes, start + 1, now + 2 * tick, end_ms, tick):
+        for first, last, text in sweep_lines(changes, start + 1, now + 2 * tick, ticks - 1, tick):
             self._write(first, last, text)
 
     def _check_interlock(self) -> None:
@@ -364,7 +359,7 @@ class _Executor:
 
     def run(self) -> SimReport:
         events, lines, until_ms = self.events, self.gps_lines, self.report.until_ms
-        controller = self.controller
+        controller, tick = self.controller, self.config.tick_ms
         # the head event's time, read once per event; with no event left,
         # the first millisecond after the run
         next_event_ms = events[0].t_ms if events else until_ms + 1
@@ -383,19 +378,23 @@ class _Executor:
             # a GPS line needs a visit only while an alert waits for a fix
             if controller.pending_alerts and lines and lines[0].t_ms < due_ms:
                 due_ms = lines[0].t_ms
-            deadline_ms = controller.next_deadline_ms(self.clock.now_ms)
+            now = self.clock.now_ms
+            deadline_ms = controller.next_deadline_ms(now)
             if deadline_ms is not None and deadline_ms < due_ms:
                 due_ms = deadline_ms
             visit_ms = self._tick_at(due_ms)
-            end_ms = min(visit_ms, until_ms + 1)
+            # the gap: the ticks strictly between this visit and the next,
+            # none if a send carried the clock past the run's end
+            ticks = max(0, (min(visit_ms, until_ms + 1) - now - 1) // tick)
             # an EMA flip in the gap is the next visit
-            flip_ms = controller.coast(self.clock.now_ms, end_ms)
-            if flip_ms is not None:
-                visit_ms = end_ms = flip_ms
-            self._fold_gps(end_ms)
-            if controller.wiper.mode is not WiperMode.OFF:
-                self._sweep(end_ms)
-            self.clock.advance(visit_ms - self.clock.now_ms)
+            flip = controller.coast(ticks)
+            if flip is not None:
+                visit_ms, ticks = now + flip * tick, flip - 1
+            if ticks:
+                self._fold_gps(now + ticks * tick)
+                if controller.wiper.mode is not WiperMode.OFF:
+                    self._sweep(ticks)
+            self.clock.advance(visit_ms - now)
         # the ticks after the last visit may have been coasted
         self._check_interlock()
         self._check_conservation()

@@ -67,8 +67,8 @@ def early_batch(t_ms):
 
 
 def test_clock_order_audit_fires():
-    def sweep_with_early_step(changes, k, t_ms, end_ms, tick_ms):
-        return [*sweep_lines(changes, k, t_ms, end_ms, tick_ms), early_batch(t_ms - 1)]
+    def sweep_with_early_step(changes, k, t_ms, count, tick_ms):
+        return [*sweep_lines(changes, k, t_ms, count, tick_ms), early_batch(t_ms - 1)]
 
     with mock.patch("smartcar.sim.runner.sweep_lines", sweep_with_early_step):
         report = run(load_scenario("t=0 rain 1 900"), CFG, 2000)
@@ -81,10 +81,10 @@ TWO_SWEEPS = "t=0 rain 1 900\nt=1000 cabin 21 50"
 
 
 def test_clock_order_audit_fires_mid_sweep():
-    def sweep_with_early_step_inside(changes, k, t_ms, end_ms, tick_ms):
+    def sweep_with_early_step_inside(changes, k, t_ms, count, tick_ms):
         # after the first tick's line, which the executor writes, a step
         # just before it, then the rest of the sweep's batches
-        rest = sweep_lines(changes, k, t_ms, end_ms, tick_ms)
+        rest = sweep_lines(changes, k, t_ms, count, tick_ms)
         return [early_batch(t_ms - tick_ms - 1), *rest]
 
     # both sweeps step back; only the first record out of order is reported
@@ -95,10 +95,10 @@ def test_clock_order_audit_fires_mid_sweep():
 
 
 def test_clock_order_audit_fires_on_a_sweeps_first_step():
-    def sweep_starting_early(changes, k, t_ms, end_ms, tick_ms):
+    def sweep_starting_early(changes, k, t_ms, count, tick_ms):
         # after the visit at 1000 the executor writes the first tick's
         # line (1010); the stream's first batch then steps back
-        batches = list(sweep_lines(changes, k, t_ms, end_ms, tick_ms))
+        batches = list(sweep_lines(changes, k, t_ms, count, tick_ms))
         return [early_batch(995), *batches[1:]] if t_ms == 1020 else batches
 
     with mock.patch("smartcar.sim.runner.sweep_lines", sweep_starting_early):

@@ -324,16 +324,17 @@ def batch(*steps):
 
 
 def sweep_batches(ctl, now, end):
-    """The batches of ctl.sweep(now, end) as the executor writes them,
-    lazily: the first tick's line if it moves the servo, then the
-    runner's sweep_lines over the rest of the walk."""
-    walk = ctl.sweep(now, end)
-    if walk is None:
-        return iter(())
-    changes, start, first_line = walk
+    """The batches of a sweep of the ticks strictly between now and end
+    as the executor writes them, lazily: none if no tick lies there,
+    else the first tick's line if it moves the servo, then the runner's
+    sweep_lines over the rest of the walk."""
     tick = ctl.config.tick_ms
+    ticks = (end - now - 1) // tick
+    if ticks <= 0:
+        return iter(())
+    changes, start, first_line = ctl.sweep(now, ticks)
     head = [] if first_line is None else [batch((now + tick, first_line))]
-    return chain(head, sweep_lines(changes, start + 1, now + 2 * tick, end, tick))
+    return chain(head, sweep_lines(changes, start + 1, now + 2 * tick, ticks - 1, tick))
 
 
 # the tick lengths TestSweep draws from
@@ -385,11 +386,13 @@ class TestServoAngleCache:
                     else:
                         assert cycle.changes[k] is None
 
-    # an hour of heavy rain, and its report's digest at two tick lengths
+    # an hour of heavy rain, and its report's digest at three tick
+    # lengths; at 1001 each second of the sweep holds one tick
     HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
     HOUR_OF_RAIN_SHA256 = {
         7: "e8b276a2039ef9c87954f0a69dc45e4fae9cba0e654e043554f19ffc03b08b12",
         10: "810ddc48647282ceeab3c3de4f472b5c4b060ab43ca720c501e411260fbc2ee7",
+        1001: "bc113a46079a737eb8865a41dda342fd2e89814e8d650f7fb4c7d55eb1005495",
     }
 
     def test_cache_stays_bounded_over_long_drives(self):
@@ -610,7 +613,9 @@ class TestNextDeadline:
             for c in (ctl, stepped):
                 c.step(SensorFrame(), 0)
                 c.step(SensorFrame(alcohol_raw=raw), 10)
-            flip_ms = ctl.coast(10, 10**6)
+            # the updates of the ticks strictly between 10 and 10**6
+            flip = ctl.coast((10**6 - 10 - 1) // CFG.tick_ms)
+            flip_ms = None if flip is None else 10 + flip * CFG.tick_ms
             t, ema, emas = 10, None, {}
             while stepped.interlock.engine_enabled and ema != stepped.interlock.ema:
                 ema, t = stepped.interlock.ema, t + CFG.tick_ms

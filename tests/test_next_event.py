@@ -1,18 +1,13 @@
 """Next-event time advance against a visit-every-tick reference.
 
-The executor visits only the ticks on which SafetyController.next_deadline_ms
-says something other than the wiper servo and the alcohol EMA can
-change, and the tick on which SafetyController.coast() finds the EMA
-would flip the engine line. It applies the ticks between two visits
-with coast(), which updates the EMA, and sweep(), which gives the
-wiper's steps. Patching next_deadline_ms to return `now_ms` makes the
-executor visit every tick, as a plain polled loop does: no tick then
-lies strictly between two visits, so the coast and the sweep cover
-nothing and every wiper step and EMA update comes from stepping the full
-controller. The
-reference also patches sweep to do nothing, so a sweep that strays past
-its ends differs from it. The two runs of one generated scenario must give
-byte-identical reports.
+The executor applies the ticks between two visits without visiting
+them; smartcar.sim.runner's module docstring states the rule. Patching
+SafetyController.next_deadline_ms to return `now_ms` makes it visit
+every tick, as a plain polled loop does: every gap is then empty, and
+every wiper step, EMA update and GPS line comes from stepping the full
+controller. The reference's sweep raises, so a gap it should not have
+shows. The two runs of one generated scenario must give byte-identical
+reports.
 
 Scenarios mix off-grid event times, odd tick lengths, modem faults that
 move the clock off the tick grid during a send, impact held high past
@@ -119,12 +114,18 @@ configs = st.builds(
 )
 
 
+def no_gap_to_sweep(self, now_ms, ticks):
+    """The every-tick reference's sweep: with a visit on every tick no
+    gap lies between two visits, so a call is a fault."""
+    raise AssertionError(f"a sweep of {ticks} ticks after t={now_ms} while visiting every tick")
+
+
 def run_skipping_and_every_tick(scenario, config, until_ms):
     """The report of scenario as run, and as run visiting every tick."""
     skipping = run(load_scenario(scenario), config, until_ms).serialize()
     with (
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: None),
+        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
     ):
         every_tick = run(load_scenario(scenario), config, until_ms).serialize()
     return skipping, every_tick
@@ -211,6 +212,14 @@ def test_rain_spells_match_visiting_every_tick(tick_ms):
     lines = zip(skipping.split("\n"), every_tick.split("\n"))
     assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
     assert skipping == every_tick
+
+
+def test_send_that_blocks_past_the_end_leaves_no_gap():
+    # the reply's send waits out the silent modem past until_ms=0, so
+    # the clock stands beyond the run's last tick: the gap after that
+    # visit is empty, and no wiper line follows the run's end
+    groups = [[(0, "rain 1 0"), (0, "modem_fault silent_for 1"), (0, "sms +15550100 STATUS")]]
+    assert_skipping_matches_every_tick(groups, Config(tick_ms=1, sms_ok_timeout_ms=1), 0)
 
 
 def test_gps_lines_alone_are_not_sampled():
@@ -304,7 +313,7 @@ def test_breath_tests_during_10_hz_gps_evaluate_the_ema_no_more_than_every_tick(
     with (
         smoothed as every_tick_calls,
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: None),
+        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
     ):
         every_tick = run(load_scenario(scenario), config, 90_000).serialize()
     assert skipping == every_tick
@@ -334,7 +343,7 @@ def test_a_settling_stretch_evaluates_each_update_once():
     with (
         mock.patch.object(AlcoholInterlock, "update", counting_update),
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", lambda self, now_ms, end_ms: None),
+        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
     ):
         every_tick = run(load_scenario(scenario), config, 60_000).serialize()
     assert skipping == every_tick
