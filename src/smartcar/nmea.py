@@ -3,7 +3,8 @@
 Only GGA and RMC are decoded; they carry everything the controller needs
 (position and validity). Every other sentence type parses to Unsupported
 and is ignored. The parser is total: any byte or character sequence
-yields an NmeaSentence, never an exception.
+yields an NmeaSentence, never an exception. split_frame states when a
+line's checksum holds, and checksums_ok applies it to many lines at once.
 
 Lines arrive whole from the transport; partial-line reassembly is the
 transport's job, not this module's.
@@ -11,9 +12,11 @@ transport's job, not this module's.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
-from functools import reduce
-from operator import xor
+from functools import partial, reduce
+from itertools import repeat
+from operator import and_, xor
 from typing import NamedTuple
 
 from .types import GeoFix
@@ -22,6 +25,19 @@ from .types import GeoFix
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _CHECKSUM_VALUE = {a + b: int(a + b, 16) for a in _HEX_DIGITS for b in _HEX_DIGITS}
 _HEMISPHERE_SIGN = {"N": 1.0, "E": 1.0, "S": -1.0, "W": -1.0}
+
+# checksums_ok checks CHECKSUM_CHUNK lines a pass, fewer where a long
+# line would make the pass's rows exceed _PASS_BYTES
+CHECKSUM_CHUNK = 1024
+_PASS_BYTES = CHECKSUM_CHUNK * 128
+# a digit's value in the high (low) place XOR the frame's '$' ('*')
+_HEX = _HEX_DIGITS.encode()
+_HI_TERM = bytes.maketrans(_HEX, bytes(int(chr(d), 16) << 4 ^ 0x24 for d in _HEX))
+_LO_TERM = bytes.maketrans(_HEX, bytes(int(chr(d), 16) ^ 0x2A for d in _HEX))
+_IS_HEX = bytes(map(_HEX.__contains__, range(256)))
+_IS_STAR = bytes(map(b"*".__contains__, range(256)))
+_IS_ZERO = b"\1" + bytes(255)
+_as_int = partial(int.from_bytes, byteorder="little")
 
 
 class SentenceKind(Enum):
@@ -99,6 +115,31 @@ def split_frame(line: str | bytes) -> tuple[str, bool]:
     if not star:
         return text[1:], False
     return head, text.isascii() and _CHECKSUM_VALUE.get(suffix) == xor_checksum(head)
+
+
+def checksums_ok(lines: Iterable[str]) -> bytes:
+    """One byte per line, 1 exactly where split_frame(line)[1] holds, with no
+    Python code run per line. A pass right-aligns its lines in NUL-padded rows,
+    a byte per character ('?' past latin-1), and XORs the columns as big ints,
+    the digits' through _HI_TERM and _LO_TERM, which folds a framed row to
+    body ^ value; translations and big-int ANDs add the framing tests."""
+    texts, start, passes = list(map(str.rstrip, lines, repeat("\r\n"))), 0, []
+    while start < len(texts):
+        rows = texts[start:start + CHECKSUM_CHUNK]
+        rows = rows[:max(1, _PASS_BYTES // max(3, *map(len, rows)))]
+        n, width = len(rows), max(3, *map(len, rows))
+        start += n
+        table = ("{:\0>%d}" % width * n).format(*rows).encode("latin-1", "replace")
+        star, hi, lo = (table[c::width] for c in range(width - 3, width))
+        terms = _as_int(hi.translate(_HI_TERM)) ^ _as_int(lo.translate(_LO_TERM))
+        mismatch = reduce(xor, (_as_int(table[c::width]) for c in range(width - 2)), terms)
+        tests = (
+            mismatch.to_bytes(n, "little").translate(_IS_ZERO), star.translate(_IS_STAR),
+            hi.translate(_IS_HEX), lo.translate(_IS_HEX), bytes(map(str.isascii, rows)),
+            bytes(map(str.startswith, rows, repeat("$"))),
+        )
+        passes.append(reduce(and_, map(_as_int, tests)).to_bytes(n, "little"))
+    return b"".join(passes)
 
 
 def parse_sentence(line: str | bytes) -> NmeaSentence:

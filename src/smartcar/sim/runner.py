@@ -31,13 +31,15 @@ GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
 alert is pending, waiting for a fix. Otherwise a gap's lines are
 folded: stepped into the controller newest first, each on its own
-tick, until one sets the fix, while the older ones only have their
-checksums counted. A sentence the fix accepts replaces it outright, so
-the older ones could not have changed it. With no alert pending a
-sentence can emit no action and changes only the fix, which only
-visits read, and alerts are queued and released only on visits; the
-coast and the sweep change only the EMA and the servo. So the fold is
-exact and commutes with both.
+tick, until one sets the fix; the older ones are passed over. A
+sentence the fix accepts replaces it outright, so the older ones could
+not have changed it. With no alert pending a sentence can emit no
+action and changes only the fix, which only visits read, and alerts are
+queued and released only on visits; the coast and the sweep change only
+the EMA and the servo. So the fold is exact and commutes with both.
+Visits and folds take lines from the queue's head, so a run consumes a
+prefix of it. run() counts the prefix's checksums once, after the loop,
+and not the lines a blocked send leaves unconsumed past until_ms.
 
 The loop is strictly single-threaded. Sending an SMS blocks inside the
 tick and moves the clock (timeouts, retry backoff), exactly like
@@ -49,18 +51,20 @@ block that ends past until_ms leaves an empty gap.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..config import Config
-from ..controller import Action, ActionKind, SafetyController, WiperMode
+from ..controller import ActionKind, SafetyController, WiperMode
 from ..messages import coordinate_text
 from ..modem import ModemError, ModemSession, SendRecord, fetch_inbound, send_sms
-from ..nmea import parse_sentence, split_frame
+from ..nmea import checksums_ok, parse_sentence
 from ..types import ScenarioError
 from . import scenario as sc
 from .clock import SimClock
@@ -106,6 +110,7 @@ class SimReport:
         return "\n".join([*head, *self.body, *tail, ""])
 
 
+_T_MS, _TEXT = attrgetter("t_ms"), attrgetter("text")  # a GPS line's fields
 # where one report line of a sweep's second ends and the next begins
 _NEXT_LINE = "\nA t="
 
@@ -172,9 +177,9 @@ class _Executor:
                 f"until_ms={until_ms} ends before the last event at t={events[-1].t_ms}"
             )
         self.config = config
-        # GPS lines wait in a queue of their own; both keep scenario order
+        # GPS lines wait in a list of their own; both keep scenario order
         self.events = deque([ev for ev in events if type(ev) is not sc.GpsLine])
-        self.gps_lines = deque([ev for ev in events if type(ev) is sc.GpsLine])
+        self.gps_lines = [ev for ev in events if type(ev) is sc.GpsLine]
         self.clock = SimClock()
         self.modem = VirtualModem(self.clock)
         self.board = SensorBoard()
@@ -259,44 +264,27 @@ class _Executor:
         if new != ([(dest, body)] if send.delivered else []):
             self.report.violations.append(f"t={t} conservation: {outcome}, modem recorded {new}")
 
-    def _step_line(self, line: str, now_ms: int) -> list[Action]:
-        """Parse and count one GPS line and step the controller with it."""
-        sentence = parse_sentence(line)
-        if sentence.checksum_ok:
-            self.report.counters.sentences_parsed += 1
-        else:
-            self.report.counters.checksum_failures += 1
-        return self.controller.step(sentence, now_ms)
-
     def _tick_at(self, t_ms: int) -> int:
         """The tick of t_ms: the first at or after it, at least one on."""
         now, tick = self.clock.now_ms, self.config.tick_ms
         return now + tick if t_ms <= now else t_ms + (now - t_ms) % tick
 
-    def _fold_gps(self, last_ms: int) -> None:
-        """Fold the queued GPS lines of a gap whose last tick is last_ms:
-        step them newest first, each on its tick, until update_fix
-        accepts one, and only count the checksums of the older ones. Only
-        the first action a fold would drop writes a V line."""
-        lines, folded = self.gps_lines, []
-        while lines and lines[0].t_ms <= last_ms:
-            folded.append(lines.popleft())
-        if not folded:
-            return
-        controller = self.controller
-        while folded:
-            line = folded.pop()
-            t, gps = self._tick_at(line.t_ms), controller.gps
-            actions = self._step_line(line.text, t)
+    def _fold_gps(self, first: int, last_ms: int) -> int:
+        """Fold the GPS lines from index first of a gap whose last tick is
+        last_ms: step them newest first, each on its tick, until
+        update_fix accepts one. Returns the index past the gap's lines.
+        Only the first action a fold would drop writes a V line."""
+        lines, controller = self.gps_lines, self.controller
+        end = bisect_right(lines, last_ms, first, key=_T_MS)
+        for i in range(end - 1, first - 1, -1):
+            t, gps = self._tick_at(lines[i].t_ms), controller.gps
+            actions = controller.step(parse_sentence(lines[i].text), t)
             if actions:
                 kinds = ", ".join(action.kind.name for action in actions)
                 self._flag("fold", f"t={t} fold: GPS line between visits gave {kinds}")
             if controller.gps is not gps:
                 break
-        counters = self.report.counters
-        valid = sum(split_frame(line.text)[1] for line in folded)
-        counters.sentences_parsed += valid
-        counters.checksum_failures += len(folded) - valid
+        return end
 
     def _step_frame(self) -> None:
         self._interpret(self.controller.step(self.board.sample(), self.clock.now_ms))
@@ -363,21 +351,24 @@ class _Executor:
         # the head event's time, read once per event; with no event left,
         # the first millisecond after the run
         next_event_ms = events[0].t_ms if events else until_ms + 1
+        consumed = 0  # the GPS lines stepped or folded, a prefix of lines
         while self.clock.now_ms <= until_ms:
             start_ms = self.clock.now_ms
             while next_event_ms <= start_ms:
                 self._apply_event(events.popleft())
                 next_event_ms = events[0].t_ms if events else until_ms + 1
             # a line due during a send that blocks here waits for the next tick
-            while lines and lines[0].t_ms <= start_ms:
-                self._interpret(self._step_line(lines.popleft().text, self.clock.now_ms))
+            while consumed < len(lines) and lines[consumed].t_ms <= start_ms:
+                sentence = parse_sentence(lines[consumed].text)
+                self._interpret(controller.step(sentence, self.clock.now_ms))
+                consumed += 1
             self._step_frame()
             self._step_inbound()
             self._check_interlock()
             due_ms = next_event_ms
             # a GPS line needs a visit only while an alert waits for a fix
-            if controller.pending_alerts and lines and lines[0].t_ms < due_ms:
-                due_ms = lines[0].t_ms
+            if controller.pending_alerts and consumed < len(lines):
+                due_ms = min(due_ms, lines[consumed].t_ms)
             now = self.clock.now_ms
             deadline_ms = controller.next_deadline_ms(now)
             if deadline_ms is not None and deadline_ms < due_ms:
@@ -391,10 +382,14 @@ class _Executor:
             if flip is not None:
                 visit_ms, ticks = now + flip * tick, flip - 1
             if ticks:
-                self._fold_gps(now + ticks * tick)
+                if consumed < len(lines):
+                    consumed = self._fold_gps(consumed, now + ticks * tick)
                 if controller.wiper.mode is not WiperMode.OFF:
                     self._sweep(ticks)
             self.clock.advance(visit_ms - now)
+        counters = self.report.counters
+        counters.sentences_parsed = sum(checksums_ok(map(_TEXT, islice(lines, consumed))))
+        counters.checksum_failures = consumed - counters.sentences_parsed
         # the ticks after the last visit may have been coasted
         self._check_interlock()
         self._check_conservation()

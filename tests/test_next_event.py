@@ -233,6 +233,20 @@ def test_gps_lines_alone_are_not_sampled():
     assert report.counters.sentences_parsed == 600
 
 
+def test_only_consumed_gps_lines_are_counted():
+    # the STATUS reply's read and send wait on the silent modem until
+    # past until_ms, so neither line is stepped or folded, and neither is
+    # counted; counting every scripted line would give 1 and 1
+    scenario = "\n".join([
+        "t=0 modem_fault silent_for 100000",
+        "t=0 sms +15550100 STATUS",
+        f"t=500 gps {GPS_LINES[1]}",
+        f"t=600 gps {GPS_LINES[2]}",
+    ])
+    text = run(load_scenario(scenario), Config(), 1000).serialize()
+    assert "\nC sentences_parsed=0\nC checksum_failures=0\n" in text
+
+
 def test_fold_walks_past_a_rejected_newest_line_to_the_fix():
     # both lines are folded before the query's visit, newest first: the
     # void RMC passes its checksum but sets no fix, so the fold must step

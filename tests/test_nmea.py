@@ -5,16 +5,20 @@ before being pinned here; the property tests re-derive them per case.
 """
 
 import math
+import tracemalloc
 from functools import reduce
 from operator import xor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from smartcar.nmea import (
+    CHECKSUM_CHUNK,
     GpsState,
     SentenceKind,
+    checksums_ok,
     parse_sentence,
+    split_frame,
     to_decimal_degrees,
     update_fix,
     xor_checksum,
@@ -71,6 +75,25 @@ def checksummed_lines(draw):
     return f"${body}*{suffix}" + draw(st.sampled_from(["", "\r\n"]))
 
 
+@st.composite
+def framed_lines(draw):
+    """A $body*hh line whose digits, in either case, hold the body's
+    code-point fold or miss it, ended by a run of CR/LF. The body may
+    hold '*', an inner newline, NUL, latin-1 and astral characters, or
+    run past 255 characters."""
+    body = draw(st.one_of(
+        st.text(st.sampled_from("GPA,.09*\n\0\xe9\U0001f600"), max_size=12),
+        st.text(st.characters(max_codepoint=127), min_size=256, max_size=300),
+    ))
+    value = (reduce(xor, map(ord, body), 0) ^ draw(st.sampled_from([0, 0, 1, 0x40]))) & 0xFF
+    digits = draw(st.sampled_from([f"{value:02X}", f"{value:02x}"]))
+    return f"${body}*{digits}" + draw(st.text("\r\n", max_size=3))
+
+
+def reference_checksums(lines) -> bytes:
+    return bytes(split_frame(line)[1] for line in lines)
+
+
 class TestChecksum:
     def test_known_gga_fold(self):
         assert xor_checksum(GGA[1:-3]) == 0x47
@@ -121,6 +144,38 @@ class TestChecksum:
         framed = frame_sentence(body)
         assert checksum_ok(framed)
         assert xor_checksum(body) == fold(body)
+
+
+class TestChecksumsOk:
+    """checksums_ok is split_frame's checksum test, for many lines at once."""
+
+    @given(st.lists(st.one_of(st.text(), st.text(max_size=4), framed_lines()), max_size=40))
+    @example([])
+    def test_is_split_frame_per_line(self, lines):
+        assert checksums_ok(lines) == reference_checksums(lines)
+
+    @pytest.mark.parametrize("n", [0, 1, CHECKSUM_CHUNK - 1, CHECKSUM_CHUNK, CHECKSUM_CHUNK + 1])
+    def test_chunked_count_is_one_split_frame_count(self, n):
+        # good, corrupt and garbage lines in turn, so a pass ends on each kind
+        kinds = [GGA, RMC + "\r\n", GGA[:-1] + "8", "nonsense", "", RMC.lower()]
+        lines = [kinds[i % len(kinds)] for i in range(n)]
+        assert sum(checksums_ok(lines)) == sum(reference_checksums(lines))
+        assert checksums_ok(lines) == reference_checksums(lines)
+
+    def test_a_long_line_shortens_its_pass(self):
+        # 200,001 'A's fold to 0x41, so the line holds; laid out in one
+        # pass with the other 40 lines, it would make their rows as wide
+        long = "$" + "A" * 200_001 + "*41"
+        lines = [GGA] * 10 + [long] + [RMC, "$*00", "x"] * 10
+        tracemalloc.start()
+        try:
+            ok = checksums_ok(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok == reference_checksums(lines)
+        assert ok[10] == 1
+        assert peak < 3 * len(long)
 
 
 class TestToDecimalDegrees:

@@ -12,6 +12,8 @@ outside a temporary directory the child removes. The child runs:
 - each bundled scenario with scenarios/default.cfg, as `smartcar run`
   does;
 - each benchmark drive of bench/workloads.py at each pinned seed;
+- nmea.checksums_ok against nmea.split_frame, one line at a time, over
+  every GPS line of those drives and the edge lines of CHECKSUM_EDGES;
 - the hour of rain at each pinned tick length;
 - the drive of short rain spells of tests/helpers.py (imported by path)
   at each pinned tick length;
@@ -28,9 +30,10 @@ HOUR_OF_RAIN) in tests/test_controller.py. Each malformed input
 must exit 1. The memory held after the drive and its peak, as multiples
 of the report's size, must not exceed HELD_PER_REPORT and
 PEAK_PER_REPORT, read with the drive from tests/test_scenario.py. The
-result is one table, a row per report, command or ratio and a column
-per interpreter; the exit status is 1 if any digest or exit code
-differs, any ratio exceeds its bound or any child fails, else 0.
+result is one table, a row per report, command, ratio or the checksum
+comparison and a column per interpreter; the exit status is 1 if any
+digest or exit code differs, any ratio exceeds its bound, checksums_ok
+disagrees with split_frame or any child fails, else 0.
 Stdlib only.
 """
 
@@ -44,6 +47,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MEMORY_HELD, MEMORY_PEAK = "memory held / report size", "memory peak / report size"
+CHECKSUMS = "checksums_ok = split_frame"
+# lines on each edge of split_frame's rule: too short, no '$', one or three
+# digits, '*' in the body, either case, a run of CR/LF, an inner newline,
+# NUL, latin-1 and astral characters, trailing text, past 255 characters
+CHECKSUM_EDGES = (
+    "", "$", "$*", "*00", "$*0", "$*00", "$*000", "$A*B*29", "$A*B*2G", "$J*4a", "$J*4A", "$J*4b",
+    "$*00\r\n\r\n", "$\n*0A", "\0$*00", "$\0*00", "$\xe9*E9", "$\U0001f600*00", "$A*41 ",
+    "$" + "A" * 301 + "*41", "$" + "A" * 301 + "*40",
+)
 # (file kind, its bytes): inputs that tests/test_scenario.py's TestCli and
 # tests/test_config.py pin as rejected with a named line or key
 MALFORMED = (
@@ -68,8 +80,9 @@ def _child() -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from smartcar.cli import DEFAULT_TAIL_MS
     from smartcar.config import Config, load_config, load_config_file
+    from smartcar.nmea import checksums_ok, split_frame
     from smartcar.sim.runner import run
-    from smartcar.sim.scenario import load_scenario, load_scenario_file
+    from smartcar.sim.scenario import GpsLine, load_scenario, load_scenario_file
 
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -87,12 +100,14 @@ def _child() -> None:
     for name in job["bundled"]:
         events = load_scenario_file(ROOT / "scenarios" / f"{name}.txt")
         out[f"bundled {name}"] = digest(events, default, events[-1].t_ms + DEFAULT_TAIL_MS)
+    lines = list(CHECKSUM_EDGES)
     for seed, names in job["workloads"].items():
         for name in names:
             w = workloads.GENERATORS[name](int(seed))
-            out[f"workload {name} seed={seed}"] = digest(
-                load_scenario(w.scenario), load_config(w.config), w.until_ms
-            )
+            events = load_scenario(w.scenario)
+            lines += [ev.text for ev in events if type(ev) is GpsLine]
+            out[f"workload {name} seed={seed}"] = digest(events, load_config(w.config), w.until_ms)
+    out[CHECKSUMS] = checksums_ok(lines) == bytes(split_frame(line)[1] for line in lines)
     scenario, until_ms = job["hour_of_rain_drive"]
     for tick_ms in job["hour_of_rain"]:
         out[f"hour of rain tick_ms={tick_ms}"] = digest(
@@ -195,6 +210,7 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
         out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
     out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
     out.update({f"rain spells tick_ms={tick}": d for tick, d in sorted(spells.items())})
+    out[CHECKSUMS] = True
     out.update({label: 1 for label, *_ in _exit_cases()})
     out.update({MEMORY_HELD: held, MEMORY_PEAK: peak})
     return out, {

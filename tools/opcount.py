@@ -8,8 +8,10 @@ generates the scenario and config for (workload, seed), and the program
 runs it as `smartcar run` does (`run()`, then `serialize()`). A fresh
 interpreter loads the program, runs one warm-up drive, which builds
 what the program caches (the wiper cycle tables), and then runs one
-drive under `sys.settrace` with `f_trace_opcodes`, counting each
-executed instruction against the function that ran it.
+drive counting each executed instruction against the function that ran
+it: on Python 3.12 and later through `sys.monitoring`'s INSTRUCTION
+events, before 3.12 under `sys.settrace` with `f_trace_opcodes` (3.12
+fires no opcode event for it on some patch releases).
 
 The result is JSON: `total`, `functions` (`<file>:<qualified name>` to
 its count, largest first) and `digest`, the report's SHA-256. With
@@ -53,6 +55,36 @@ def _child() -> None:
     drive()  # warm-up
     events = load_scenario(job["scenario"])
     counts: Counter = Counter()
+    text = _counted(lambda: run(events, config, job["until_ms"]).serialize(), counts)
+    functions: Counter = Counter()
+    for code, n in counts.items():
+        name = getattr(code, "co_qualname", code.co_name)  # co_qualname is new in 3.11
+        functions[f"{Path(code.co_filename).name}:{name}"] += n
+    print(json.dumps({
+        "total": sum(functions.values()),
+        "functions": dict(functions.most_common()),
+        "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }))
+
+
+def _counted(call, counts) -> str:
+    """call(), with each instruction it executes counted in counts
+    against its code object."""
+    if sys.version_info >= (3, 12):
+        monitoring = sys.monitoring
+        tool, instruction = monitoring.PROFILER_ID, monitoring.events.INSTRUCTION
+
+        def on_instruction(code, offset):
+            counts[code] += 1
+
+        monitoring.use_tool_id(tool, "opcount")
+        monitoring.register_callback(tool, instruction, on_instruction)
+        monitoring.set_events(tool, instruction)
+        try:
+            return call()
+        finally:
+            monitoring.set_events(tool, monitoring.events.NO_EVENTS)
+            monitoring.free_tool_id(tool)
 
     def on_opcode(frame, event, arg):
         if event == "opcode":
@@ -66,18 +98,9 @@ def _child() -> None:
 
     sys.settrace(on_call)
     try:
-        text = run(events, config, job["until_ms"]).serialize()
+        return call()
     finally:
         sys.settrace(None)
-    functions: Counter = Counter()
-    for code, n in counts.items():
-        name = getattr(code, "co_qualname", code.co_name)  # co_qualname is new in 3.11
-        functions[f"{Path(code.co_filename).name}:{name}"] += n
-    print(json.dumps({
-        "total": sum(functions.values()),
-        "functions": dict(functions.most_common()),
-        "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    }))
 
 
 def count(root: Path, w) -> dict:
