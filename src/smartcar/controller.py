@@ -244,11 +244,11 @@ class SafetyController:
 
     next_deadline_ms() tells the executor how long everything but the
     wiper servo and the alcohol EMA would stay put if the sensor levels
-    held, so those ticks need not be sampled. coast() moves the EMA
-    across them and names the update on which it would flip the engine
-    line, whose tick then needs a visit; sweep() steps the servo across
-    them and returns the walk it took, whose report lines the executor
-    writes.
+    held, so those ticks need not be sampled. Those ticks follow the
+    last frame, tick_ms apart. coast() moves the EMA across them and
+    names the update on which it would flip the engine line, whose tick
+    then needs a visit; sweep() steps the servo across them and returns
+    the walk it took, whose report lines the executor writes.
     """
 
     def __init__(self, config: Config):
@@ -304,20 +304,16 @@ class SafetyController:
         whose tick a visit must step, or None if none flips."""
         return self.interlock.coast(self.last_frame.alcohol_raw, ticks)
 
-    def sweep(self, now_ms: int, ticks: int) -> tuple[list[str | None], int, str | None]:
-        """Move the servo across a gap of ticks (at least one) after
-        now_ms, with the last frame's levels held, and return its walk:
-        the cycle's `changes`, the first tick's walk position, and its
-        line if it moves the servo from where it stands (a blocked send
-        may have left it anywhere), else None. Each later tick steps
-        where its own position's `changes` entry holds a line."""
-        tick = self.config.tick_ms
-        first = now_ms + tick
-        mode = self.wiper.mode
-        cycle, start = WiperCycle.find(mode, tick, first - self._wiper_mode_since_ms)
-        moved = cycle.angles[start] != self.wiper.servo_angle_deg
+    def sweep(self, ticks: int) -> tuple[list[str | None], int]:
+        """Move the servo across the gap of ticks (at least one) after the
+        last frame, with its levels held, and return its walk: the
+        cycle's `changes` and the first tick's walk position. Each tick
+        steps where its own position's `changes` entry holds a line."""
+        tick, mode = self.config.tick_ms, self.wiper.mode
+        phase = self.last_frame_ms + tick - self._wiper_mode_since_ms
+        cycle, start = WiperCycle.find(mode, tick, phase)
         self.wiper = WiperCommand(mode, cycle.angles[(start + ticks - 1) % cycle.steps])
-        return cycle.changes, start, cycle.texts[start] if moved else None
+        return cycle.changes, start
 
     # -- sub-operations -------------------------------------------------
 

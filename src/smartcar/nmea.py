@@ -12,11 +12,13 @@ transport's job, not this module's.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from enum import Enum
 from functools import partial, reduce
-from itertools import repeat
-from operator import and_, xor
+from itertools import accumulate, count, repeat
+from math import ceil, log
+from operator import and_, mul, xor
 from typing import NamedTuple
 
 from .types import GeoFix
@@ -27,13 +29,15 @@ _CHECKSUM_VALUE = {a + b: int(a + b, 16) for a in _HEX_DIGITS for b in _HEX_DIGI
 _HEMISPHERE_SIGN = {"N": 1.0, "E": 1.0, "S": -1.0, "W": -1.0}
 
 # checksums_ok checks CHECKSUM_CHUNK lines a pass, fewer where a long
-# line would make the pass's rows exceed _PASS_BYTES
+# line would make the pass's rows exceed _PASS_BYTES, and folds rows
+# wider than _FOLD_BLOCK in levels of at most about that many columns
 CHECKSUM_CHUNK = 1024
-_PASS_BYTES = CHECKSUM_CHUNK * 128
-# a digit's value in the high (low) place XOR the frame's '$' ('*')
+_FOLD_BLOCK = 128
+_PASS_BYTES = CHECKSUM_CHUNK * _FOLD_BLOCK
+# a digit's value in the high (low) place XOR itself and the frame's '$' ('*')
 _HEX = _HEX_DIGITS.encode()
-_HI_TERM = bytes.maketrans(_HEX, bytes(int(chr(d), 16) << 4 ^ 0x24 for d in _HEX))
-_LO_TERM = bytes.maketrans(_HEX, bytes(int(chr(d), 16) ^ 0x2A for d in _HEX))
+_HI_TERM = bytes.maketrans(_HEX, bytes(int(chr(d), 16) << 4 ^ 0x24 ^ d for d in _HEX))
+_LO_TERM = bytes.maketrans(_HEX, bytes(int(chr(d), 16) ^ 0x2A ^ d for d in _HEX))
 _IS_HEX = bytes(map(_HEX.__contains__, range(256)))
 _IS_STAR = bytes(map(b"*".__contains__, range(256)))
 _IS_ZERO = b"\1" + bytes(255)
@@ -120,23 +124,32 @@ def split_frame(line: str | bytes) -> tuple[str, bool]:
 def checksums_ok(lines: Iterable[str]) -> bytes:
     """One byte per line, 1 exactly where split_frame(line)[1] holds, with no
     Python code run per line. A pass right-aligns its lines in NUL-padded rows,
-    a byte per character ('?' past latin-1), and XORs the columns as big ints,
-    the digits' through _HI_TERM and _LO_TERM, which folds a framed row to
-    body ^ value; translations and big-int ANDs add the framing tests."""
+    a byte per character ('?' past latin-1), and XORs each row's bytes, the
+    digits' through _HI_TERM and _LO_TERM, which folds a framed row to body ^
+    value, in levels that each XOR the columns of the rows' blocks as big ints;
+    translations and big-int ANDs add the framing tests."""
     texts, start, passes = list(map(str.rstrip, lines, repeat("\r\n"))), 0, []
     while start < len(texts):
         rows = texts[start:start + CHECKSUM_CHUNK]
-        rows = rows[:max(1, _PASS_BYTES // max(3, *map(len, rows)))]
-        n, width = len(rows), max(3, *map(len, rows))
+        width = max(3, *map(len, rows))
+        if width * len(rows) > _PASS_BYTES:  # then the longest run of rows that fits
+            sizes = list(map(mul, count(1), accumulate(map(len, rows), max)))
+            rows = rows[:max(1, bisect_right(sizes, _PASS_BYTES))]
+            width = max(3, *map(len, rows))
+        n, levels = len(rows), ceil(log(width, _FOLD_BLOCK))
         start += n
+        block = next(b for b in count(int(width ** (1 / levels))) if b**levels >= width)
+        width = block**levels  # the least such block: a float root may be a hair short
         table = ("{:\0>%d}" % width * n).format(*rows).encode("latin-1", "replace")
         star, hi, lo = (table[c::width] for c in range(width - 3, width))
         terms = _as_int(hi.translate(_HI_TERM)) ^ _as_int(lo.translate(_LO_TERM))
-        mismatch = reduce(xor, (_as_int(table[c::width]) for c in range(width - 2)), terms)
+        for _ in range(levels):
+            folds = (_as_int(table[c::block]) for c in range(block))
+            table = reduce(xor, folds).to_bytes(len(table) // block, "little")
         tests = (
-            mismatch.to_bytes(n, "little").translate(_IS_ZERO), star.translate(_IS_STAR),
-            hi.translate(_IS_HEX), lo.translate(_IS_HEX), bytes(map(str.isascii, rows)),
-            bytes(map(str.startswith, rows, repeat("$"))),
+            (_as_int(table) ^ terms).to_bytes(n, "little").translate(_IS_ZERO),
+            star.translate(_IS_STAR), hi.translate(_IS_HEX), lo.translate(_IS_HEX),
+            bytes(map(str.isascii, rows)), bytes(map(str.startswith, rows, repeat("$"))),
         )
         passes.append(reduce(and_, map(_as_int, tests)).to_bytes(n, "little"))
     return b"".join(passes)

@@ -6,21 +6,21 @@ Time moves in whole ticks of `tick_ms`, as the firmware's polled loop
 does, but the executor visits only the ticks on which something other
 than the wiper servo, the alcohol EMA and the GPS fix can change: the
 tick of each scripted event but a GPS line, the ticks the controller
-asks for through next_deadline_ms(), and the tick on which the EMA
-flips the engine line. The tick of a time is the first tick at or
-after it, counted from where the clock stands, and at least one on
-(_tick_at). The gap of a visit is the ticks strictly between it and
-the next visit, up to until_ms: run() counts them once, and an EMA
-flip in the gap shortens it. On a gap's ticks the levels repeat, so
-three things are applied without sampling, stepping or polling, in
-this order. SafetyController.coast() updates the EMA once per tick
-with a visit's arithmetic, up to its fixed point or the update that
-would flip the line, whose tick then becomes the next visit. The fold
-steps the queued GPS lines whose tick lies in the gap, which are the
-lines up to its last tick. While the wiper is on,
-SafetyController.sweep() moves the servo across the gap along the
-wiper's cycle table, and sweep_lines() writes that walk as batches of
-report lines, a second of the clock each. So the report is
+asks for through next_deadline_ms(), the tick on which the EMA flips
+the engine line, and the tick after a visit that moved the clock. The
+tick of a time is the first tick at or after it, counted from where
+the clock stands, and at least one on (_tick_at). The gap of a visit
+is the ticks strictly between it and the next visit, up to until_ms:
+run() counts them once, and an EMA flip in the gap shortens it. On a
+gap's ticks the levels repeat, so three things are applied without
+sampling, stepping or polling, in this order. SafetyController.coast()
+updates the EMA once per tick with a visit's arithmetic, up to its
+fixed point or the update that would flip the line, whose tick then
+becomes the next visit. The fold steps the queued GPS lines whose tick
+lies in the gap, which are the lines up to its last tick. While the
+wiper is on, SafetyController.sweep() moves the servo across the gap
+along the wiper's cycle table, and sweep_lines() writes that walk as
+batches of report lines, a second of the clock each. So the report is
 byte-identical to sampling every tick, which leaves every gap empty.
 The executor formats each other record once, into its finished line,
 and keeps each write batch (one record, or a sweep's batch) as one
@@ -41,12 +41,11 @@ Visits and folds take lines from the queue's head, so a run consumes a
 prefix of it. run() counts the prefix's checksums once, after the loop,
 and not the lines a blocked send leaves unconsumed past until_ms.
 
-The loop is strictly single-threaded. Sending an SMS blocks inside the
-tick and moves the clock (timeouts, retry backoff), exactly like
-firmware busy-waiting on the modem; events falling due during the block
-are delivered at the next tick. Ticks are counted from wherever the
-clock stands, so after a block they are off the tick_ms grid, and a
-block that ends past until_ms leaves an empty gap.
+The loop is strictly single-threaded. Sending or reading an SMS blocks
+inside the tick and moves the clock (timeouts, retry backoff), exactly
+like firmware busy-waiting on the modem. The tick after the block is
+the next visit, with no gap before it, and ticks count on from there,
+off the tick_ms grid; so every gap starts on the tick after a frame.
 """
 
 from __future__ import annotations
@@ -286,9 +285,6 @@ class _Executor:
                 break
         return end
 
-    def _step_frame(self) -> None:
-        self._interpret(self.controller.step(self.board.sample(), self.clock.now_ms))
-
     def _step_inbound(self) -> None:
         for slot in self.session.poll():
             try:
@@ -297,15 +293,6 @@ class _Executor:
                 self._record_action(self.clock.now_ms, f"note inbound-read-failed: {exc}")
                 continue
             self._interpret(self.controller.step(sms, self.clock.now_ms))
-
-    def _sweep(self, ticks: int) -> None:
-        """Write a gap's sweep: the first tick if it moved the servo, then the rest."""
-        now, tick = self.clock.now_ms, self.config.tick_ms
-        changes, start, first_line = self.controller.sweep(now, ticks)
-        if first_line is not None:
-            self._record_action(now + tick, first_line)
-        for first, last, text in sweep_lines(changes, start + 1, now + 2 * tick, ticks - 1, tick):
-            self._write(first, last, text)
 
     def _check_interlock(self) -> None:
         """Only the first violation writes a V line. After the run the
@@ -352,31 +339,32 @@ class _Executor:
         # the first millisecond after the run
         next_event_ms = events[0].t_ms if events else until_ms + 1
         consumed = 0  # the GPS lines stepped or folded, a prefix of lines
-        while self.clock.now_ms <= until_ms:
-            start_ms = self.clock.now_ms
-            while next_event_ms <= start_ms:
+        while (now := self.clock.now_ms) <= until_ms:
+            while next_event_ms <= now:
                 self._apply_event(events.popleft())
                 next_event_ms = events[0].t_ms if events else until_ms + 1
             # a line due during a send that blocks here waits for the next tick
-            while consumed < len(lines) and lines[consumed].t_ms <= start_ms:
+            while consumed < len(lines) and lines[consumed].t_ms <= now:
                 sentence = parse_sentence(lines[consumed].text)
                 self._interpret(controller.step(sentence, self.clock.now_ms))
                 consumed += 1
-            self._step_frame()
+            self._interpret(controller.step(self.board.sample(), self.clock.now_ms))
             self._step_inbound()
             self._check_interlock()
+            if self.clock.now_ms != now:
+                # the modem blocked: the next tick is a visit, with no gap before it
+                self.clock.advance(tick)
+                continue
             due_ms = next_event_ms
             # a GPS line needs a visit only while an alert waits for a fix
             if controller.pending_alerts and consumed < len(lines):
                 due_ms = min(due_ms, lines[consumed].t_ms)
-            now = self.clock.now_ms
             deadline_ms = controller.next_deadline_ms(now)
             if deadline_ms is not None and deadline_ms < due_ms:
                 due_ms = deadline_ms
             visit_ms = self._tick_at(due_ms)
-            # the gap: the ticks strictly between this visit and the next,
-            # none if a send carried the clock past the run's end
-            ticks = max(0, (min(visit_ms, until_ms + 1) - now - 1) // tick)
+            # the gap: the ticks strictly between this visit and the next
+            ticks = (min(visit_ms, until_ms + 1) - now - 1) // tick
             # an EMA flip in the gap is the next visit
             flip = controller.coast(ticks)
             if flip is not None:
@@ -385,7 +373,9 @@ class _Executor:
                 if consumed < len(lines):
                     consumed = self._fold_gps(consumed, now + ticks * tick)
                 if controller.wiper.mode is not WiperMode.OFF:
-                    self._sweep(ticks)
+                    changes, start = controller.sweep(ticks)
+                    for batch in sweep_lines(changes, start, now + tick, ticks, tick):
+                        self._write(*batch)
             self.clock.advance(visit_ms - now)
         counters = self.report.counters
         counters.sentences_parsed = sum(checksums_ok(map(_TEXT, islice(lines, consumed))))

@@ -44,3 +44,25 @@ def rain_spells(seed, drive_ms=10 * 60 * 1000):
         lines.append(f"t={t} rain {int(wet)} {rng.randint(1, 1023) if wet else 0}")
         t += rng.randint(1000, 6000)
     return "\n".join(lines) + "\n", t + 3000
+
+
+# the Config keys blocked_rain_spells is run with: a read that times out
+# leaves the clock off the grid at either pinned tick length
+BLOCKED_SPELLS_CONFIG = {"sms_ok_timeout_ms": 1234}
+
+
+def blocked_rain_spells(seed, drive_ms=10 * 60 * 1000):
+    """rain_spells' drive plus, every 2-9 s, a modem fault (error_once,
+    or silent_for 1-3000 ms) armed with a STATUS query. The fault fails
+    the query's read; a silent modem's read times out and moves the
+    clock off the tick grid inside its visit, with the wiper anywhere in
+    its cycle. Returns the scenario text, a pure function of the seed
+    and drive_ms, and the run's until_ms, rain_spells' own."""
+    spells, until_ms = rain_spells(seed, drive_ms)
+    rng = random.Random(f"blocked_rain_spells:{seed}")
+    lines, t = [], rng.randint(2000, 9000)
+    while t < drive_ms:
+        fault = "error_once" if rng.random() < 0.5 else f"silent_for {rng.randint(1, 3000)}"
+        lines += [f"t={t} modem_fault {fault}", f"t={t} sms +15550100 STATUS"]
+        t += rng.randint(2000, 9000)
+    return spells + "\n".join(lines) + "\n", until_ms

@@ -82,29 +82,29 @@ TWO_SWEEPS = "t=0 rain 1 900\nt=1000 cabin 21 50"
 
 def test_clock_order_audit_fires_mid_sweep():
     def sweep_with_early_step_inside(changes, k, t_ms, count, tick_ms):
-        # after the first tick's line, which the executor writes, a step
-        # just before it, then the rest of the sweep's batches
-        rest = sweep_lines(changes, k, t_ms, count, tick_ms)
-        return [early_batch(t_ms - tick_ms - 1), *rest]
+        # after the sweep's first second, a step just before its last
+        # line, then the rest of the sweep's batches
+        first, *rest = sweep_lines(changes, k, t_ms, count, tick_ms)
+        return [first, early_batch(first[1] - 1), *rest]
 
-    # both sweeps step back; only the first record out of order is reported
+    # one sweep, 10..3000, a batch a second
     with mock.patch("smartcar.sim.runner.sweep_lines", sweep_with_early_step_inside):
-        report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
-    assert "\nA t=1009 wiper mode=HIGH angle=0.0\nA t=1020 wiper " in report.serialize()
-    assert v_lines(report) == ["V clock: record at t=9 after one at t=10"]
+        report = run(load_scenario("t=0 rain 1 900"), CFG, 3000)
+    assert "\nA t=989 wiper mode=HIGH angle=0.0\nA t=1000 wiper " in report.serialize()
+    assert v_lines(report) == ["V clock: record at t=989 after one at t=990"]
 
 
 def test_clock_order_audit_fires_on_a_sweeps_first_step():
     def sweep_starting_early(changes, k, t_ms, count, tick_ms):
-        # after the visit at 1000 the executor writes the first tick's
-        # line (1010); the stream's first batch then steps back
+        # after the visit at 1000 writes its own wiper step, the sweep
+        # from 1010 steps back before its first batch
         batches = list(sweep_lines(changes, k, t_ms, count, tick_ms))
-        return [early_batch(995), *batches[1:]] if t_ms == 1020 else batches
+        return [early_batch(995), *batches] if t_ms == 1010 else batches
 
     with mock.patch("smartcar.sim.runner.sweep_lines", sweep_starting_early):
         report = run(load_scenario(TWO_SWEEPS), CFG, 2000)
     assert "\nA t=1000 wiper mode=HIGH " in report.serialize()
-    assert v_lines(report) == ["V clock: record at t=995 after one at t=1010"]
+    assert v_lines(report) == ["V clock: record at t=995 after one at t=1000"]
 
 
 def test_clock_order_audit_fires_on_an_action():

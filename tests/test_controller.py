@@ -10,7 +10,7 @@ import hashlib
 import math
 import random
 import tracemalloc
-from itertools import chain, islice
+from itertools import islice
 from math import gcd
 from unittest import mock
 
@@ -323,18 +323,16 @@ def batch(*steps):
     return steps[0][0], steps[-1][0], "\n".join(f"A t={t} {text}" for t, text in steps)
 
 
-def sweep_batches(ctl, now, end):
-    """The batches of a sweep of the ticks strictly between now and end
-    as the executor writes them, lazily: none if no tick lies there,
-    else the first tick's line if it moves the servo, then the runner's
-    sweep_lines over the rest of the walk."""
-    tick = ctl.config.tick_ms
+def sweep_batches(ctl, end):
+    """The batches of a sweep of the ticks strictly between the last frame
+    and end as the executor writes them, lazily: none if no tick lies
+    there, else the runner's sweep_lines over the controller's walk."""
+    tick, now = ctl.config.tick_ms, ctl.last_frame_ms
     ticks = (end - now - 1) // tick
     if ticks <= 0:
         return iter(())
-    changes, start, first_line = ctl.sweep(now, ticks)
-    head = [] if first_line is None else [batch((now + tick, first_line))]
-    return chain(head, sweep_lines(changes, start + 1, now + 2 * tick, ticks - 1, tick))
+    changes, start = ctl.sweep(ticks)
+    return sweep_lines(changes, start, now + tick, ticks, tick)
 
 
 # the tick lengths TestSweep draws from
@@ -667,23 +665,6 @@ class TestNextDeadline:
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 10)
         assert ctl.next_deadline_ms(10) is None
 
-    def test_intermittent_first_rest_tick_sweeps_the_servo_down(self):
-        # a blocking send moved the clock into the rest phase after the
-        # last frame left the servo mid-sweep: the sweep's first tick
-        # steps it down to 0, and the next one comes with the next cycle
-        ctl = SafetyController(CFG)
-        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
-        ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 1990)
-        assert ctl.wiper.servo_angle_deg > 0.0
-        assert ctl.next_deadline_ms(2005) is None
-        mode = WiperMode.INTERMITTENT
-        up = servo_angle(mode, 4015)
-        assert list(sweep_batches(ctl, 2005, 4020)) == [
-            batch((2015, wiper_line(mode, 0.0))),
-            batch((4005, wiper_line(mode, servo_angle(mode, 4005))), (4015, wiper_line(mode, up))),
-        ]
-        assert ctl.wiper == WiperCommand(mode, up)
-
     def test_intermittent_rest_is_jumped_over(self):
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
@@ -693,8 +674,8 @@ class TestNextDeadline:
         step = (4010, wiper_line(WiperMode.INTERMITTENT, servo_angle(WiperMode.INTERMITTENT, 10)))
         # the steps at 0 and 2000 built the cycle; a sweep only reads it
         with mock.patch("smartcar.controller.servo_angle", wraps=servo_angle) as angle:
-            assert list(sweep_batches(ctl, 2000, 4000)) == []
-            assert list(sweep_batches(ctl, 2000, 4020)) == [batch(step)]
+            assert list(sweep_batches(ctl, 4000)) == []
+            assert list(sweep_batches(ctl, 4020)) == [batch(step)]
         assert angle.call_count == 0
 
     def test_pending_alert_is_its_deadline(self):
@@ -706,8 +687,8 @@ class TestNextDeadline:
         assert ctl.next_deadline_ms(5200) == pending.deadline_ms == 5040 + CFG.gps_wait_ms
 
 
-def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, end):
-    """Sweep from now to end after visits at entry, where the mode was
+def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, end):
+    """Sweep from visit to end after visits at entry, where the mode was
     entered, and at visit, with its levels held, and step a controller
     with those levels on every tick the sweep covers: the batches' text,
     joined, is the stepped SET_WIPER lines, byte for byte, each batch's
@@ -719,14 +700,14 @@ def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, end):
         ctl.step(SensorFrame(**levels), entry)
         ctl.step(SensorFrame(**levels), visit)
     expected = []
-    for t in range(now + tick_ms, end, tick_ms):
+    for t in range(visit + tick_ms, end, tick_ms):
         for action in stepped.step(SensorFrame(**levels), t):
             if action.kind is ActionKind.SET_WIPER:
                 angle = stepped.wiper.servo_angle_deg
                 assert angle == servo_angle(mode, t - entry)
                 assert action.text == wiper_line(mode, angle)
                 expected.append(f"A t={t} {action.text}")
-    batches = list(sweep_batches(swept, now, end))
+    batches = list(sweep_batches(swept, end))
     assert "\n".join(text for _, _, text in batches) == "\n".join(expected)
     for first, last, text in batches:
         times = [int(line.split(" ", 2)[1][2:]) for line in text.split("\n")]
@@ -747,21 +728,15 @@ class TestSweep:
         tick_ms=st.sampled_from(SWEEP_TICKS_MS),
         entry_draw=st.integers(0, 10**6),
         visit_ticks=st.integers(0, 500),
-        blocked_ms=st.one_of(st.just(0), st.integers(1, 5000)),
         span_ms=st.integers(0, 9000),
     )
-    def test_sweep_matches_stepping_every_tick(
-        self, mode, tick_ms, entry_draw, visit_ticks, blocked_ms, span_ms
-    ):
+    def test_sweep_matches_stepping_every_tick(self, mode, tick_ms, entry_draw, visit_ticks, span_ms):
         # the last visit is on the tick grid, and the mode was entered
         # at or before it, on or off the grid, so the swept ticks may lie
-        # in any coset; a send that blocked after the visit can leave
-        # the clock off the grid too, possibly in a rest phase with the
-        # servo still up
+        # in any coset
         visit = visit_ticks * tick_ms
         entry = entry_draw % (visit + 1)
-        now = visit + blocked_ms
-        assert_sweep_matches_stepping(mode, tick_ms, entry, visit, now, now + span_ms)
+        assert_sweep_matches_stepping(mode, tick_ms, entry, visit, visit + span_ms)
 
     def test_sweep_is_a_lazy_stream(self):
         # a sweep of a million ticks, each a step: the controller's walk
@@ -773,12 +748,12 @@ class TestSweep:
         for ctl in (short, long):
             # builds the cycle the sweeps read
             ctl.step(SensorFrame(rain_wet=1, rain_intensity=self.INTENSITY[mode]), 0)
-        now, end = 5 * tick, 5 * tick + 10**9
-        expected = list(sweep_batches(short, now, now + 4 * tick))
-        assert len(expected) == 3 and expected[0][0] == now + tick
+        end = 10**9
+        expected = list(sweep_batches(short, 4 * tick))
+        assert len(expected) == 3 and expected[0][0] == tick
         tracemalloc.start()
         try:
-            steps = sweep_batches(long, now, end)
+            steps = sweep_batches(long, end)
             allocated = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -789,42 +764,42 @@ class TestSweep:
 
 class TestSweepSeconds:
     """The edges of a sweep's seconds, each against stepping every tick:
-    a whole second from 1,000 ms on is one join of its pieces, the rest
-    is written line by line."""
+    every second, the unpadded first one and partial ones included, is
+    one batch."""
 
     @pytest.mark.parametrize("mode", sorted(TestSweep.INTENSITY))
     def test_first_second_is_unpadded(self, mode):
-        # 920..990 print their times unpadded, 1000 on as hi and lo
-        batches = assert_sweep_matches_stepping(mode, 10, 0, 900, 900, 2500)
-        assert [first for first, _, _ in batches] == [910, 920, 1000, 2000]
-        assert batches[1][2].startswith("A t=920 wiper ")
-        assert batches[2][2].startswith("A t=1000 wiper ")
+        # 910..990 print their times unpadded, 1000 on as hi and lo
+        batches = assert_sweep_matches_stepping(mode, 10, 0, 900, 2500)
+        assert [first for first, _, _ in batches] == [910, 1000, 2000]
+        assert batches[0][2].startswith("A t=910 wiper ")
+        assert batches[1][2].startswith("A t=1000 wiper ")
 
     @pytest.mark.parametrize("now", [8_500, 98_500])
     def test_whole_seconds_gain_a_digit(self, now):
         # the seconds before 10,000 and 100,000 and the ones from there
-        batches = assert_sweep_matches_stepping(WiperMode.HIGH, 10, 0, now, now, now + 3_000)
-        assert [first for first, _, _ in batches] == [now + 10, now + 20, *range(now + 500, now + 3_000, 1000)]
+        batches = assert_sweep_matches_stepping(WiperMode.HIGH, 10, 0, now, now + 3_000)
+        assert [first for first, _, _ in batches] == [now + 10, *range(now + 500, now + 3_000, 1000)]
 
     def test_sweep_from_mid_second(self):
-        # the rest of the first tick's second is a whole second's tail,
-        # pieces at an offset of 250
-        batches = assert_sweep_matches_stepping(WiperMode.LOW, 10, 0, 1230, 1230, 4_000)
-        assert batches[1][0] == 1250
+        # the first tick's second is a whole second's tail, pieces at an
+        # offset of 240
+        batches = assert_sweep_matches_stepping(WiperMode.LOW, 10, 0, 1230, 4_000)
+        assert [first for first, _, _ in batches] == [1240, 2000, 3000]
 
     @pytest.mark.parametrize("mode", sorted(TestSweep.INTENSITY))
     def test_sweep_from_an_off_grid_clock(self, mode):
-        # a send blocked from the visit at 1000 to 2237: each second's
-        # first tick lies 7 ms past its start
-        batches = assert_sweep_matches_stepping(mode, 10, 0, 1000, 2237, 7_500)
-        assert {first % 1000 for first, _, _ in batches[2:]} <= {7}
+        # a visit off the grid, as on the tick after a send that blocked:
+        # each second's first tick lies 7 ms past its start
+        batches = assert_sweep_matches_stepping(mode, 10, 0, 2237, 7_500)
+        assert {first % 1000 for first, _, _ in batches[1:]} <= {7}
 
     def test_intermittent_rest_second_has_no_batch(self):
         # the servo reaches 0 at 2000 and rests there until 4010
         mode = WiperMode.INTERMITTENT
-        batches = assert_sweep_matches_stepping(mode, 10, 0, 0, 0, 9_000)
+        batches = assert_sweep_matches_stepping(mode, 10, 0, 0, 9_000)
         assert [(first, last) for first, last, _ in batches] == [
-            (10, 10), (20, 990), (1000, 1990), (2000, 2000),
+            (10, 990), (1000, 1990), (2000, 2000),
             (4010, 4990), (5000, 5990), (6000, 6000), (8010, 8990),
         ]
 
@@ -833,8 +808,8 @@ class TestSweepSeconds:
     def test_tick_lengths_that_do_not_divide_a_second(self, mode, tick_ms, span_ms):
         # the first tick's offset drifts from second to second; at 1001
         # and 1500 a second holds one tick or none
-        now = 3 * tick_ms + 5
-        assert_sweep_matches_stepping(mode, tick_ms, 1, 3 * tick_ms, now, now + span_ms)
+        visit = 3 * tick_ms + 5
+        assert_sweep_matches_stepping(mode, tick_ms, 1, visit, visit + span_ms)
 
 
 class TestQueryDispatch:

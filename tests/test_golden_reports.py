@@ -1,6 +1,7 @@
 """Golden reports: the byte-exact `smartcar-report v1` of each bundled
-scenario, of each benchmark drive at seeds 201 and 202 and of a drive
-of short rain spells at two tick lengths, pinned by SHA-256.
+scenario, of each benchmark drive at seeds 201 and 202 and of two
+drives of short rain spells, one with faulted queries, at two tick
+lengths, pinned by SHA-256.
 
 The report is the contract of the simulator, so any change to the
 program that alters one of these digests changes behaviour. A change
@@ -21,7 +22,7 @@ from smartcar.config import Config, load_config, load_config_file
 from smartcar.sim.runner import REPORT_HEADER, run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
-from helpers import rain_spells
+from helpers import BLOCKED_SPELLS_CONFIG, blocked_rain_spells, rain_spells
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -145,4 +146,21 @@ def test_rain_spells_match_golden_digest(tick_ms):
     scenario, until_ms = rain_spells(SPELLS_SEED)
     report = run(load_scenario(scenario), Config(tick_ms=tick_ms), until_ms)
     assert hashlib.sha256(report.serialize().encode()).hexdigest() == SPELLS_SHA256[tick_ms]
+    assert_records_match_text(report)
+
+
+# tests/helpers.py's blocked_rain_spells at SPELLS_SEED, by tick length:
+# the rain spells with a faulted STATUS query every 2-9 s, whose read
+# may move the clock inside its visit while the wiper is mid-cycle
+BLOCKED_SPELLS_SHA256 = {
+    7: "24652d0b76ef889e20f2724a4d98c963457d6c8c627d9ff87f3990588145e322",
+    10: "52d5e73f24ccc69daea1832b9e7c06c189cff3b68fda2a9fd25282ded740bbbf",
+}
+
+
+@pytest.mark.parametrize("tick_ms", sorted(BLOCKED_SPELLS_SHA256))
+def test_blocked_rain_spells_match_golden_digest(tick_ms):
+    scenario, until_ms = blocked_rain_spells(SPELLS_SEED)
+    report = run(load_scenario(scenario), Config(tick_ms=tick_ms, **BLOCKED_SPELLS_CONFIG), until_ms)
+    assert hashlib.sha256(report.serialize().encode()).hexdigest() == BLOCKED_SPELLS_SHA256[tick_ms]
     assert_records_match_text(report)

@@ -31,11 +31,11 @@ from smartcar.cli import DEFAULT_TAIL_MS
 from smartcar.config import Config, load_config_file
 from smartcar.controller import WIPER_PERIOD_MS, AlcoholInterlock, SafetyController, WiperMode
 from smartcar.sim.devices import SensorBoard
-from smartcar.sim.runner import run
+from smartcar.sim.runner import _Executor, run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
-from helpers import printed_records, rain_spells
-from test_golden_reports import SPELLS_SEED, SPELLS_SHA256
+from helpers import BLOCKED_SPELLS_CONFIG, blocked_rain_spells, printed_records, rain_spells
+from test_golden_reports import BLOCKED_SPELLS_SHA256, SPELLS_SEED, SPELLS_SHA256
 
 GPS_LINES = (
     "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
@@ -114,10 +114,10 @@ configs = st.builds(
 )
 
 
-def no_gap_to_sweep(self, now_ms, ticks):
+def no_gap_to_sweep(self, ticks):
     """The every-tick reference's sweep: with a visit on every tick no
     gap lies between two visits, so a call is a fault."""
-    raise AssertionError(f"a sweep of {ticks} ticks after t={now_ms} while visiting every tick")
+    raise AssertionError(f"a sweep of {ticks} ticks after t={self.last_frame_ms} while visiting every tick")
 
 
 def run_skipping_and_every_tick(scenario, config, until_ms):
@@ -164,6 +164,39 @@ def test_intermittent_wiper_across_off_grid_sends(rain_ms, level, sends, config,
     assert_skipping_matches_every_tick([[(rain_ms, f"rain 1 {level}")], *shifted], config, tail_ms)
 
 
+# a send or read that blocks on the silent modem from 1,500 into the
+# intermittent wiper's rest phase (2,000-4,000), and the tick after it:
+# a query's read times out at 2,734; a panic alert's first attempt times
+# out at 2,734 and its retry, after the 777 ms backoff, is answered at 3,511
+BLOCKED_FROM_MID_SWEEP = {
+    "read": ("t=1500 modem_fault silent_for 1000\nt=1500 sms +15550100 STATUS", 2744),
+    "alert": (
+        f"t=0 gps {GPS_LINES[0]}\nt=1500 modem_fault silent_for 1000\nt=1500 panic 1",
+        3521,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_FROM_MID_SWEEP))
+def test_tick_after_a_blocking_send_is_a_visit(name):
+    # the frame at 1500 sets the servo to 85 degrees (the alert's send
+    # blocks before that step is written); the tick after the block is
+    # a visit, whose frame brings the servo down to 0, and the sweep
+    # that follows starts on the tick after that frame
+    block, after = BLOCKED_FROM_MID_SWEEP[name]
+    scenario = f"t=0 rain 1 100\n{block}"
+    config = Config(sms_ok_timeout_ms=1234, sms_retry_backoff_ms=777)
+    skipping, every_tick = run_skipping_and_every_tick(scenario, config, 6000)
+    assert skipping == every_tick
+    executor = _Executor(load_scenario(scenario), config, 6000)
+    sample, sampled = executor.board.sample, []
+    executor.board.sample = lambda: sampled.append(executor.clock.now_ms) or sample()
+    assert executor.run().serialize() == skipping
+    assert " wiper mode=INTERMITTENT angle=85.0\n" in skipping
+    assert f"\nA t={after} wiper mode=INTERMITTENT angle=0.0\n" in skipping
+    assert after in sampled
+
+
 @st.composite
 def gps_scenarios(draw):
     """A GPS stream at 1-10 Hz from an off-grid start, with a fix that
@@ -201,17 +234,29 @@ def test_folding_gps_lines_matches_visiting_every_tick(scenario, tail_ms):
     assert_skipping_matches_every_tick(groups, config, tail_ms)
 
 
-@pytest.mark.parametrize("tick_ms", sorted(SPELLS_SHA256))
-def test_rain_spells_match_visiting_every_tick(tick_ms):
-    # ten minutes of 1-6 s spells: each starts a sweep at a new offset
-    # within its second, and most write whole seconds as one join
-    scenario, until_ms = rain_spells(SPELLS_SEED)
-    skipping, every_tick = run_skipping_and_every_tick(scenario, Config(tick_ms=tick_ms), until_ms)
+def assert_drive_matches_every_tick(scenario, config, until_ms):
+    skipping, every_tick = run_skipping_and_every_tick(scenario, config, until_ms)
     # name the first lines that differ: a diff of two whole reports of
     # ~2 MB takes pytest minutes
     lines = zip(skipping.split("\n"), every_tick.split("\n"))
     assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
     assert skipping == every_tick
+
+
+@pytest.mark.parametrize("tick_ms", sorted(SPELLS_SHA256))
+def test_rain_spells_match_visiting_every_tick(tick_ms):
+    # ten minutes of 1-6 s spells: each starts a sweep at a new offset
+    # within its second, and most write whole seconds as one join
+    scenario, until_ms = rain_spells(SPELLS_SEED)
+    assert_drive_matches_every_tick(scenario, Config(tick_ms=tick_ms), until_ms)
+
+
+@pytest.mark.parametrize("tick_ms", sorted(BLOCKED_SPELLS_SHA256))
+def test_blocked_rain_spells_match_visiting_every_tick(tick_ms):
+    # the same spells with a faulted query every 2-9 s, whose read may
+    # move the clock off the grid with the wiper mid-cycle
+    scenario, until_ms = blocked_rain_spells(SPELLS_SEED)
+    assert_drive_matches_every_tick(scenario, Config(tick_ms=tick_ms, **BLOCKED_SPELLS_CONFIG), until_ms)
 
 
 def test_send_that_blocks_past_the_end_leaves_no_gap():

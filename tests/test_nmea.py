@@ -8,10 +8,12 @@ import math
 import tracemalloc
 from functools import reduce
 from operator import xor
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from smartcar import nmea
 from smartcar.nmea import (
     CHECKSUM_CHUNK,
     GpsState,
@@ -176,6 +178,20 @@ class TestChecksumsOk:
         assert ok == reference_checksums(lines)
         assert ok[10] == 1
         assert peak < 3 * len(long)
+
+    @pytest.mark.parametrize("at", [0, 500, CHECKSUM_CHUNK - 1])
+    def test_a_long_line_costs_few_column_folds(self, at):
+        # a frame of 1,000,000 characters among 1,023 RMC lines: its row
+        # folds in levels of blocks, so the big-int conversions, one per
+        # column a level plus a few a pass, stay in the hundreds, where a
+        # fold column by column would make ~1,000,000
+        long = "$" + "A" * 999_996 + "*00"  # an even run of 'A's folds to 0
+        lines = [RMC] * (CHECKSUM_CHUNK - 1)
+        lines.insert(at, long)
+        with mock.patch("smartcar.nmea._as_int", wraps=nmea._as_int) as as_int:
+            ok = checksums_ok(lines)
+        assert ok == reference_checksums(lines) == bytes([1]) * CHECKSUM_CHUNK
+        assert as_int.call_count < 2_000
 
 
 class TestToDecimalDegrees:

@@ -16,7 +16,7 @@ outside a temporary directory the child removes. The child runs:
   every GPS line of those drives and the edge lines of CHECKSUM_EDGES;
 - the hour of rain at each pinned tick length;
 - the drive of short rain spells of tests/helpers.py (imported by path)
-  at each pinned tick length;
+  at each pinned tick length, and the same with faulted queries;
 - `smartcar check` and `smartcar run` on each malformed scenario of
   MALFORMED, and `smartcar run` on each malformed config;
 - the ten minutes of rain of test_report_holds_its_text_about_once
@@ -24,7 +24,8 @@ outside a temporary directory the child removes. The child runs:
 
 It hashes each serialized report. The digests it must give are read
 from the tests with `ast.literal_eval`, so each digest has one home:
-GOLDEN_SHA256, WORKLOAD_SHA256 and SPELLS_SHA256 (with SPELLS_SEED) in
+GOLDEN_SHA256, WORKLOAD_SHA256, SPELLS_SHA256 and BLOCKED_SPELLS_SHA256
+(with SPELLS_SEED) in
 tests/test_golden_reports.py and HOUR_OF_RAIN_SHA256 (with the drive,
 HOUR_OF_RAIN) in tests/test_controller.py. Each malformed input
 must exit 1. The memory held after the drive and its peak, as multiples
@@ -118,6 +119,10 @@ def _child() -> None:
         out[f"rain spells tick_ms={tick_ms}"] = digest(
             load_scenario(spells), Config(tick_ms=int(tick_ms)), until_ms
         )
+    blocked, until_ms = helpers.blocked_rain_spells(job["spells_seed"])
+    for tick_ms in job["blocked_spells"]:
+        config = Config(tick_ms=int(tick_ms), **helpers.BLOCKED_SPELLS_CONFIG)
+        out[f"blocked rain spells tick_ms={tick_ms}"] = digest(load_scenario(blocked), config, until_ms)
     out.update(_exit_codes())
     out.update(_report_memory(*job["report_memory"]))
     print(json.dumps({"version": sys.version.split()[0], "results": out}))
@@ -195,9 +200,9 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
     """Each report's label and the digest the tests pin for it, each
     command's label and the exit code it must give, each memory ratio's
     label and its bound, and the child's jobs."""
-    golden, workloads, spells_seed, spells = pinned(
+    golden, workloads, spells_seed, spells, blocked = pinned(
         ROOT / "tests" / "test_golden_reports.py",
-        "GOLDEN_SHA256", "WORKLOAD_SHA256", "SPELLS_SEED", "SPELLS_SHA256",
+        "GOLDEN_SHA256", "WORKLOAD_SHA256", "SPELLS_SEED", "SPELLS_SHA256", "BLOCKED_SPELLS_SHA256",
     )
     hour_drive, hour_of_rain = pinned(
         ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN", "HOUR_OF_RAIN_SHA256"
@@ -210,6 +215,7 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
         out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
     out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
     out.update({f"rain spells tick_ms={tick}": d for tick, d in sorted(spells.items())})
+    out.update({f"blocked rain spells tick_ms={tick}": d for tick, d in sorted(blocked.items())})
     out[CHECKSUMS] = True
     out.update({label: 1 for label, *_ in _exit_cases()})
     out.update({MEMORY_HELD: held, MEMORY_PEAK: peak})
@@ -220,6 +226,7 @@ def expected() -> tuple[dict[str, str | int | float], dict]:
         "hour_of_rain": sorted(hour_of_rain),
         "spells_seed": spells_seed,
         "spells": sorted(spells),
+        "blocked_spells": sorted(blocked),
         "report_memory": drive,
     }
 
