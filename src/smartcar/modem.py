@@ -1,4 +1,4 @@
-"""AT command codec and text-mode SMS exchange for a SIM900-class modem.
+"""AT codec, SMS exchange machines and their driver for a SIM900-class modem.
 
 Wire shape: commands are ASCII terminated with '\\r'; responses arrive
 framed "\\r\\n...\\r\\n"; the SMS body prompt is "\\r\\n> "; the body itself
@@ -7,12 +7,14 @@ plain printable ASCII, one character per septet, 160 max.
 
 decode_stream is a pure function over an accumulated buffer so the
 transport may split responses at any byte boundary: keep the returned
-remainder, append new bytes, call again.
+remainder, append new bytes, call again. send_steps and read_steps are the
+exchanges as sans-I/O machines; ModemSession.exchange alone runs them.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Generator
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -137,7 +139,7 @@ class ModemSession:
     The session alone decides what is unsolicited: only the storage slot
     of a +CMTI arrival (SMS_ARRIVED) outlives the exchange it was decoded
     in, until poll() hands it out. Every other event is either the answer
-    ask() waits for or dropped.
+    exchange() sends back to its machine or dropped.
     """
 
     def __init__(self, transport, clock):
@@ -167,65 +169,73 @@ class ModemSession:
         slots, self._slots = self._slots, []
         return slots
 
-    def ask(self, command: bytes, want: EventKind, timeout_ms: int) -> AtEvent | None:
-        """Write ``command`` and return its answer: the first ``want`` or
-        ERROR decoded after the write, or None once timeout_ms has passed.
+    def exchange(self, steps: Generator):
+        """Run a machine to its end and return what it returns.
 
-        Nothing decoded before the write can answer it, so the transport
-        is drained first. Every event but the answer is dropped; an
-        arrival leaves its slot for poll(). The virtual transport answers
-        within the write or not at all, so one read after the write gets
-        all there is: an answer costs no simulated time, and no answer
-        moves the clock by exactly timeout_ms.
+        A machine yields a command as (bytes, awaited EventKind, wait_ms)
+        and is sent back the first awaited event or ERROR decoded after the
+        write, or None. The transport is drained before the write; the
+        virtual one answers within the write or not at all, so one read
+        after it gets all there is. A command with no answer moves the
+        clock by its wait_ms, and a pause (an int yielded) by itself.
         """
-        self._pump()
-        self.transport.write(command)
-        for ev in self._pump():
-            if ev.kind is want or ev.kind is EventKind.ERROR:
-                return ev
-        self.clock.advance(timeout_ms)
-        return None
+        answer = None
+        try:
+            while True:
+                wait_ms = steps.send(answer)
+                answer = None
+                if type(wait_ms) is tuple:  # a command and its wait; else a pause
+                    command, want, wait_ms = wait_ms
+                    self._pump()
+                    self.transport.write(command)
+                    for ev in self._pump():
+                        if ev.kind is want or ev.kind is EventKind.ERROR:
+                            answer = ev
+                            break
+                if answer is None:
+                    self.clock.advance(wait_ms)
+        except StopIteration as done:
+            return done.value
+
+
+def send_steps(dest: str, body: str, config: Config) -> Generator[object, AtEvent | None, SendRecord]:
+    """The text-mode send sequence as a machine: CMGF=1 (await OK), CMGS
+    (await prompt), body+CTRL-Z (await OK), each bounded by sms_ok_timeout_ms.
+    ERROR or a timeout at any stage restarts it after a pause of
+    sms_retry_backoff_ms, at most sms_retry_max times. A number or body the
+    modem cannot carry raises at the first step, before any command."""
+    stages = (
+        (b"AT+CMGF=1\r", EventKind.OK, config.sms_ok_timeout_ms),
+        (header_command(dest), EventKind.PROMPT, config.sms_ok_timeout_ms),
+        (body_command(body), EventKind.OK, config.sms_ok_timeout_ms),
+    )
+    attempt = 1
+    while True:
+        for stage in stages:
+            ev = yield stage
+            if ev is None or ev.kind is EventKind.ERROR:
+                break
+        else:
+            return SendRecord(attempt, "")
+        if attempt > config.sms_retry_max:
+            return SendRecord(attempt, "timeout" if ev is None else "error")
+        yield config.sms_retry_backoff_ms
+        attempt += 1
+
+
+def read_steps(slot: int, config: Config) -> Generator[object, AtEvent | None, InboundSms]:
+    """Reading and consuming the stored message in ``slot``, as a machine."""
+    ev = yield f"AT+CMGR={slot}\r".encode("ascii"), EventKind.INBOUND_SMS, config.sms_ok_timeout_ms
+    if ev is None or ev.kind is EventKind.ERROR:
+        raise ModemError(f"failed to fetch stored SMS at index {slot}")
+    return ev.sms
 
 
 def send_sms(session: ModemSession, dest: str, body: str, config: Config) -> SendRecord:
-    """Run the text-mode send sequence with retry/backoff and return its
-    record; the session's clock stands where the sequence ended.
-
-    CMGF=1 (await OK), CMGS (await prompt), body+CTRL-Z (await OK), each
-    stage bounded by sms_ok_timeout_ms. ERROR or a timeout at any stage
-    restarts the whole sequence after sms_retry_backoff_ms, at most
-    sms_retry_max retries. A number or body the modem cannot carry
-    raises before the first byte is written.
-    """
-    stages = (
-        (b"AT+CMGF=1\r", EventKind.OK),
-        (header_command(dest), EventKind.PROMPT),
-        (body_command(body), EventKind.OK),
-    )
-    attempt = 1
-    reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
-    while reason and attempt <= config.sms_retry_max:
-        session.clock.advance(config.sms_retry_backoff_ms)
-        attempt += 1
-        reason = _attempt_send(session, stages, config.sms_ok_timeout_ms)
-    return SendRecord(attempt, reason)
-
-
-def _attempt_send(session: ModemSession, stages, timeout_ms: int) -> str:
-    """One pass of the send sequence; empty string on success, else reason."""
-    for command, want in stages:
-        ev = session.ask(command, want, timeout_ms)
-        if ev is None:
-            return "timeout"
-        if ev.kind is EventKind.ERROR:
-            return "error"
-    return ""
+    """Run send_steps; the session's clock stands where the sequence ended."""
+    return session.exchange(send_steps(dest, body, config))
 
 
 def fetch_inbound(session: ModemSession, slot: int, config: Config) -> InboundSms:
     """Read and consume the stored message in ``slot``, as poll() gave it."""
-    command = f"AT+CMGR={slot}\r".encode("ascii")
-    ev = session.ask(command, EventKind.INBOUND_SMS, config.sms_ok_timeout_ms)
-    if ev is None or ev.kind is EventKind.ERROR:
-        raise ModemError(f"failed to fetch stored SMS at index {slot}")
-    return ev.sms
+    return session.exchange(read_steps(slot, config))

@@ -14,14 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from smartcar.config import Config, load_config_file
+from smartcar.config import Config, load_config, load_config_file
 from smartcar.controller import ImpactDebouncer, WiperMode, servo_angle, wiper_mode
 from smartcar.modem import decode_stream
 from smartcar.nmea import GpsState, parse_sentence, update_fix
+from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import run
-from smartcar.sim.scenario import load_scenario, load_scenario_file
+from smartcar.sim.scenario import Levels, load_scenario, load_scenario_file
 
 from helpers import printed_records
+from test_golden_reports import GENERATORS
 
 CFG = Config()
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -309,6 +311,23 @@ def test_panic_press_during_a_blocked_send_is_not_lost():
     assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_impact_during_a_blocked_send_is_not_lost():
+    # the panic alert's send blocks on a silent modem from 5,000 ms until
+    # it gives up at 31,000 ms; the impact pulse at 7,000 ms falls inside,
+    # and a latch could not save it: one latched sample is one high
+    # sample, and impact_min_high is 5
+    scenario = (
+        f"t=1000 gps {RMC_FIX}\n"
+        "t=4000 modem_fault silent_for 60000\n"
+        "t=5000 panic 1\nt=5400 panic 0\n"
+        "t=7000 impact 1\nt=7300 impact 0\n"
+    )
+    texts = [r.text for r in printed_records(run_text(scenario, 120000))]
+    assert "airbag-line asserted" in texts, texts
+    assert any(text.startswith("alert kind=ACCIDENT ") for text in texts), texts
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
 def test_panic_press_between_two_samples_is_not_lost():
     # the press rises at 5,001 and falls at 5,005, both before the sample
@@ -317,6 +336,53 @@ def test_panic_press_between_two_samples_is_not_lost():
     report = run_text(scenario, 20000)
     alerts = [r.text for r in printed_records(report) if r.text.startswith("alert kind=")]
     assert any(text.startswith("alert kind=PANIC ") for text in alerts), alerts
+
+
+def lost_edges(monkeypatch, events, config, until_ms):
+    """The scripted rising edges of panic and impact that fell again
+    before any sample read them high, as (field, rise t_ms, fall t_ms).
+    The board is watched from outside: the i-th set_levels call applies
+    the i-th Levels event of the scenario."""
+    levels = iter([ev for ev in events if isinstance(ev, Levels)])
+    high = dict.fromkeys(("panic", "impact"), False)
+    unread: dict[str, int] = {}  # field -> rise t_ms, while no sample saw it
+    lost = []
+    set_levels, sample = SensorBoard.set_levels, SensorBoard.sample
+
+    def watched_set_levels(board, values):
+        t_ms = next(levels).t_ms
+        for field, value in values:
+            if field in high:
+                if value and not high[field]:
+                    unread[field] = t_ms
+                elif not value and field in unread:
+                    lost.append((field, unread.pop(field), t_ms))
+                high[field] = bool(value)
+        set_levels(board, values)
+
+    def watched_sample(board):
+        unread.clear()
+        return sample(board)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SensorBoard, "set_levels", watched_set_levels)
+        patch.setattr(SensorBoard, "sample", watched_sample)
+        run(events, config, until_ms)
+    return lost
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18")
+def test_no_benchmark_drive_loses_a_safety_edge(monkeypatch):
+    # comms_storm's blocked sends hide four edges at seed 201 and two
+    # impacts at seed 202; a latch (item 17) would save only the presses
+    lost = {}
+    for seed in (201, 202):
+        for name in sorted(GENERATORS):
+            w = GENERATORS[name](seed)
+            edges = lost_edges(monkeypatch, load_scenario(w.scenario), load_config(w.config), w.until_ms)
+            if edges:
+                lost[f"{name}-{seed}"] = edges
+    assert not lost, lost
 
 
 # the first read of slot 1 meets the armed ERROR; slot 2 arrives later

@@ -1,4 +1,4 @@
-"""AT codec, incremental decoder, send/receive exchanges.
+"""AT codec, incremental decoder, the send/read machines and their driver.
 
 The frozen transcript in data/transcript_sim900.txt is the shared oracle:
 the encoder must produce its TX bytes, the virtual modem must answer its
@@ -25,7 +25,9 @@ from smartcar.modem import (
     decode_stream,
     fetch_inbound,
     header_command,
+    read_steps,
     send_sms,
+    send_steps,
 )
 from smartcar.sim.clock import SimClock
 from smartcar.sim.devices import VirtualModem
@@ -302,6 +304,69 @@ class TestDecodeStream:
         assert split_rest == whole_rest
 
 
+def walk(steps, answers):
+    """Drive a machine by hand: send it each answer in turn (None for
+    silence or after a pause) and return what it yielded and returned."""
+    yielded = [next(steps)]
+    with pytest.raises(StopIteration) as done:
+        for answer in answers:
+            yielded.append(steps.send(answer))
+    return yielded, done.value.value
+
+
+OK, PROMPT, ERROR = AtEvent(EventKind.OK), AtEvent(EventKind.PROMPT), AtEvent(EventKind.ERROR)
+
+
+class TestMachines:
+    """send_steps and read_steps on their own: no transport, no clock."""
+
+    CFG = Config(sms_retry_max=2, sms_retry_backoff_ms=700, sms_ok_timeout_ms=900)
+    CMGF = (b"AT+CMGF=1\r", EventKind.OK, 900)
+    CMGS = (b'AT+CMGS="+1"\r', EventKind.PROMPT, 900)
+    BODY = (b"X\x1a", EventKind.OK, 900)
+
+    def test_every_stage_answered_is_delivered(self):
+        yielded, record = walk(send_steps("+1", "X", self.CFG), [OK, PROMPT, OK])
+        assert yielded == [self.CMGF, self.CMGS, self.BODY]
+        assert record == SendRecord(1, "")
+
+    def test_error_on_the_header_pauses_and_starts_again(self):
+        yielded, record = walk(send_steps("+1", "X", self.CFG), [OK, ERROR, None, OK, PROMPT, OK])
+        assert yielded == [self.CMGF, self.CMGS, 700, self.CMGF, self.CMGS, self.BODY]
+        assert record == SendRecord(2, "")
+
+    def test_silence_is_a_timeout(self):
+        yielded, record = walk(send_steps("+1", "X", Config(sms_retry_max=0)), [OK, PROMPT, None])
+        assert len(yielded) == 3
+        assert record == SendRecord(1, "timeout")
+
+    @pytest.mark.parametrize("last,reason", [(None, "timeout"), (ERROR, "error")])
+    def test_retries_run_out_with_the_last_reason(self, last, reason):
+        # sms_retry_max + 1 attempts, each failing at its first stage
+        yielded, record = walk(send_steps("+1", "X", self.CFG), [ERROR, None, None, None, last])
+        assert yielded == [self.CMGF, 700, self.CMGF, 700, self.CMGF]
+        assert record == SendRecord(self.CFG.sms_retry_max + 1, reason)
+
+    @pytest.mark.parametrize("dest,body", [('+1"55', "X"), ("+1", "y" * 161)])
+    def test_what_the_modem_cannot_carry_raises_before_the_first_command(self, dest, body):
+        steps = send_steps(dest, body, self.CFG)
+        with pytest.raises(ModemError):
+            next(steps)
+
+    def test_read_gives_the_message(self):
+        sms = InboundSms("+15550100", "STATUS")
+        yielded, got = walk(read_steps(3, self.CFG), [AtEvent(EventKind.INBOUND_SMS, sms=sms)])
+        assert yielded == [(b"AT+CMGR=3\r", EventKind.INBOUND_SMS, 900)]
+        assert got == sms
+
+    @pytest.mark.parametrize("answer", [ERROR, None])
+    def test_read_without_the_message_raises(self, answer):
+        steps = read_steps(3, self.CFG)
+        next(steps)
+        with pytest.raises(ModemError, match="index 3"):
+            steps.send(answer)
+
+
 class TestSendSms:
     def test_happy_path_single_attempt(self):
         clock = SimClock()
@@ -444,14 +509,24 @@ class TestUnsolicited:
         assert session.poll() == [3]
 
     def test_unrelated_lines_do_not_answer(self):
-        # a status line and an arrival come back, but no OK: the exchange
+        # a status line and an arrival come back, but no message: the read
         # times out after exactly its wait and the arrival waits for poll()
         transport = Scripted(b'\r\n+CSQ: 18,0\r\n\r\n+CMTI: "SM",4\r\nRING\r\n')
         clock = SimClock()
         session = ModemSession(transport=transport, clock=clock)
-        assert session.ask(b"AT+CMGF=1\r", EventKind.OK, 5000) is None
+        with pytest.raises(ModemError):
+            fetch_inbound(session, 1, Config(sms_ok_timeout_ms=5000))
         assert clock.now_ms == 5000
         assert session.poll() == [4]
+
+    def test_stale_error_before_the_write_does_not_answer(self):
+        # the ERROR was read before CMGF was written: the drain drops it,
+        # and each stage is answered by what comes after its own write
+        transport = Released([b"\r\nERROR\r\n", b"\r\nOK\r\n", b"", b"\r\n> ", b"", b"\r\nOK\r\n"])
+        clock = SimClock()
+        session = ModemSession(transport=transport, clock=clock)
+        assert send_sms(session, "+1", "X", Config(sms_retry_max=0)) == SendRecord(1, "")
+        assert clock.now_ms == 0
 
     def test_late_prompt_does_not_answer_a_later_header(self):
         # the second CMGF gets the prompt the first header never got; it
