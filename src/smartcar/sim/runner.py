@@ -145,21 +145,21 @@ def sweep_lines(
     that holds a step. Each second is one join of its pieces with
     str(hi) between them, or "" in the first second, whose labels are
     unpadded. The pieces are kept by the second's first walk position,
-    which also fixes its offset, as every period is whole seconds, its
-    tick count and whether it is the first second."""
+    its offset, its tick count and whether it is the first second."""
     steps, padded = len(changes), _second_labels()
-    blocks: dict[tuple[int, int, bool], tuple[int, int, list[str]] | None] = {}
+    blocks: dict[tuple[int, int, int, bool], tuple[int, int, list[str]] | None] = {}
     end_ms = t_ms + count * tick_ms
     while t_ms < end_ms:
         k %= steps
         hi, lo = divmod(t_ms, 1000)
         n = -((t_ms - min(end_ms, t_ms - lo + 1000)) // tick_ms)  # the second's ticks from t_ms
-        key = (k, n, not hi)
+        key = (k, lo, n, not hi)
         block = blocks.get(key, False)
         if block is False:
-            # a second is shorter than any period, so its walk wraps at most once
+            # the second's walk, wrapping round the cycle as often as it must
             walk = changes[k:k + n]
-            walk += changes[: n - len(walk)]
+            while len(walk) < n:
+                walk += changes[: n - len(walk)]
             offsets = range(lo, lo + n * tick_ms, tick_ms)
             labels = padded[lo::tick_ms] if hi else map("{} ".format, offsets)
             block = blocks[key] = _block(offsets, labels, walk)

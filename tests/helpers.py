@@ -1,8 +1,22 @@
 """Helpers shared by the test modules, and by tools/crosscheck.py,
-which imports this file by path."""
+which imports this file by path.
 
+PINNED is the one registry of pinned drives: each label maps to the
+SHA-256 of the drive's `smartcar-report v1` and a builder of the run.
+The golden tests, the every-tick checks and tools/crosscheck.py all
+iterate it, so pinning a new drive is one entry here. Importing this
+file opens no file and needs no src/ on sys.path: a builder imports
+bench/workloads.py and the program when it is called.
+"""
+
+import importlib.util
 import random
-from typing import NamedTuple
+import sys
+from functools import cache, partial
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class Record(NamedTuple):
@@ -46,11 +60,6 @@ def rain_spells(seed, drive_ms=10 * 60 * 1000):
     return "\n".join(lines) + "\n", t + 3000
 
 
-# the Config keys blocked_rain_spells is run with: a read that times out
-# leaves the clock off the grid at either pinned tick length
-BLOCKED_SPELLS_CONFIG = {"sms_ok_timeout_ms": 1234}
-
-
 def blocked_rain_spells(seed, drive_ms=10 * 60 * 1000):
     """rain_spells' drive plus, every 2-9 s, a modem fault (error_once,
     or silent_for 1-3000 ms) armed with a STATUS query. The fault fails
@@ -66,3 +75,107 @@ def blocked_rain_spells(seed, drive_ms=10 * 60 * 1000):
         lines += [f"t={t} modem_fault {fault}", f"t={t} sms +15550100 STATUS"]
         t += rng.randint(2000, 9000)
     return spells + "\n".join(lines) + "\n", until_ms
+
+
+@cache
+def load_workloads():
+    """bench/workloads.py, imported by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bundled(name):
+    """scenarios/<name>.txt with scenarios/default.cfg, as `smartcar run`
+    runs it."""
+    from smartcar.cli import DEFAULT_TAIL_MS
+    from smartcar.config import load_config_file
+    from smartcar.sim.scenario import load_scenario_file
+
+    events = load_scenario_file(ROOT / "scenarios" / f"{name}.txt")
+    return events, load_config_file(ROOT / "scenarios" / "default.cfg"), events[-1].t_ms + DEFAULT_TAIL_MS
+
+
+def _workload(name, seed):
+    """bench/workloads.py's drive name at seed, with its own config."""
+    from smartcar.config import load_config
+    from smartcar.sim.scenario import load_scenario
+
+    w = load_workloads().GENERATORS[name](seed)
+    return load_scenario(w.scenario), load_config(w.config), w.until_ms
+
+
+def _generated(drive, tick_ms, **config):
+    """drive()'s scenario text and until_ms, with Config(tick_ms, **config)."""
+    from smartcar.config import Config
+    from smartcar.sim.scenario import load_scenario
+
+    scenario, until_ms = drive()
+    return load_scenario(scenario), Config(tick_ms=tick_ms, **config), until_ms
+
+
+def hour_of_rain():
+    """An hour of heavy rain: one sweep."""
+    return "t=0 rain 1 900\n", 3_600_000
+
+
+class Drive(NamedTuple):
+    sha256: str  # of the serialized report
+    build: Callable  # () -> (events, config, until_ms)
+    every_tick: bool = False  # also run visiting every tick, which must give the same report
+    # a report of hundreds of thousands of lines: the records view and
+    # the every-tick reference would take seconds on it, so it checks
+    # the wiper's cache bound instead
+    long: bool = False
+
+
+# the seeds each drive of bench/workloads.py is pinned at
+WORKLOAD_SEEDS = (201, 202)
+SPELLS_SEED = 201
+
+PINNED = {
+    **{f"bundled {name}": Drive(sha256, partial(_bundled, name), every_tick=True) for name, sha256 in (
+        ("cold_start", "8e006b3ff2320ad1eafd03c8aaf20369f77dd51cd269781ded9996b9ae766524"),
+        ("crash_demo", "a7d00fc85780bb0a5969e509d7de201c035ff45ede7c00c23da2612887938c26"),
+        ("drunk_start", "301eb32d629c58f086c8b026363e737adb3db5d7bac56d25d944e93a869f379d"),
+        ("remote_query", "014d49190e1924135eb7a3c7d8e84959f107b4e0e72e3a7f514e76b64066a2cf"),
+    )},
+    **{f"workload {name} seed={seed}": Drive(sha256, partial(_workload, name, seed)) for seed, name, sha256 in (
+        (201, "comms_storm", "e81b4b127efd9365648f98e99d1d0d3041e170aea43137ff74cf2b444f215583"),
+        (201, "idle_park", "c509c4d64bd8280c307e447e40346e712ce33427fb0c0cf8ddd6efb340505f6f"),
+        (201, "rain_drive", "ae1de44457e2a31dbe31be84233a2e6a831e375a208b2889d3404426950ecab1"),
+        (202, "comms_storm", "569ae2b3cbae41e771f8e006ab3f8db25dff0fddae34f4adb673435dfa9723a9"),
+        (202, "idle_park", "54f12a56306edffb5566e7a829f58724f1fd139e1c143a20d90cf8e5e88ac4ac"),
+        (202, "rain_drive", "c91b3613eed93a37f4faaf55c796b850ebb90b8e7900feb90d7c71f457e76a07"),
+    )},
+    # at 1001 each second of the sweep holds one tick
+    **{f"hour of rain tick_ms={tick}": Drive(
+        sha256, partial(_generated, hour_of_rain, tick), long=True
+    ) for tick, sha256 in (
+        (7, "e8b276a2039ef9c87954f0a69dc45e4fae9cba0e654e043554f19ffc03b08b12"),
+        (10, "810ddc48647282ceeab3c3de4f472b5c4b060ab43ca720c501e411260fbc2ee7"),
+        (1001, "bc113a46079a737eb8865a41dda342fd2e89814e8d650f7fb4c7d55eb1005495"),
+    )},
+    **{f"rain spells tick_ms={tick}": Drive(
+        sha256, partial(_generated, partial(rain_spells, SPELLS_SEED), tick), every_tick=True
+    ) for tick, sha256 in (
+        (7, "c914b1b973a6982a0113da86773ebf48ae85815401064f4622947bbb6d0b3d4d"),
+        (10, "2070c7af696e3cc42691c47c249d3055ef21f860378636e37867a9a268cdb4ae"),
+    )},
+    # a read that times out leaves the clock off the grid at either tick length
+    **{f"blocked rain spells tick_ms={tick}": Drive(
+        sha256, partial(_generated, partial(blocked_rain_spells, SPELLS_SEED), tick, sms_ok_timeout_ms=1234),
+        every_tick=True,
+    ) for tick, sha256 in (
+        (7, "24652d0b76ef889e20f2724a4d98c963457d6c8c627d9ff87f3990588145e322"),
+        (10, "52d5e73f24ccc69daea1832b9e7c06c189cff3b68fda2a9fd25282ded740bbbf"),
+    )},
+}
+
+# test_report_holds_its_text_about_once's drive, and its bounds on the
+# memory held after it and at its peak, as multiples of the report's size
+TEN_MINUTES_OF_RAIN = ("t=0 rain 1 900\n", 600_000)
+HELD_PER_REPORT = 1.25
+PEAK_PER_REPORT = 1.5

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from smartcar.config import Config, load_config, load_config_file
+from smartcar.config import Config, load_config_file
 from smartcar.controller import ImpactDebouncer, WiperMode, servo_angle, wiper_mode
 from smartcar.modem import decode_stream
 from smartcar.nmea import GpsState, parse_sentence, update_fix
@@ -22,8 +22,7 @@ from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import Levels, load_scenario, load_scenario_file
 
-from helpers import printed_records
-from test_golden_reports import GENERATORS
+from helpers import PINNED, printed_records
 
 CFG = Config()
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -328,6 +327,25 @@ def test_impact_during_a_blocked_send_is_not_lost():
     assert any(text.startswith("alert kind=ACCIDENT ") for text in texts), texts
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_action_after_a_blocking_send_is_stamped_with_its_frame():
+    # the frame at 1,500 emits the panic alert, then a wiper step; the
+    # alert's send blocks until its retry is answered at 3,511, and the
+    # step is written after it at t=3511 with the angle of t=1,500
+    scenario = (
+        f"t=0 rain 1 100\nt=0 gps {RMC_FIX}\n"
+        "t=1500 modem_fault silent_for 1000\nt=1500 panic 1\n"
+    )
+    config = Config(sms_ok_timeout_ms=1234, sms_retry_backoff_ms=777)
+    steps = [
+        (r.t_ms, r.text.rpartition("=")[2]) for r in printed_records(run_text(scenario, 6000, config))
+        if r.tag == "A" and r.text.startswith("wiper mode=INTERMITTENT ")
+    ]
+    assert steps
+    late = [(t, angle) for t, angle in steps if angle != f"{servo_angle(WiperMode.INTERMITTENT, t):.1f}"]
+    assert not late, late
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
 def test_panic_press_between_two_samples_is_not_lost():
     # the press rises at 5,001 and falls at 5,005, both before the sample
@@ -373,15 +391,14 @@ def lost_edges(monkeypatch, events, config, until_ms):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18")
 def test_no_benchmark_drive_loses_a_safety_edge(monkeypatch):
-    # comms_storm's blocked sends hide four edges at seed 201 and two
-    # impacts at seed 202; a latch (item 17) would save only the presses
+    # every pinned drive, the benchmark's among them: comms_storm's
+    # blocked sends hide four edges at seed 201 and two impacts at seed
+    # 202; a latch (item 17) would save only the presses
     lost = {}
-    for seed in (201, 202):
-        for name in sorted(GENERATORS):
-            w = GENERATORS[name](seed)
-            edges = lost_edges(monkeypatch, load_scenario(w.scenario), load_config(w.config), w.until_ms)
-            if edges:
-                lost[f"{name}-{seed}"] = edges
+    for label, drive in PINNED.items():
+        edges = lost_edges(monkeypatch, *drive.build())
+        if edges:
+            lost[label] = edges
     assert not lost, lost
 
 

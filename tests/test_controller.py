@@ -6,7 +6,6 @@ this file.
 """
 
 import copy
-import hashlib
 import math
 import random
 import tracemalloc
@@ -37,6 +36,8 @@ from smartcar.nmea import parse_sentence
 from smartcar.sim.runner import run, sweep_lines
 from smartcar.sim.scenario import load_scenario
 from smartcar.types import AlertKind, InboundSms, SensorFrame
+
+from helpers import PINNED
 
 CFG = Config()
 GGA = "$GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*47"
@@ -384,27 +385,22 @@ class TestServoAngleCache:
                     else:
                         assert cycle.changes[k] is None
 
-    # an hour of heavy rain, and its report's digest at three tick
-    # lengths; at 1001 each second of the sweep holds one tick
-    HOUR_OF_RAIN = ("t=0 rain 1 900\n", 3_600_000)
-    HOUR_OF_RAIN_SHA256 = {
-        7: "e8b276a2039ef9c87954f0a69dc45e4fae9cba0e654e043554f19ffc03b08b12",
-        10: "810ddc48647282ceeab3c3de4f472b5c4b060ab43ca720c501e411260fbc2ee7",
-        1001: "bc113a46079a737eb8865a41dda342fd2e89814e8d650f7fb4c7d55eb1005495",
-    }
-
     def test_cache_stays_bounded_over_long_drives(self):
+        # the registry's long drives: an hour of heavy rain at each of
+        # its tick lengths (their digests are checked with the others')
         _WIPER_CYCLES.clear()
-        scenario, until_ms = self.HOUR_OF_RAIN
-        for tick_ms, digest in self.HOUR_OF_RAIN_SHA256.items():
-            report = run(load_scenario(scenario), Config(tick_ms=tick_ms), until_ms)
-            assert hashlib.sha256(report.serialize().encode()).hexdigest() == digest, tick_ms
+        ticks = set()
+        for drive in PINNED.values():
+            if drive.long:
+                events, config, until_ms = drive.build()
+                run(events, config, until_ms)
+                ticks.add(config.tick_ms)
         # the cosets of one mode and tick length split its period between them
         positions = {}
         for (mode, tick_ms, _), cycle in _WIPER_CYCLES.items():
             assert len(cycle.angles) == len(cycle.texts) == len(cycle.changes) == cycle.steps
             positions[mode, tick_ms] = positions.get((mode, tick_ms), 0) + cycle.steps
-        assert {tick_ms for _, tick_ms in positions} == set(self.HOUR_OF_RAIN_SHA256)
+        assert {tick_ms for _, tick_ms in positions} == ticks
         assert all(size <= WIPER_PERIOD_MS[mode] for (mode, _), size in positions.items())
 
 
@@ -810,6 +806,22 @@ class TestSweepSeconds:
         # and 1500 a second holds one tick or none
         visit = 3 * tick_ms + 5
         assert_sweep_matches_stepping(mode, tick_ms, 1, visit, visit + span_ms)
+
+    @pytest.mark.parametrize("steps,tick_ms", [(7, 10), (13, 10), (100, 7)])
+    def test_walk_whose_period_is_not_whole_seconds(self, steps, tick_ms):
+        # against writing each tick's line on its own: one walk position
+        # starts seconds at different offsets, so a second's pieces
+        # depend on its offset as well as on its first position
+        changes = [f"step k={k}" if k % 3 else None for k in range(steps)]
+        k, start, count = 2, 995, 5_000 // tick_ms
+        ticks = [(start + i * tick_ms, changes[(k + i) % steps]) for i in range(count)]
+        batches = list(sweep_lines(changes, k, start, count, tick_ms))
+        assert "\n".join(text for _, _, text in batches) == "\n".join(
+            f"A t={t} {text}" for t, text in ticks if text is not None
+        )
+        for first, last, text in batches:
+            times = [int(line.split(" ", 2)[1][2:]) for line in text.split("\n")]
+            assert (first, last) == (times[0], times[-1])
 
 
 class TestQueryDispatch:

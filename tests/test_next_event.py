@@ -34,8 +34,7 @@ from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import _Executor, run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
-from helpers import BLOCKED_SPELLS_CONFIG, blocked_rain_spells, printed_records, rain_spells
-from test_golden_reports import BLOCKED_SPELLS_SHA256, SPELLS_SEED, SPELLS_SHA256
+from helpers import PINNED, printed_records
 
 GPS_LINES = (
     "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
@@ -120,21 +119,21 @@ def no_gap_to_sweep(self, ticks):
     raise AssertionError(f"a sweep of {ticks} ticks after t={self.last_frame_ms} while visiting every tick")
 
 
-def run_skipping_and_every_tick(scenario, config, until_ms):
-    """The report of scenario as run, and as run visiting every tick."""
-    skipping = run(load_scenario(scenario), config, until_ms).serialize()
+def run_skipping_and_every_tick(events, config, until_ms):
+    """The report of the events as run, and as run visiting every tick."""
+    skipping = run(events, config, until_ms).serialize()
     with (
         mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
         mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
     ):
-        every_tick = run(load_scenario(scenario), config, until_ms).serialize()
+        every_tick = run(events, config, until_ms).serialize()
     return skipping, every_tick
 
 
 def assert_skipping_matches_every_tick(groups, config, tail_ms):
     scenario = "\n".join(f"t={t} {text}" for group in groups for t, text in group)
     until_ms = max((t for group in groups for t, _ in group), default=0) + tail_ms
-    skipping, every_tick = run_skipping_and_every_tick(scenario, config, until_ms)
+    skipping, every_tick = run_skipping_and_every_tick(load_scenario(scenario), config, until_ms)
     assert skipping == every_tick
 
 
@@ -186,7 +185,7 @@ def test_tick_after_a_blocking_send_is_a_visit(name):
     block, after = BLOCKED_FROM_MID_SWEEP[name]
     scenario = f"t=0 rain 1 100\n{block}"
     config = Config(sms_ok_timeout_ms=1234, sms_retry_backoff_ms=777)
-    skipping, every_tick = run_skipping_and_every_tick(scenario, config, 6000)
+    skipping, every_tick = run_skipping_and_every_tick(load_scenario(scenario), config, 6000)
     assert skipping == every_tick
     executor = _Executor(load_scenario(scenario), config, 6000)
     sample, sampled = executor.board.sample, []
@@ -234,29 +233,14 @@ def test_folding_gps_lines_matches_visiting_every_tick(scenario, tail_ms):
     assert_skipping_matches_every_tick(groups, config, tail_ms)
 
 
-def assert_drive_matches_every_tick(scenario, config, until_ms):
-    skipping, every_tick = run_skipping_and_every_tick(scenario, config, until_ms)
+@pytest.mark.parametrize("label", [label for label, drive in PINNED.items() if drive.every_tick])
+def test_pinned_drive_matches_visiting_every_tick(label):
+    skipping, every_tick = run_skipping_and_every_tick(*PINNED[label].build())
     # name the first lines that differ: a diff of two whole reports of
     # ~2 MB takes pytest minutes
     lines = zip(skipping.split("\n"), every_tick.split("\n"))
     assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
     assert skipping == every_tick
-
-
-@pytest.mark.parametrize("tick_ms", sorted(SPELLS_SHA256))
-def test_rain_spells_match_visiting_every_tick(tick_ms):
-    # ten minutes of 1-6 s spells: each starts a sweep at a new offset
-    # within its second, and most write whole seconds as one join
-    scenario, until_ms = rain_spells(SPELLS_SEED)
-    assert_drive_matches_every_tick(scenario, Config(tick_ms=tick_ms), until_ms)
-
-
-@pytest.mark.parametrize("tick_ms", sorted(BLOCKED_SPELLS_SHA256))
-def test_blocked_rain_spells_match_visiting_every_tick(tick_ms):
-    # the same spells with a faulted query every 2-9 s, whose read may
-    # move the clock off the grid with the wiper mid-cycle
-    scenario, until_ms = blocked_rain_spells(SPELLS_SEED)
-    assert_drive_matches_every_tick(scenario, Config(tick_ms=tick_ms, **BLOCKED_SPELLS_CONFIG), until_ms)
 
 
 def test_send_that_blocks_past_the_end_leaves_no_gap():

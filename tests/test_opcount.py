@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden_reports import WORKLOAD_SHA256
+from helpers import PINNED
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
 
@@ -16,4 +16,4 @@ def test_two_counts_of_idle_park_agree():
     first, second = (json.loads(subprocess.run(args, capture_output=True, text=True, check=True).stdout)
                      for _ in range(2))
     assert first["total"] == second["total"] == sum(first["functions"].values()) > 0
-    assert first["digest"] == second["digest"] == WORKLOAD_SHA256[201]["idle_park"]
+    assert first["digest"] == second["digest"] == PINNED["workload idle_park seed=201"].sha256

@@ -21,15 +21,9 @@ from smartcar.sim.scenario import (
 )
 from smartcar.types import ScenarioError, SensorFrame
 
-from helpers import printed_records, typed
+from helpers import HELD_PER_REPORT, PEAK_PER_REPORT, TEN_MINUTES_OF_RAIN, printed_records, typed
 
 CFG = Config()
-# test_report_holds_its_text_about_once's drive and its bounds on the
-# memory held after it and at its peak, as multiples of the report's size;
-# tools/crosscheck.py reads all three from here
-TEN_MINUTES_OF_RAIN = ("t=0 rain 1 900\n", 600_000)
-HELD_PER_REPORT = 1.25
-PEAK_PER_REPORT = 1.5
 
 
 def impact(t_ms, level):

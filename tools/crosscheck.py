@@ -4,34 +4,26 @@
     python3 tools/crosscheck.py python3.10 python3.12 /usr/bin/python3
 
 With no argument it checks the interpreter that runs it. For each
-interpreter a `python -I -B` child imports the program from src/ (and
-bench/workloads.py by path), so neither the environment, site-packages
+interpreter a `python -I -B` child imports the program from src/ and
+tests/helpers.py by path, so neither the environment, site-packages
 nor an installed copy of the program is seen, and no file is written
 outside a temporary directory the child removes. The child runs:
 
-- each bundled scenario with scenarios/default.cfg, as `smartcar run`
-  does;
-- each benchmark drive of bench/workloads.py at each pinned seed;
+- every drive of helpers.PINNED, the registry of pinned drives, and
+  hashes its serialized report;
 - nmea.checksums_ok against nmea.split_frame, one line at a time, over
   every GPS line of those drives and the edge lines of CHECKSUM_EDGES;
-- the hour of rain at each pinned tick length;
-- the drive of short rain spells of tests/helpers.py (imported by path)
-  at each pinned tick length, and the same with faulted queries;
 - `smartcar check` and `smartcar run` on each malformed scenario of
   MALFORMED, and `smartcar run` on each malformed config;
 - the ten minutes of rain of test_report_holds_its_text_about_once
   under `tracemalloc`, as that test does.
 
-It hashes each serialized report. The digests it must give are read
-from the tests with `ast.literal_eval`, so each digest has one home:
-GOLDEN_SHA256, WORKLOAD_SHA256, SPELLS_SHA256 and BLOCKED_SPELLS_SHA256
-(with SPELLS_SEED) in
-tests/test_golden_reports.py and HOUR_OF_RAIN_SHA256 (with the drive,
-HOUR_OF_RAIN) in tests/test_controller.py. Each malformed input
-must exit 1. The memory held after the drive and its peak, as multiples
-of the report's size, must not exceed HELD_PER_REPORT and
-PEAK_PER_REPORT, read with the drive from tests/test_scenario.py. The
-result is one table, a row per report, command, ratio or the checksum
+Each report must give the digest the registry pins for it, so a drive
+pinned there is checked here with no edit to this file. Each malformed
+input must exit 1. The memory held after the drive and its peak, as
+multiples of the report's size, must not exceed HELD_PER_REPORT and
+PEAK_PER_REPORT, read with the drive from tests/helpers.py. The result
+is one table, a row per report, command, ratio or the checksum
 comparison and a column per interpreter; the exit status is 1 if any
 digest or exit code differs, any ratio exceeds its bound, checksums_ok
 disagrees with split_frame or any child fails, else 0.
@@ -40,7 +32,7 @@ Stdlib only.
 
 from __future__ import annotations
 
-import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -72,59 +64,32 @@ MALFORMED = (
 )
 
 
-def _child() -> None:
-    """Print each job's report digest; the jobs come as JSON on stdin."""
-    import hashlib
-    import importlib.util
-
-    job = json.load(sys.stdin)
-    sys.path.insert(0, str(ROOT / "src"))
-    from smartcar.cli import DEFAULT_TAIL_MS
-    from smartcar.config import Config, load_config, load_config_file
-    from smartcar.nmea import checksums_ok, split_frame
-    from smartcar.sim.runner import run
-    from smartcar.sim.scenario import GpsLine, load_scenario, load_scenario_file
-
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
+def _helpers():
+    """tests/helpers.py, imported by path: tests/ is not a package."""
     spec = importlib.util.spec_from_file_location("test_helpers", ROOT / "tests" / "helpers.py")
     helpers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(helpers)
+    return helpers
 
-    def digest(events, config, until_ms) -> str:
-        return hashlib.sha256(run(events, config, until_ms).serialize().encode("utf-8")).hexdigest()
 
-    out = {}
-    default = load_config_file(ROOT / "scenarios" / "default.cfg")
-    for name in job["bundled"]:
-        events = load_scenario_file(ROOT / "scenarios" / f"{name}.txt")
-        out[f"bundled {name}"] = digest(events, default, events[-1].t_ms + DEFAULT_TAIL_MS)
-    lines = list(CHECKSUM_EDGES)
-    for seed, names in job["workloads"].items():
-        for name in names:
-            w = workloads.GENERATORS[name](int(seed))
-            events = load_scenario(w.scenario)
-            lines += [ev.text for ev in events if type(ev) is GpsLine]
-            out[f"workload {name} seed={seed}"] = digest(events, load_config(w.config), w.until_ms)
+def _child() -> None:
+    """Print each row's result as JSON."""
+    import hashlib
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from smartcar.nmea import checksums_ok, split_frame
+    from smartcar.sim.runner import run
+    from smartcar.sim.scenario import GpsLine
+
+    helpers = _helpers()
+    out, lines = {}, list(CHECKSUM_EDGES)
+    for label, drive in helpers.PINNED.items():
+        events, config, until_ms = drive.build()
+        lines += [ev.text for ev in events if type(ev) is GpsLine]
+        out[label] = hashlib.sha256(run(events, config, until_ms).serialize().encode("utf-8")).hexdigest()
     out[CHECKSUMS] = checksums_ok(lines) == bytes(split_frame(line)[1] for line in lines)
-    scenario, until_ms = job["hour_of_rain_drive"]
-    for tick_ms in job["hour_of_rain"]:
-        out[f"hour of rain tick_ms={tick_ms}"] = digest(
-            load_scenario(scenario), Config(tick_ms=int(tick_ms)), until_ms
-        )
-    spells, until_ms = helpers.rain_spells(job["spells_seed"])
-    for tick_ms in job["spells"]:
-        out[f"rain spells tick_ms={tick_ms}"] = digest(
-            load_scenario(spells), Config(tick_ms=int(tick_ms)), until_ms
-        )
-    blocked, until_ms = helpers.blocked_rain_spells(job["spells_seed"])
-    for tick_ms in job["blocked_spells"]:
-        config = Config(tick_ms=int(tick_ms), **helpers.BLOCKED_SPELLS_CONFIG)
-        out[f"blocked rain spells tick_ms={tick_ms}"] = digest(load_scenario(blocked), config, until_ms)
     out.update(_exit_codes())
-    out.update(_report_memory(*job["report_memory"]))
+    out.update(_report_memory(*helpers.TEN_MINUTES_OF_RAIN))
     print(json.dumps({"version": sys.version.split()[0], "results": out}))
 
 
@@ -184,51 +149,16 @@ def _exit_cases():
             yield f"exit {command} {kind} {data!r}", command, kind, data
 
 
-def pinned(path: Path, *names: str) -> list:
-    """The literal assigned to each of names in the Python file at path,
-    wherever the assignment stands, in the order of names."""
-    found = {}
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id in names:
-                found[target.id] = ast.literal_eval(node.value)
-    return [found[name] for name in names]
-
-
-def expected() -> tuple[dict[str, str | int | float], dict]:
-    """Each report's label and the digest the tests pin for it, each
-    command's label and the exit code it must give, each memory ratio's
-    label and its bound, and the child's jobs."""
-    golden, workloads, spells_seed, spells, blocked = pinned(
-        ROOT / "tests" / "test_golden_reports.py",
-        "GOLDEN_SHA256", "WORKLOAD_SHA256", "SPELLS_SEED", "SPELLS_SHA256", "BLOCKED_SPELLS_SHA256",
-    )
-    hour_drive, hour_of_rain = pinned(
-        ROOT / "tests" / "test_controller.py", "HOUR_OF_RAIN", "HOUR_OF_RAIN_SHA256"
-    )
-    drive, held, peak = pinned(
-        ROOT / "tests" / "test_scenario.py", "TEN_MINUTES_OF_RAIN", "HELD_PER_REPORT", "PEAK_PER_REPORT"
-    )
-    out = {f"bundled {name}": digest for name, digest in sorted(golden.items())}
-    for seed, digests in sorted(workloads.items()):
-        out.update({f"workload {name} seed={seed}": d for name, d in sorted(digests.items())})
-    out.update({f"hour of rain tick_ms={tick}": d for tick, d in sorted(hour_of_rain.items())})
-    out.update({f"rain spells tick_ms={tick}": d for tick, d in sorted(spells.items())})
-    out.update({f"blocked rain spells tick_ms={tick}": d for tick, d in sorted(blocked.items())})
+def expected() -> dict[str, str | int | float]:
+    """Each report's label and the digest the registry pins for it, each
+    command's label and the exit code it must give, and each memory
+    ratio's label and its bound."""
+    helpers = _helpers()
+    out: dict[str, str | int | float] = {label: drive.sha256 for label, drive in helpers.PINNED.items()}
     out[CHECKSUMS] = True
     out.update({label: 1 for label, *_ in _exit_cases()})
-    out.update({MEMORY_HELD: held, MEMORY_PEAK: peak})
-    return out, {
-        "bundled": sorted(golden),
-        "workloads": {seed: sorted(digests) for seed, digests in workloads.items()},
-        "hour_of_rain_drive": hour_drive,
-        "hour_of_rain": sorted(hour_of_rain),
-        "spells_seed": spells_seed,
-        "spells": sorted(spells),
-        "blocked_spells": sorted(blocked),
-        "report_memory": drive,
-    }
+    out.update({MEMORY_HELD: helpers.HELD_PER_REPORT, MEMORY_PEAK: helpers.PEAK_PER_REPORT})
+    return out
 
 
 def _cell(want: str | int | float, got) -> str:
@@ -240,14 +170,11 @@ def _cell(want: str | int | float, got) -> str:
     return "ok" if got == want else "MISMATCH"
 
 
-def check(python: str, job: dict) -> tuple[str, dict[str, str | int | float]]:
+def check(python: str) -> tuple[str, dict[str, str | int | float]]:
     """Run one child; returns its version and results, or an error line
     and no results."""
     try:
-        proc = subprocess.run(
-            [python, "-I", "-B", __file__, "--child"],
-            input=json.dumps(job), capture_output=True, text=True,
-        )
+        proc = subprocess.run([python, "-I", "-B", __file__, "--child"], capture_output=True, text=True)
     except OSError as exc:
         return f"error: {exc}", {}
     if proc.returncode != 0:
@@ -259,8 +186,8 @@ def check(python: str, job: dict) -> tuple[str, dict[str, str | int | float]]:
 
 def main(argv: list[str]) -> int:
     pythons = argv or [sys.executable]
-    want, job = expected()
-    columns = [check(python, job) for python in pythons]
+    want = expected()
+    columns = [check(python) for python in pythons]
     ok = True
     rows = [["report", *(version if results else "error" for version, results in columns)]]
     for label, result in want.items():
