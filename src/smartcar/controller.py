@@ -238,6 +238,11 @@ class _PendingAlert(NamedTuple):
     deadline_ms: int
 
 
+# every controller's last frame before it steps one; frames are immutable,
+# so one is shared
+_NO_FRAME = SensorFrame()
+
+
 class SafetyController:
     """Owns the controller state; step(), coast() and sweep() are the
     only ways it changes.
@@ -261,7 +266,7 @@ class SafetyController:
         self.panic_latch_until_ms = 0
         self.wiper = WiperCommand(WiperMode.OFF, 0.0)
         self._wiper_mode_since_ms = 0
-        self.last_frame: SensorFrame | None = None
+        self.last_frame = _NO_FRAME
         self.last_frame_ms = 0  # when last_frame was stepped
         self.pending_alerts: deque[_PendingAlert] = deque()
 
@@ -271,7 +276,7 @@ class SafetyController:
         if isinstance(event, NmeaSentence):
             self.gps = update_fix(self.gps, event, now_ms)
         elif isinstance(event, SensorFrame):
-            panic_prev = self.last_frame.panic if self.last_frame else 0
+            panic_prev = self.last_frame.panic
             self.last_frame, self.last_frame_ms = event, now_ms
             self._step_impact(event.impact, now_ms, actions)
             self._step_panic(event.panic, panic_prev, now_ms, actions)
@@ -293,7 +298,7 @@ class SafetyController:
         acts only on an edge, so it sets no deadline."""
         # a high level is itself a sample in the window, and a latch that
         # runs out while highs remain can still trigger
-        if self.last_frame is None or self.impact.highs:
+        if self.impact.highs:
             return now_ms
         return self.pending_alerts[0].deadline_ms if self.pending_alerts else None
 
@@ -351,11 +356,8 @@ class SafetyController:
             actions.append(Action(ActionKind.SET_WIPER, text=text))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:
-        frame, frame_ms = self.last_frame, self.last_frame_ms
-        if frame is None:
-            frame, frame_ms = SensorFrame(), now_ms
         reply = format_reply(
-            parse_query(sms.body), frame, self.gps, self.config, frame_ms,
+            parse_query(sms.body), self.last_frame, self.gps, self.config, self.last_frame_ms,
             self.interlock.engine_enabled,
         )
         actions.append(Action(ActionKind.SEND_REPLY, dest=sms.sender, text=reply))

@@ -1,12 +1,16 @@
-"""Helpers shared by the test modules, and by tools/crosscheck.py,
-which imports this file by path.
+"""Helpers shared by the test modules and by tools/crosscheck.py and
+tools/opcount.py, which put tests/ on sys.path and import this file as
+the tests do.
 
 PINNED is the one registry of pinned drives: each label maps to the
 SHA-256 of the drive's `smartcar-report v1` and a builder of the run.
-The golden tests, the every-tick checks and tools/crosscheck.py all
-iterate it, so pinning a new drive is one entry here. Importing this
-file opens no file and needs no src/ on sys.path: a builder imports
-bench/workloads.py and the program when it is called.
+The golden tests, the every-tick checks and both tools iterate it or
+look a drive up by its label, so pinning a new drive is one entry here.
+report_memory() is the one measurement of the report's memory, which
+test_report_holds_its_text_about_once and tools/crosscheck.py hold to
+HELD_PER_REPORT and PEAK_PER_REPORT. Importing this file opens no file
+and needs no src/ on sys.path: a builder and report_memory() import
+bench/workloads.py and the program when they are called.
 """
 
 import importlib.util
@@ -121,6 +125,17 @@ def hour_of_rain():
     return "t=0 rain 1 900\n", 3_600_000
 
 
+def dead_modem():
+    """An accident with a fix, while the modem stays silent for a minute:
+    the alert times out on every attempt and is given up."""
+    return (
+        "t=1000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A\n"
+        "t=4000 modem_fault silent_for 60000\n"
+        "t=5000 impact 1\n"
+        "t=5060 impact 0\n"
+    ), 90_000
+
+
 class Drive(NamedTuple):
     sha256: str  # of the serialized report
     build: Callable  # () -> (events, config, until_ms)
@@ -172,10 +187,38 @@ PINNED = {
         (7, "24652d0b76ef889e20f2724a4d98c963457d6c8c627d9ff87f3990588145e322"),
         (10, "52d5e73f24ccc69daea1832b9e7c06c189cff3b68fda2a9fd25282ded740bbbf"),
     )},
+    # the one drive whose alert uses up its retries: S delivered=no, C sms_failed=1
+    "dead modem": Drive(
+        "b6c1ba937c2df26eab3abbda2607bec63971c10e4472aaa49f6172181d0e72a7",
+        partial(_generated, dead_modem, 10), every_tick=True,
+    ),
 }
 
-# test_report_holds_its_text_about_once's drive, and its bounds on the
-# memory held after it and at its peak, as multiples of the report's size
-TEN_MINUTES_OF_RAIN = ("t=0 rain 1 900\n", 600_000)
+# report_memory()'s bounds on the memory held after its drive and at its
+# peak, as multiples of the report's size
 HELD_PER_REPORT = 1.25
 PEAK_PER_REPORT = 1.5
+
+
+def report_memory():
+    """Ten minutes of heavy rain, one sweep of 60,000 wiper lines, run
+    once to warm up, which builds the wiper's cycle tables that outlive
+    it, and once under tracemalloc. Returns the memory held after the
+    drive and its peak, each divided by the report's size."""
+    import tracemalloc
+
+    from smartcar.config import Config
+    from smartcar.sim.runner import run
+    from smartcar.sim.scenario import load_scenario
+
+    scenario, until_ms, config = "t=0 rain 1 900\n", 600_000, Config()
+    run(load_scenario(scenario), config, until_ms)
+    events = load_scenario(scenario)
+    tracemalloc.start()
+    try:
+        report = run(events, config, until_ms)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(report.serialize())
+    return held / size, peak / size

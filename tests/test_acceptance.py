@@ -18,7 +18,7 @@ from smartcar.config import Config, load_config_file
 from smartcar.controller import ImpactDebouncer, WiperMode, servo_angle, wiper_mode
 from smartcar.modem import decode_stream
 from smartcar.nmea import GpsState, parse_sentence, update_fix
-from smartcar.sim.devices import SensorBoard
+from smartcar.sim.devices import SensorBoard, VirtualModem
 from smartcar.sim.runner import run
 from smartcar.sim.scenario import Levels, load_scenario, load_scenario_file
 
@@ -414,6 +414,25 @@ def test_failed_inbound_read_is_noted_and_later_texts_answered():
     lines = run_text(UNREAD_SCENARIO, 35000).serialize().splitlines()
     assert "A t=1000 note inbound-read-failed: failed to fetch stored SMS at index 1" in lines
     assert "A t=5000 reply dest=+15550101 body=TEMP=20.0C" in lines
+
+
+def test_failed_reply_send_is_retried_and_delivered(monkeypatch):
+    # the read answers, then the modem fails the next command: the
+    # reply's own AT+CMGS
+    answer_read = VirtualModem._answer_read
+
+    def answer_then_fail(modem, slot):
+        answer_read(modem, slot)
+        modem.arm_error_once()
+
+    monkeypatch.setattr(VirtualModem, "_answer_read", answer_then_fail)
+    report = run_text("t=1000 sms +15550100 STATUS\n", 20000)
+    lines = report.serialize().splitlines()
+    body = "body=TEMP=20.0C HUM=50% ALC=0 RAIN=DRY ENGINE=ENABLED"
+    assert f"S t=3000 delivered=yes attempts=2 reason=- dest=+15550100 {body}" in lines
+    assert f"M t=3000 dest=+15550100 {body}" in lines
+    assert "C sms_retries=1" in lines
+    assert report.violations == []
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")

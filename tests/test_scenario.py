@@ -1,7 +1,6 @@
 """Simulation layer: scenario grammar, virtual devices, executor, CLI."""
 
 import sys
-import tracemalloc
 
 import pytest
 
@@ -21,7 +20,7 @@ from smartcar.sim.scenario import (
 )
 from smartcar.types import ScenarioError, SensorFrame
 
-from helpers import HELD_PER_REPORT, PEAK_PER_REPORT, TEN_MINUTES_OF_RAIN, printed_records, typed
+from helpers import HELD_PER_REPORT, PEAK_PER_REPORT, printed_records, report_memory, typed
 
 CFG = Config()
 
@@ -360,21 +359,10 @@ class TestRunner:
         assert report.violations == []
 
     def test_report_holds_its_text_about_once(self):
-        # ten minutes of heavy rain: one sweep of 60,000 wiper lines,
-        # which the body holds as one string per swept second; the
-        # warm-up run builds the wiper's cycle tables, which outlive it
-        scenario, until_ms = TEN_MINUTES_OF_RAIN
-        run(load_scenario(scenario), CFG, until_ms)
-        events = load_scenario(scenario)
-        tracemalloc.start()
-        try:
-            report = run(events, CFG, until_ms)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        size = len(report.serialize())
-        assert held <= HELD_PER_REPORT * size
-        assert peak <= PEAK_PER_REPORT * size
+        # the body holds ten minutes of heavy rain as one string per swept second
+        held, peak = report_memory()
+        assert held <= HELD_PER_REPORT
+        assert peak <= PEAK_PER_REPORT
 
     def test_records_split_batches_at_newlines_only(self):
         report = SimReport(tick_ms=10, until_ms=100)

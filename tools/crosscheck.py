@@ -5,9 +5,10 @@
 
 With no argument it checks the interpreter that runs it. For each
 interpreter a `python -I -B` child imports the program from src/ and
-tests/helpers.py by path, so neither the environment, site-packages
-nor an installed copy of the program is seen, and no file is written
-outside a temporary directory the child removes. The child runs:
+tests/helpers.py from tests/, both put on sys.path as the tests do, so
+neither the environment, site-packages nor an installed copy of the
+program is seen, and no file is written outside a temporary directory
+the child removes. The child runs:
 
 - every drive of helpers.PINNED, the registry of pinned drives, and
   hashes its serialized report;
@@ -15,14 +16,14 @@ outside a temporary directory the child removes. The child runs:
   every GPS line of those drives and the edge lines of CHECKSUM_EDGES;
 - `smartcar check` and `smartcar run` on each malformed scenario of
   MALFORMED, and `smartcar run` on each malformed config;
-- the ten minutes of rain of test_report_holds_its_text_about_once
-  under `tracemalloc`, as that test does.
+- helpers.report_memory(), the tracemalloc measurement that
+  test_report_holds_its_text_about_once makes.
 
 Each report must give the digest the registry pins for it, so a drive
 pinned there is checked here with no edit to this file. Each malformed
 input must exit 1. The memory held after the drive and its peak, as
 multiples of the report's size, must not exceed HELD_PER_REPORT and
-PEAK_PER_REPORT, read with the drive from tests/helpers.py. The result
+PEAK_PER_REPORT, the bounds that test holds them to. The result
 is one table, a row per report, command, ratio or the checksum
 comparison and a column per interpreter; the exit status is 1 if any
 digest or exit code differs, any ratio exceeds its bound, checksums_ok
@@ -32,13 +33,15 @@ Stdlib only.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from helpers import HELD_PER_REPORT, PEAK_PER_REPORT, PINNED, report_memory
+
 MEMORY_HELD, MEMORY_PEAK = "memory held / report size", "memory peak / report size"
 CHECKSUMS = "checksums_ok = split_frame"
 # lines on each edge of split_frame's rule: too short, no '$', one or three
@@ -64,14 +67,6 @@ MALFORMED = (
 )
 
 
-def _helpers():
-    """tests/helpers.py, imported by path: tests/ is not a package."""
-    spec = importlib.util.spec_from_file_location("test_helpers", ROOT / "tests" / "helpers.py")
-    helpers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(helpers)
-    return helpers
-
-
 def _child() -> None:
     """Print each row's result as JSON."""
     import hashlib
@@ -81,38 +76,15 @@ def _child() -> None:
     from smartcar.sim.runner import run
     from smartcar.sim.scenario import GpsLine
 
-    helpers = _helpers()
     out, lines = {}, list(CHECKSUM_EDGES)
-    for label, drive in helpers.PINNED.items():
+    for label, drive in PINNED.items():
         events, config, until_ms = drive.build()
         lines += [ev.text for ev in events if type(ev) is GpsLine]
         out[label] = hashlib.sha256(run(events, config, until_ms).serialize().encode("utf-8")).hexdigest()
     out[CHECKSUMS] = checksums_ok(lines) == bytes(split_frame(line)[1] for line in lines)
     out.update(_exit_codes())
-    out.update(_report_memory(*helpers.TEN_MINUTES_OF_RAIN))
+    out[MEMORY_HELD], out[MEMORY_PEAK] = report_memory()
     print(json.dumps({"version": sys.version.split()[0], "results": out}))
-
-
-def _report_memory(scenario: str, until_ms: int) -> dict[str, float]:
-    """The memory held after the drive and its peak under tracemalloc,
-    each divided by the report's size; a warm-up drive first builds the
-    wiper's cycle tables, which outlive it."""
-    import tracemalloc
-
-    from smartcar.config import Config
-    from smartcar.sim.runner import run
-    from smartcar.sim.scenario import load_scenario
-
-    run(load_scenario(scenario), Config(), until_ms)
-    events = load_scenario(scenario)
-    tracemalloc.start()
-    try:
-        report = run(events, Config(), until_ms)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    size = len(report.serialize())
-    return {MEMORY_HELD: held / size, MEMORY_PEAK: peak / size}
 
 
 def _exit_codes() -> dict[str, int]:
@@ -153,11 +125,10 @@ def expected() -> dict[str, str | int | float]:
     """Each report's label and the digest the registry pins for it, each
     command's label and the exit code it must give, and each memory
     ratio's label and its bound."""
-    helpers = _helpers()
-    out: dict[str, str | int | float] = {label: drive.sha256 for label, drive in helpers.PINNED.items()}
+    out: dict[str, str | int | float] = {label: drive.sha256 for label, drive in PINNED.items()}
     out[CHECKSUMS] = True
     out.update({label: 1 for label, *_ in _exit_cases()})
-    out.update({MEMORY_HELD: helpers.HELD_PER_REPORT, MEMORY_PEAK: helpers.PEAK_PER_REPORT})
+    out.update({MEMORY_HELD: HELD_PER_REPORT, MEMORY_PEAK: PEAK_PER_REPORT})
     return out
 
 
