@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .config import Config
 from .messages import format_alert, format_reply, parse_query
 from .nmea import GpsState, NmeaSentence, update_fix
-from .types import AlertKind, Frozen, InboundSms, SensorFrame
+from .types import AlertKind, InboundSms, SensorFrame
 
 
 class WiperMode(IntEnum):
@@ -41,16 +41,6 @@ WIPER_ACTIVE_MS = {
 }
 
 
-class WiperCommand(Frozen):
-    __slots__ = ("mode", "servo_angle_deg")
-
-    def _validate(self):
-        if self.mode is WiperMode.OFF and self.servo_angle_deg != 0.0:
-            raise ValueError("wiper Off requires servo angle 0")
-        if not 0.0 <= self.servo_angle_deg <= SERVO_MAX_DEG:
-            raise ValueError(f"servo angle out of range: {self.servo_angle_deg}")
-
-
 class ActionKind(Enum):
     ASSERT_AIRBAG_LINE = "assert_airbag_line"
     SEND_ALERT = "send_alert"
@@ -62,14 +52,19 @@ class ActionKind(Enum):
 
 class Action(NamedTuple):
     """One output. Both sends carry the number in dest and the body in
-    text; an alert also names its kind. A wiper step carries its report
-    line in text."""
+    text; an alert also names its kind. Every other action carries its
+    finished report line in text."""
 
     kind: ActionKind
     alert: AlertKind | None = None
     dest: str = ""
     text: str = ""
-    engine_enabled: bool = False
+
+
+# the actions that are not sends and not wiper steps, each built once
+AIRBAG = Action(ActionKind.ASSERT_AIRBAG_LINE, text="airbag-line asserted")
+ENGINE_OFF = Action(ActionKind.SET_ENGINE, text="engine enabled=no")
+ENGINE_ON = Action(ActionKind.SET_ENGINE, text="engine enabled=yes")
 
 
 def wiper_mode(rain_wet: int, rain_intensity: int, config: Config) -> WiperMode:
@@ -264,7 +259,7 @@ class SafetyController:
         )
         self.interlock = AlcoholInterlock(config.alcohol_threshold, config.alcohol_release)
         self.panic_latch_until_ms = 0
-        self.wiper = WiperCommand(WiperMode.OFF, 0.0)
+        self.wiper_mode, self.servo_angle_deg = WiperMode.OFF, 0.0
         self._wiper_mode_since_ms = 0
         self.last_frame = _NO_FRAME
         self.last_frame_ms = 0  # when last_frame was stepped
@@ -314,10 +309,10 @@ class SafetyController:
         last frame, with its levels held, and return its walk: the
         cycle's `changes` and the first tick's walk position. Each tick
         steps where its own position's `changes` entry holds a line."""
-        tick, mode = self.config.tick_ms, self.wiper.mode
+        tick = self.config.tick_ms
         phase = self.last_frame_ms + tick - self._wiper_mode_since_ms
-        cycle, start = WiperCycle.find(mode, tick, phase)
-        self.wiper = WiperCommand(mode, cycle.angles[(start + ticks - 1) % cycle.steps])
+        cycle, start = WiperCycle.find(self.wiper_mode, tick, phase)
+        self.servo_angle_deg = cycle.angles[(start + ticks - 1) % cycle.steps]
         return cycle.changes, start
 
     # -- sub-operations -------------------------------------------------
@@ -325,7 +320,7 @@ class SafetyController:
     def _step_impact(self, level: int, now_ms: int, actions: list[Action]) -> None:
         if self.impact.update(now_ms, level):
             # safety-critical line first; the SMS can wait for a fix
-            actions.append(Action(ActionKind.ASSERT_AIRBAG_LINE))
+            actions.append(AIRBAG)
             self._request_alert(AlertKind.ACCIDENT, now_ms, actions)
 
     def _step_panic(self, level: int, prev: int, now_ms: int, actions: list[Action]) -> None:
@@ -337,22 +332,22 @@ class SafetyController:
         if not self.interlock.update(raw):
             return
         enabled = self.interlock.engine_enabled
-        actions.append(Action(ActionKind.SET_ENGINE, engine_enabled=enabled))
+        actions.append(ENGINE_ON if enabled else ENGINE_OFF)
         if not enabled:
             # the line drops once per engagement, so one alert per engagement
             self._request_alert(AlertKind.ALCOHOL, now_ms, actions)
 
     def _step_wiper(self, wet: int, intensity: int, now_ms: int, actions: list[Action]) -> None:
         mode = wiper_mode(wet, intensity, self.config)
-        if mode is not self.wiper.mode:
+        if mode is not self.wiper_mode:
             self._wiper_mode_since_ms = now_ms
         elif mode is WiperMode.OFF:
             return  # parked, and it stays so
         phase = now_ms - self._wiper_mode_since_ms
         cycle, position = WiperCycle.find(mode, self.config.tick_ms, phase)
         angle, text = cycle.angles[position], cycle.texts[position]
-        if mode is not self.wiper.mode or angle != self.wiper.servo_angle_deg:
-            self.wiper = WiperCommand(mode, angle)
+        if mode is not self.wiper_mode or angle != self.servo_angle_deg:
+            self.wiper_mode, self.servo_angle_deg = mode, angle
             actions.append(Action(ActionKind.SET_WIPER, text=text))
 
     def _step_sms(self, sms: InboundSms, now_ms: int, actions: list[Action]) -> None:

@@ -22,10 +22,10 @@ wiper is on, SafetyController.sweep() moves the servo across the gap
 along the wiper's cycle table, and sweep_lines() writes that walk as
 batches of report lines, a second of the clock each. So the report is
 byte-identical to sampling every tick, which leaves every gap empty.
-The executor formats each other record once, into its finished line,
-and keeps each write batch (one record, or a sweep's batch) as one
-string. It checks each batch's first time against the last record
-written; a batch's own times rise by construction.
+Each action but a send carries the text of its `A t=<t> <text>` line;
+the executor formats a send's records once and keeps each write batch
+(one record, or a sweep's batch) as one string, checking its first
+time against the last record written; its own times rise by construction.
 
 GPS lines wait in their own queue, and a visit steps each line due by
 its start straight from it. A line is a scripted event only while an
@@ -225,18 +225,13 @@ class _Executor:
     def _interpret(self, actions) -> None:
         for action in actions:
             t = self.clock.now_ms
-            if action.kind is ActionKind.ASSERT_AIRBAG_LINE:
-                self._record_action(t, "airbag-line asserted")
-            elif action.kind is ActionKind.SEND_ALERT or action.kind is ActionKind.SEND_REPLY:
+            if action.kind is ActionKind.SEND_ALERT or action.kind is ActionKind.SEND_REPLY:
                 head = "reply" if action.alert is None else f"alert kind={action.alert.name}"
                 self._record_action(t, f"{head} dest={action.dest} body={action.text}")
                 self.send_action_count += 1
                 self._dispatch(action.dest, action.text)
-            elif action.kind is ActionKind.SET_WIPER:
+            else:
                 self._record_action(t, action.text)
-            elif action.kind is ActionKind.SET_ENGINE:
-                state = "yes" if action.engine_enabled else "no"
-                self._record_action(t, f"engine enabled={state}")
 
     def _dispatch(self, dest: str, body: str) -> None:
         counters = self.report.counters
@@ -326,7 +321,7 @@ class _Executor:
         fix = self.controller.gps.last_fix
         self.report.final_state = [
             ("engine_enabled", "yes" if self.controller.interlock.engine_enabled else "no"),
-            ("wiper_mode", self.controller.wiper.mode.name),
+            ("wiper_mode", self.controller.wiper_mode.name),
             ("alcohol_ema", "none" if ema is None else f"{ema:.3f}"),
             ("gps_fix", coordinate_text(fix.latitude, fix.longitude) if fix else "none"),
             ("pending_alerts", str(len(self.controller.pending_alerts))),
@@ -372,7 +367,7 @@ class _Executor:
             if ticks:
                 if consumed < len(lines):
                     consumed = self._fold_gps(consumed, now + ticks * tick)
-                if controller.wiper.mode is not WiperMode.OFF:
+                if controller.wiper_mode is not WiperMode.OFF:
                     changes, start = controller.sweep(ticks)
                     for batch in sweep_lines(changes, start, now + tick, ticks, tick):
                         self._write(*batch)

@@ -6,16 +6,19 @@ PINNED is the one registry of pinned drives: each label maps to the
 SHA-256 of the drive's `smartcar-report v1` and a builder of the run.
 The golden tests, the every-tick checks and both tools iterate it or
 look a drive up by its label, so pinning a new drive is one entry here.
-report_memory() is the one measurement of the report's memory, which
-test_report_holds_its_text_about_once and tools/crosscheck.py hold to
-HELD_PER_REPORT and PEAK_PER_REPORT. Importing this file opens no file
-and needs no src/ on sys.path: a builder and report_memory() import
-bench/workloads.py and the program when they are called.
+every_tick() is the one visit-every-tick reference that the every-tick
+checks compare a run against. report_memory() is the one measurement of
+the report's memory, which test_report_holds_its_text_about_once and
+tools/crosscheck.py hold to HELD_PER_REPORT and PEAK_PER_REPORT.
+Importing this file opens no file and needs no src/ on sys.path: a
+builder, every_tick() and report_memory() import bench/workloads.py and
+the program when they are called.
 """
 
 import importlib.util
 import random
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -136,6 +139,25 @@ def dead_modem():
     ), 90_000
 
 
+def gps_cold_start():
+    """A GPS receiver finding its fix while an accident alert waits for
+    one: a void RMC, a GGA without a fix, a GGA with a malformed
+    latitude and a GSV are each stepped and rejected before the first
+    valid RMC releases the alert; a LOC query before it gets no fix and
+    one after it gets the position."""
+    return (
+        "t=1000 gps $GPRMC,000001,V,,,,,,,230394,,*3F\n"
+        "t=1500 impact 1\n"
+        "t=1560 impact 0\n"
+        "t=2000 gps $GPGGA,000002,4807.038,N,01131.000,E,0,00,,,M,,M,,*5D\n"
+        "t=2500 sms +15550100 LOC\n"
+        "t=3000 gps $GPGGA,000003,480.7038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,*49\n"
+        "t=3500 gps $GPGSV,1,1,01,01,40,083,46*44\n"
+        "t=4000 gps $GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A\n"
+        "t=4500 sms +15550100 LOC\n"
+    ), 20_000
+
+
 class Drive(NamedTuple):
     sha256: str  # of the serialized report
     build: Callable  # () -> (events, config, until_ms)
@@ -144,6 +166,27 @@ class Drive(NamedTuple):
     # the every-tick reference would take seconds on it, so it checks
     # the wiper's cache bound instead
     long: bool = False
+
+
+@contextmanager
+def every_tick():
+    """Within it, the executor visits every tick, as a plain polled loop
+    does: SafetyController.next_deadline_ms returns now_ms, so every gap
+    is empty and every wiper step, EMA update and GPS line comes from
+    stepping the full controller. Its sweep raises, so a gap that should
+    not be there shows."""
+    from unittest import mock
+
+    from smartcar.controller import SafetyController
+
+    def no_gap_to_sweep(self, ticks):
+        raise AssertionError(f"a sweep of {ticks} ticks after t={self.last_frame_ms} while visiting every tick")
+
+    with (
+        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
+        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
+    ):
+        yield
 
 
 # the seeds each drive of bench/workloads.py is pinned at
@@ -191,6 +234,12 @@ PINNED = {
     "dead modem": Drive(
         "b6c1ba937c2df26eab3abbda2607bec63971c10e4472aaa49f6172181d0e72a7",
         partial(_generated, dead_modem, 10), every_tick=True,
+    ),
+    # the only drive whose GPS lines update_fix rejects for a void RMC, a
+    # GGA without a fix and a malformed coordinate
+    "gps cold start": Drive(
+        "ee14d6a3b0dc6872f92a683072b5b5c365e923bec4c715fff6ff6de65f981cea",
+        partial(_generated, gps_cold_start, 10), every_tick=True,
     ),
 }
 

@@ -3,7 +3,6 @@
 import pytest
 
 from smartcar.config import Config, load_config, load_config_file
-from smartcar.controller import WiperCommand, WiperMode
 from smartcar.types import ConfigError, GeoFix, SensorFrame
 
 
@@ -29,7 +28,7 @@ class TestDefaults:
 
     def test_config_is_immutable(self):
         # and so are the other values the loop reads on every visit
-        values = (Config(), SensorFrame(), WiperCommand(WiperMode.LOW, 10.0), GeoFix(48.1, 11.5))
+        values = (Config(), SensorFrame(), GeoFix(48.1, 11.5))
         for value in values:
             name = type(value).__slots__[0]
             with pytest.raises(AttributeError):
@@ -44,7 +43,6 @@ class TestValidation:
         bad_values = (
             lambda: GeoFix(91.0, 0.0),
             lambda: GeoFix(0.0, 0.0)._replace(longitude=181.0),
-            lambda: WiperCommand(WiperMode.OFF, 5.0),
             lambda: SensorFrame(panic=2),
             lambda: Config()._replace(tick_ms=0),
         )
@@ -55,14 +53,8 @@ class TestValidation:
             with pytest.raises(TypeError):
                 build()
 
-    @pytest.mark.parametrize("angle", [-0.1, 170.1])
-    def test_wiper_angle_stays_in_the_servo_range(self, angle):
-        with pytest.raises(ValueError, match="servo angle out of range"):
-            WiperCommand(WiperMode.HIGH, angle)
-
     def test_values_repr_their_fields(self):
         assert repr(GeoFix(48.1, 11.5)) == "GeoFix(48.1, 11.5)"
-        assert repr(WiperCommand(WiperMode.OFF, 0.0)) == f"WiperCommand({WiperMode.OFF!r}, 0.0)"
 
     def test_release_must_sit_below_threshold(self):
         with pytest.raises(ConfigError, match="alcohol_release"):

@@ -24,7 +24,6 @@ from smartcar.controller import (
     ImpactDebouncer,
     SafetyController,
     WIPER_PERIOD_MS,
-    WiperCommand,
     WiperCycle,
     WiperMode,
     _WIPER_CYCLES,
@@ -498,9 +497,9 @@ class TestAlcoholFlow:
         for raw in [600] * 30 + [0] * 30:
             log.extend(ctl.step(SensorFrame(alcohol_raw=raw), t))
             t += 10
-        engine = [a.engine_enabled for a in log if a.kind is ActionKind.SET_ENGINE]
+        engine = [a.text for a in log if a.kind is ActionKind.SET_ENGINE]
         alerts = [a for a in log if a.kind is ActionKind.SEND_ALERT]
-        assert engine == [False, True]
+        assert engine == ["engine enabled=no", "engine enabled=yes"]
         assert len(alerts) == 1
         assert alerts[0].alert is AlertKind.ALCOHOL
         assert alerts[0].dest == CFG.alert_safety_number
@@ -515,7 +514,7 @@ class TestAlcoholFlow:
                 break
             t += 10
         assert kinds(actions) == [ActionKind.SET_ENGINE, ActionKind.SEND_ALERT]
-        assert actions[0].engine_enabled is False
+        assert actions[0].text == "engine enabled=no"
 
 
 class TestAlertRouting:
@@ -559,19 +558,19 @@ class TestWiperFlow:
         ctl = SafetyController(CFG)
         a0 = ctl.step(SensorFrame(rain_wet=1, rain_intensity=500), 1000)
         assert kinds(a0) == [ActionKind.SET_WIPER]
-        assert ctl.wiper.mode is WiperMode.LOW
-        assert ctl.wiper.servo_angle_deg == 0.0  # phase restarts on entry
+        assert ctl.wiper_mode is WiperMode.LOW
+        assert ctl.servo_angle_deg == 0.0  # phase restarts on entry
         a1 = ctl.step(SensorFrame(rain_wet=1, rain_intensity=500), 1010)
         assert kinds(a1) == [ActionKind.SET_WIPER]
-        assert ctl.wiper.servo_angle_deg == 1.7
+        assert ctl.servo_angle_deg == 1.7
 
     def test_dry_parks_once(self):
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=900), 1000)
         a = ctl.step(SensorFrame(rain_wet=0), 1010)
         assert kinds(a) == [ActionKind.SET_WIPER]
-        assert ctl.wiper.mode is WiperMode.OFF
-        assert ctl.wiper.servo_angle_deg == 0.0
+        assert ctl.wiper_mode is WiperMode.OFF
+        assert ctl.servo_angle_deg == 0.0
         assert not ctl.step(SensorFrame(rain_wet=0), 1020)
 
 
@@ -650,13 +649,13 @@ class TestNextDeadline:
         for intensity in (500, 900):
             ctl = SafetyController(CFG)
             ctl.step(SensorFrame(rain_wet=1, rain_intensity=intensity), 0)
-            assert ctl.wiper.mode in (WiperMode.LOW, WiperMode.HIGH)
+            assert ctl.wiper_mode in (WiperMode.LOW, WiperMode.HIGH)
             assert ctl.next_deadline_ms(0) is None
 
     def test_intermittent_sweep_sets_no_deadline(self):
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
-        assert ctl.wiper.mode is WiperMode.INTERMITTENT
+        assert ctl.wiper_mode is WiperMode.INTERMITTENT
         assert ctl.next_deadline_ms(0) is None
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 10)
         assert ctl.next_deadline_ms(10) is None
@@ -665,7 +664,7 @@ class TestNextDeadline:
         ctl = SafetyController(CFG)
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 0)
         ctl.step(SensorFrame(rain_wet=1, rain_intensity=100), 2000)
-        assert ctl.wiper.servo_angle_deg == 0.0
+        assert ctl.servo_angle_deg == 0.0
         assert ctl.next_deadline_ms(2000) is None
         step = (4010, wiper_line(WiperMode.INTERMITTENT, servo_angle(WiperMode.INTERMITTENT, 10)))
         # the steps at 0 and 2000 built the cycle; a sweep only reads it
@@ -699,7 +698,7 @@ def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, end):
     for t in range(visit + tick_ms, end, tick_ms):
         for action in stepped.step(SensorFrame(**levels), t):
             if action.kind is ActionKind.SET_WIPER:
-                angle = stepped.wiper.servo_angle_deg
+                angle = stepped.servo_angle_deg
                 assert angle == servo_angle(mode, t - entry)
                 assert action.text == wiper_line(mode, angle)
                 expected.append(f"A t={t} {action.text}")
@@ -708,7 +707,7 @@ def assert_sweep_matches_stepping(mode, tick_ms, entry, visit, end):
     for first, last, text in batches:
         times = [int(line.split(" ", 2)[1][2:]) for line in text.split("\n")]
         assert (first, last) == (times[0], times[-1])
-    assert swept.wiper == stepped.wiper
+    assert (swept.wiper_mode, swept.servo_angle_deg) == (stepped.wiper_mode, stepped.servo_angle_deg)
     return batches
 
 
@@ -754,7 +753,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert allocated < 10_000
-        assert long.wiper == WiperCommand(mode, servo_angle(mode, (end - 1) // tick * tick))
+        assert (long.wiper_mode, long.servo_angle_deg) == (mode, servo_angle(mode, (end - 1) // tick * tick))
         assert list(islice(steps, 3)) == expected
 
 

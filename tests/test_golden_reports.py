@@ -7,10 +7,15 @@ The report is the contract of the simulator, so any change to the
 program that alters one of these digests changes behaviour. A change
 that means to alter a report updates its digest in the registry and
 says why. The same reports also check the in-process records view:
-printed back as lines, it must give the serialized report.
+printed back as lines, it must give the serialized report. The module
+entry point, `python -m smartcar`, runs in a fresh interpreter on one
+bundled scenario and on one malformed scenario.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +53,30 @@ def test_report_matches_golden_digest(name, tmp_path):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[f"bundled {name}"].sha256
+
+
+def python_m_smartcar(*args):
+    """`python -m smartcar` with args, run in a fresh interpreter with
+    src/ first on its path; the finished process, output as bytes."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "smartcar", *args], capture_output=True, env=env, cwd=ROOT)
+
+
+def test_module_entry_point_prints_the_report():
+    proc = python_m_smartcar(
+        "run", "--scenario", "scenarios/crash_demo.txt", "--config", "scenarios/default.cfg"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED["bundled crash_demo"].sha256
+
+
+def test_module_entry_point_rejects_a_bad_scenario(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("t=10 impact 5\n")
+    proc = python_m_smartcar("check", "--scenario", str(bad))
+    assert proc.returncode == 1
+    assert b"line 1" in proc.stderr
 
 
 def assert_records_match_text(report):

@@ -1,12 +1,9 @@
 """Next-event time advance against a visit-every-tick reference.
 
 The executor applies the ticks between two visits without visiting
-them; smartcar.sim.runner's module docstring states the rule. Patching
-SafetyController.next_deadline_ms to return `now_ms` makes it visit
-every tick, as a plain polled loop does: every gap is then empty, and
-every wiper step, EMA update and GPS line comes from stepping the full
-controller. The reference's sweep raises, so a gap it should not have
-shows. The two runs of one generated scenario must give byte-identical
+them; smartcar.sim.runner's module docstring states the rule. Under
+helpers.every_tick() it visits every tick, as a plain polled loop does.
+The two runs of one generated scenario must give byte-identical
 reports.
 
 Scenarios mix off-grid event times, odd tick lengths, modem faults that
@@ -29,12 +26,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from smartcar.cli import DEFAULT_TAIL_MS
 from smartcar.config import Config, load_config_file
-from smartcar.controller import WIPER_PERIOD_MS, AlcoholInterlock, SafetyController, WiperMode
+from smartcar.controller import WIPER_PERIOD_MS, AlcoholInterlock, WiperMode
 from smartcar.sim.devices import SensorBoard
 from smartcar.sim.runner import _Executor, run
 from smartcar.sim.scenario import load_scenario, load_scenario_file
 
-from helpers import PINNED, printed_records
+from helpers import PINNED, every_tick, printed_records
 
 GPS_LINES = (
     "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A",
@@ -113,28 +110,19 @@ configs = st.builds(
 )
 
 
-def no_gap_to_sweep(self, ticks):
-    """The every-tick reference's sweep: with a visit on every tick no
-    gap lies between two visits, so a call is a fault."""
-    raise AssertionError(f"a sweep of {ticks} ticks after t={self.last_frame_ms} while visiting every tick")
-
-
 def run_skipping_and_every_tick(events, config, until_ms):
     """The report of the events as run, and as run visiting every tick."""
     skipping = run(events, config, until_ms).serialize()
-    with (
-        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
-    ):
-        every_tick = run(events, config, until_ms).serialize()
-    return skipping, every_tick
+    with every_tick():
+        reference = run(events, config, until_ms).serialize()
+    return skipping, reference
 
 
 def assert_skipping_matches_every_tick(groups, config, tail_ms):
     scenario = "\n".join(f"t={t} {text}" for group in groups for t, text in group)
     until_ms = max((t for group in groups for t, _ in group), default=0) + tail_ms
-    skipping, every_tick = run_skipping_and_every_tick(load_scenario(scenario), config, until_ms)
-    assert skipping == every_tick
+    skipping, reference = run_skipping_and_every_tick(load_scenario(scenario), config, until_ms)
+    assert skipping == reference
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -185,8 +173,8 @@ def test_tick_after_a_blocking_send_is_a_visit(name):
     block, after = BLOCKED_FROM_MID_SWEEP[name]
     scenario = f"t=0 rain 1 100\n{block}"
     config = Config(sms_ok_timeout_ms=1234, sms_retry_backoff_ms=777)
-    skipping, every_tick = run_skipping_and_every_tick(load_scenario(scenario), config, 6000)
-    assert skipping == every_tick
+    skipping, reference = run_skipping_and_every_tick(load_scenario(scenario), config, 6000)
+    assert skipping == reference
     executor = _Executor(load_scenario(scenario), config, 6000)
     sample, sampled = executor.board.sample, []
     executor.board.sample = lambda: sampled.append(executor.clock.now_ms) or sample()
@@ -235,12 +223,12 @@ def test_folding_gps_lines_matches_visiting_every_tick(scenario, tail_ms):
 
 @pytest.mark.parametrize("label", [label for label, drive in PINNED.items() if drive.every_tick])
 def test_pinned_drive_matches_visiting_every_tick(label):
-    skipping, every_tick = run_skipping_and_every_tick(*PINNED[label].build())
+    skipping, reference = run_skipping_and_every_tick(*PINNED[label].build())
     # name the first lines that differ: a diff of two whole reports of
     # ~2 MB takes pytest minutes
-    lines = zip(skipping.split("\n"), every_tick.split("\n"))
+    lines = zip(skipping.split("\n"), reference.split("\n"))
     assert next((pair for pair in lines if pair[0] != pair[1]), None) is None
-    assert skipping == every_tick
+    assert skipping == reference
 
 
 def test_send_that_blocks_past_the_end_leaves_no_gap():
@@ -353,13 +341,9 @@ def test_breath_tests_during_10_hz_gps_evaluate_the_ema_no_more_than_every_tick(
     )
     with smoothed as skipping_calls:
         skipping = run(load_scenario(scenario), config, 90_000).serialize()
-    with (
-        smoothed as every_tick_calls,
-        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
-    ):
-        every_tick = run(load_scenario(scenario), config, 90_000).serialize()
-    assert skipping == every_tick
+    with smoothed as every_tick_calls, every_tick():
+        reference = run(load_scenario(scenario), config, 90_000).serialize()
+    assert skipping == reference
     assert skipping_calls.call_count <= every_tick_calls.call_count
 
 
@@ -383,12 +367,8 @@ def test_a_settling_stretch_evaluates_each_update_once():
         changes.append(self.ema != ema)
         return flipped
 
-    with (
-        mock.patch.object(AlcoholInterlock, "update", counting_update),
-        mock.patch.object(SafetyController, "next_deadline_ms", lambda self, now_ms: now_ms),
-        mock.patch.object(SafetyController, "sweep", no_gap_to_sweep),
-    ):
-        every_tick = run(load_scenario(scenario), config, 60_000).serialize()
-    assert skipping == every_tick
+    with mock.patch.object(AlcoholInterlock, "update", counting_update), every_tick():
+        reference = run(load_scenario(scenario), config, 60_000).serialize()
+    assert skipping == reference
     assert len(changes) == 60_000 // config.tick_ms + 1
     assert calls.call_count <= sum(changes) + visits.call_count
